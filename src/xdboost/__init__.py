@@ -13,13 +13,13 @@ from .boosting import (XDBoostModel, append_placeholders, create_xdboost,
 from .data import (ClassWeights, DesignMatrix, FeatureSchema, FieldSpec,
                    InteractionRecord, SplitSpec, build_schema,
                    build_schema_and_encode, chronological_split, class_weights,
-                   cold_start_filter, encode, ingest_csv, load_encoded_splits,
-                   records_hash, save_encoded_splits, sub_training)
+                   cold_start_filter, encode, ingest_csv, records_hash,
+                   sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
 from .kernels import BACKEND
 from .metrics import MetricsReport, auc, evaluate, log_loss
-from .models import BaseNet, BaseNetConfig, FitHistory, build_base_net, fm_pairwise
+from .models import BaseNet, BaseNetConfig, FitHistory, fm_pairwise
 from .synth import SynthConfig, generate_records
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "XDBoostModel",
     "append_placeholders",
     "auc",
-    "build_base_net",
     "build_schema",
     "build_schema_and_encode",
     "chronological_split",
@@ -58,11 +57,9 @@ __all__ = [
     "fm_pairwise",
     "generate_records",
     "ingest_csv",
-    "load_encoded_splits",
     "log_loss",
     "predict_xdboost",
     "records_hash",
-    "save_encoded_splits",
     "sub_training",
     "train_unboosted",
     "train_xdboost",

@@ -56,16 +56,20 @@ def append_placeholders(X: DesignMatrix, n):
     return DesignMatrix(X.cat, cont, n)
 
 
+def _check_knobs(n_iterations, error_lr):
+    if n_iterations < 1:
+        raise ConfigError(f"boosting needs at least one iteration, got {n_iterations}")
+    if not 0.0 <= error_lr <= 1.0:
+        raise ConfigError(f"error learning rate must lie in [0, 1], got {error_lr}")
+
+
 class XDBoostModel:
     """One classifier, N error regressors, and the boosting knobs."""
 
     def __init__(self, schema: FeatureSchema, n_iterations, error_lr,
                  classifier, regressors, seed=0, cold_restart=False,
                  trained=False):
-        if n_iterations < 1:
-            raise ConfigError(f"boosting needs at least one iteration, got {n_iterations}")
-        if not 0.0 <= error_lr <= 1.0:
-            raise ConfigError(f"error learning rate must lie in [0, 1], got {error_lr}")
+        _check_knobs(n_iterations, error_lr)
         if schema.n_placeholders != n_iterations:
             raise ConfigError(
                 f"schema has {schema.n_placeholders} placeholder columns for "
@@ -85,9 +89,6 @@ class XDBoostModel:
         self.cold_restart = cold_restart
         self.trained = trained
         self.training_log = []
-
-    def predict(self, X, observer=None, inplace=False):
-        return predict_xdboost(self, X, observer=observer, inplace=inplace)
 
     # ---- persistence --------------------------------------------------------
 
@@ -140,10 +141,7 @@ def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,
                    seed=0, cold_restart=False):
     """Untrained model: schema gains one placeholder column per iteration,
     and every sub-net gets its own seed derived from the master seed."""
-    if n_iterations < 1:
-        raise ConfigError(f"boosting needs at least one iteration, got {n_iterations}")
-    if not 0.0 <= error_lr <= 1.0:
-        raise ConfigError(f"error learning rate must lie in [0, 1], got {error_lr}")
+    _check_knobs(n_iterations, error_lr)
     ph_schema = schema.with_placeholders(n_iterations)
     classifier = BaseNet(ph_schema, config.as_classifier(), seed=classifier_seed(seed))
     regressors = [BaseNet(ph_schema, config.as_regressor(), seed=regressor_seed(seed, i))

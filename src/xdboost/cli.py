@@ -158,10 +158,13 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
     except TypeError as exc:
         raise ConfigError(f"bad net settings: {exc}")
 
-    pcts = tuple(raw.get("sub_training_percentages", DEFAULT_PERCENTAGES))
+    pcts = tuple(raw.get("sub_training_percentages",
+                         [p for p in DEFAULT_PERCENTAGES if split.holds_sub_training(p)]))
     for p in pcts:
-        if not 0 < p <= 72:
-            raise ConfigError(f"sub-training percentage {p} outside (0, 72]")
+        split.check_sub_training_percent(p)
+    sub_percent = raw.get("sub_training_percent")
+    if sub_percent is not None:
+        split.check_sub_training_percent(sub_percent)
 
     return ExperimentConfig(
         seed=int(raw["seed"]),
@@ -169,7 +172,7 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
         fields=fields,
         synthetic=synth_cfg,
         split=split,
-        sub_training_percent=raw.get("sub_training_percent"),
+        sub_training_percent=sub_percent,
         sub_training_percentages=pcts,
         normalize_continuous=bool(raw.get("normalize_continuous", True)),
         n_iterations=int(model_raw.get("n_iterations", DEFAULT_N_ITERATIONS)),
@@ -204,7 +207,7 @@ def run_experiment(cfg, records, field_spec, sub_percent, eval_test=None,
     timings = {}
     t0 = time.perf_counter()
     train_region, val_records, test_records = chronological_split(records, cfg.split)
-    sub = (sub_training(records, train_region, sub_percent)
+    sub = (sub_training(records, train_region, sub_percent, cfg.split)
            if sub_percent is not None else train_region)
     test_eval = eval_test if eval_test is not None else test_records
     timings["split"] = time.perf_counter() - t0
@@ -360,7 +363,7 @@ def failures_to_error(failures):
 def cmd_coldstart(cfg):
     records, field_spec, source = load_records(cfg)
     train_region, _, test_records = chronological_split(records, cfg.split)
-    sub = (sub_training(records, train_region, cfg.sub_training_percent)
+    sub = (sub_training(records, train_region, cfg.sub_training_percent, cfg.split)
            if cfg.sub_training_percent is not None else train_region)
     filtered = cold_start_filter(test_records, sub)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -389,13 +392,6 @@ def cmd_coldstart(cfg):
     _print_metrics(result)
     print(f"result written to {result_path}")
     return 0
-
-
-def _field_spec_from_schema(schema):
-    context = [f for f in schema.cat_fields
-               if f not in (schema.user_field, schema.item_field)]
-    return FieldSpec(user_field=schema.user_field, item_field=schema.item_field,
-                     categorical=context, continuous=list(schema.cont_fields))
 
 
 def _read_scoring_rows(path, schema):

@@ -109,6 +109,18 @@ class SplitSpec:
         if abs(self.train + self.val + self.test - 1.0) > 1e-9:
             raise ConfigError("split fractions must sum to 1")
 
+    def holds_sub_training(self, x_percent):
+        """Whether the training region can hold a sub-training set of
+        x_percent of the full dataset, i.e. 0 < x_percent <= 100 * train."""
+        # Dividing keeps round percentages exact: 57 / 100 is the double
+        # 0.57, while 100 * 0.57 falls just below 57.
+        return x_percent > 0 and x_percent / 100.0 <= self.train
+
+    def check_sub_training_percent(self, x_percent):
+        if not self.holds_sub_training(x_percent):
+            raise ConfigError(f"sub-training percentage {x_percent} outside "
+                              f"(0, {100 * self.train:g}]")
+
 
 def ingest_csv(path, field_spec, strict=True):
     """Parse a click-log CSV into records, in file order.
@@ -189,14 +201,14 @@ def chronological_split(records, spec=None):
             ordered[n_train + n_val:])
 
 
-def sub_training(all_records, train_region, x_percent):
+def sub_training(all_records, train_region, x_percent, split=None):
     """Most recent floor(x% of the full dataset) records of the train region.
 
     x_percent is a percentage of the FULL dataset, bounded by the training
-    fraction (72 under the default split). Validation/test are untouched.
+    fraction of the split that cut train_region (default SplitSpec(): 72).
+    Validation/test are untouched.
     """
-    if not 0 < x_percent <= 72:
-        raise ConfigError(f"sub-training percentage must be in (0, 72], got {x_percent}")
+    (split or SplitSpec()).check_sub_training_percent(x_percent)
     k = math.floor(x_percent / 100.0 * len(all_records))
     if k < 1:
         raise DataError(f"sub-training of {x_percent}% selects zero records")
@@ -402,30 +414,3 @@ def build_schema_and_encode(train_records, splits, field_spec, normalize=True):
     encoded = {name: encode(records, schema) for name, records in splits.items()}
     return schema, encoded
 
-
-def save_encoded_splits(out_dir, schema, encoded):
-    """Persist encoded splits: schema.json plus one .npz per split.
-
-    Each npz stores cat (int64), cont (float64), labels, timestamps and
-    the placeholder count, so experiments can skip re-encoding.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "schema.json"), "w") as fh:
-        json.dump(schema.to_dict(), fh, indent=2, sort_keys=True)
-    for name, (X, y, ts) in encoded.items():
-        np.savez(os.path.join(out_dir, f"{name}.npz"),
-                 cat=X.cat, cont=X.cont,
-                 n_placeholders=np.int64(X.n_placeholders),
-                 labels=y, timestamps=ts)
-
-
-def load_encoded_splits(in_dir):
-    with open(os.path.join(in_dir, "schema.json")) as fh:
-        schema = FeatureSchema.from_dict(json.load(fh))
-    encoded = {}
-    for fname in sorted(os.listdir(in_dir)):
-        if fname.endswith(".npz"):
-            blob = np.load(os.path.join(in_dir, fname))
-            X = DesignMatrix(blob["cat"], blob["cont"], int(blob["n_placeholders"]))
-            encoded[fname[:-4]] = (X, blob["labels"], blob["timestamps"])
-    return schema, encoded

@@ -5,8 +5,9 @@ that numpy cannot delegate to BLAS: scatter-add accumulation of embedding
 gradients (``np.add.at`` is unbuffered but slow) and the elementwise Adam
 update (numpy allocates several temporaries per parameter tensor).
 
-Set ``XDBOOST_FORCE_NUMPY=1`` to force the fallback; ``BACKEND`` reports
-which path is active. Both paths are bit-identical, which the tests check.
+Set ``XDBOOST_FORCE_NUMPY`` to ``1``, ``true`` or ``yes`` (any case) to
+force the fallback; ``BACKEND`` reports which path is active. Both paths
+are bit-identical, which the tests check.
 """
 
 import os
@@ -18,7 +19,8 @@ try:
 except ImportError:
     _native = None
 
-BACKEND = "numpy" if (_native is None or os.environ.get("XDBOOST_FORCE_NUMPY")) else "native"
+_FORCE_NUMPY = os.environ.get("XDBOOST_FORCE_NUMPY", "").strip().lower() in ("1", "true", "yes")
+BACKEND = "numpy" if (_native is None or _FORCE_NUMPY) else "native"
 
 
 def _scatter_add_rows_np(out, idx, rows):
@@ -58,7 +60,7 @@ def scatter_add_scalars(out, idx, vals):
 
 
 def adam_update(param, grad, m, v, lr, beta1, beta2, eps, t):
-    """In-place bias-corrected Adam step on one parameter tensor.
+    """In-place bias-corrected Adam step on one parameter vector.
 
     ``param``, ``m`` and ``v`` are mutated; ``t`` is the already-incremented
     step counter (t >= 1).

@@ -10,6 +10,13 @@ error, since residuals of a probability against a binary label live in
 projected into embedding space by a learned per-field vector scaled by the
 value, so they take part in the pairwise interactions too.
 
+Every parameter tensor of a net is a view into one contiguous float64
+vector, its parameter arena, in one fixed layout. The gradient of a batch
+is a vector in the same layout, and Adam's two moment vectors match it
+too, so an optimizer step is one fused update over the whole vector and
+an early-stopping snapshot is one copy per vector. Saved nets keep one
+array per tensor, written from and read back into the views.
+
 All gradients are hand-derived; the tests check them against central
 finite differences.
 """
@@ -97,10 +104,6 @@ class FitHistory:
     def to_dict(self):
         return dataclasses.asdict(self)
 
-    @property
-    def final_train_loss(self):
-        return self.train_losses[-1] if self.train_losses else None
-
 
 def fm_pairwise(field_vectors):
     """Sum of dot products over all unordered pairs of field vectors.
@@ -118,12 +121,27 @@ def fm_pairwise(field_vectors):
     return float(0.5 * (total @ total - float((stacked * stacked).sum())))
 
 
+def _carve(buffer, shapes):
+    """Consecutive views of a flat vector, one per shape, in order."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 class BaseNet:
     """One network instance bound to a feature schema.
 
-    Parameters live in a fixed flat order (embeddings, first-order weights,
-    continuous projections, global bias, MLP layers) mirrored by the Adam
-    accumulators; construction from the same seed is bit-reproducible.
+    Every parameter tensor is a view into the vector ``flat``, laid out in
+    params() order: per-field embedding tables, per-field first-order
+    weights, continuous projections, first-order continuous weights, the
+    global bias, then each MLP layer's weights and bias. Gradients come as
+    one vector in the same layout, and the optimizer's ``m`` and ``v``
+    mirror it, so one Adam call updates every tensor. Construction draws
+    the random initial values in a fixed order (embeddings, continuous
+    projection, dense weights), so the same seed gives the same bits.
     """
 
     def __init__(self, schema: FeatureSchema, config: BaseNetConfig, seed=None):
@@ -140,32 +158,43 @@ class BaseNet:
         self.n_cont = len(schema.cont_fields) + schema.n_placeholders
         self.n_fields = self.n_cat + self.n_cont
 
+        vocab = [schema.vocab_size(name) for name in schema.cat_fields]
+        dims = [self.n_fields * k, *config.hidden_layers, 1]
+        self._shapes = ([(v, k) for v in vocab] + [(v,) for v in vocab]
+                        + [(self.n_cont, k), (self.n_cont,), (1,)]
+                        + [shape for d_in, d_out in zip(dims, dims[1:])
+                           for shape in ((d_out, d_in), (d_out,))])
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self._shapes))
+        (self.embeddings, self.lin_cat, (self.cont_proj, self.lin_cont, self.bias),
+         layer_params) = self._group(self.flat)
+
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0]))
-        self.embeddings = [nn.EmbeddingTable(schema.vocab_size(name), k, rng)
-                           for name in schema.cat_fields]
-        self.cont_proj = nn.glorot_uniform(rng, (self.n_cont, k), self.n_cont, k)
-        self.lin_cat = [np.zeros(schema.vocab_size(name)) for name in schema.cat_fields]
-        self.lin_cont = np.zeros(self.n_cont)
-        self.bias = np.zeros(1)
+        for table in self.embeddings:
+            # Fan-scaled like a (vocab, dim) dense weight. The small rows keep
+            # early pairwise-interaction scores (and with them the raw head
+            # inputs) near zero, so heads start unsaturated.
+            table[...] = nn.glorot_uniform(rng, table.shape, *table.shape)
+        self.cont_proj[...] = nn.glorot_uniform(rng, self.cont_proj.shape, self.n_cont, k)
+        self.layers = [nn.DenseLayer(w, b, "relu", rng) for w, b in layer_params[:-1]]
+        self.layers.append(nn.DenseLayer(*layer_params[-1], "identity", rng))
 
-        self.layers = []
-        in_dim = self.n_fields * k
-        for width in config.hidden_layers:
-            self.layers.append(nn.DenseLayer(in_dim, width, "relu", rng))
-            in_dim = width
-        self.layers.append(nn.DenseLayer(in_dim, 1, "identity", rng))
-
-        self.optimizer = nn.Adam(self.params(), config.learning_rate,
+        self.optimizer = nn.Adam(self.flat, config.learning_rate,
                                  config.beta1, config.beta2, config.epsilon)
         self._shuffle_rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1]))
 
     def params(self):
-        out = [e.weights for e in self.embeddings]
-        out.extend(self.lin_cat)
-        out.extend([self.cont_proj, self.lin_cont, self.bias])
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        """Per-tensor views of ``flat``, in layout order."""
+        return _carve(self.flat, self._shapes)
+
+    def _group(self, buffer):
+        """Views of a layout-shaped vector grouped by role: (embedding tables,
+        first-order tables, [cont_proj, lin_cont, bias], per-layer
+        [weights, bias] pairs)."""
+        views = _carve(buffer, self._shapes)
+        n = self.n_cat
+        dense = views[2 * n + 3:]
+        return (views[:n], views[n:2 * n], views[2 * n:2 * n + 3],
+                list(zip(dense[::2], dense[1::2])))
 
     # ---- forward / backward -------------------------------------------------
 
@@ -187,8 +216,8 @@ class BaseNet:
         n = cat.shape[0]
         k = self.config.embedding_dim
         V = np.empty((n, self.n_fields, k))
-        for j, emb in enumerate(self.embeddings):
-            V[:, j, :] = emb.weights[cat[:, j]]
+        for j, table in enumerate(self.embeddings):
+            V[:, j, :] = table[cat[:, j]]
         if self.n_cont:
             V[:, self.n_cat:, :] = cont[:, :, None] * self.cont_proj[None, :, :]
 
@@ -213,42 +242,29 @@ class BaseNet:
         return out, (V, total, caches, cat, cont)
 
     def _backward(self, cache, dlogit):
-        """Gradients of the scalar loss for every parameter, given dL/dlogit."""
+        """Gradient of the scalar loss given dL/dlogit, as one vector laid
+        out like ``flat``."""
         V, total, caches, cat, cont = cache
         n, k = cat.shape[0], self.config.embedding_dim
+        grad = np.zeros_like(self.flat)
+        demb, dlin_cat, (dcont_proj, dlin_cont, dbias), dlayers = self._group(grad)
 
         dh = dlogit[:, None]
-        layer_grads = []
-        for layer, layer_cache in zip(reversed(self.layers), reversed(caches)):
-            dh, dw, db = layer.backward(layer_cache, dh)
-            layer_grads.append((dw, db))
-        layer_grads.reverse()
+        for layer, layer_cache, (dw, db) in zip(reversed(self.layers), reversed(caches),
+                                                reversed(dlayers)):
+            dh, dw[...], db[...] = layer.backward(layer_cache, dh)
 
         dV = dh.reshape(n, self.n_fields, k)
         dV = dV + dlogit[:, None, None] * (total[:, None, :] - V)
 
-        demb = []
-        for j, emb in enumerate(self.embeddings):
-            g = np.zeros_like(emb.weights)
-            kernels.scatter_add_rows(g, cat[:, j], dV[:, j, :])
-            demb.append(g)
-        dlin_cat = []
-        for j, w in enumerate(self.lin_cat):
-            g = np.zeros_like(w)
-            kernels.scatter_add_scalars(g, cat[:, j], dlogit)
-            dlin_cat.append(g)
+        for j in range(self.n_cat):
+            kernels.scatter_add_rows(demb[j], cat[:, j], dV[:, j, :])
+            kernels.scatter_add_scalars(dlin_cat[j], cat[:, j], dlogit)
         if self.n_cont:
-            dcont_proj = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
-            dlin_cont = cont.T @ dlogit
-        else:
-            dcont_proj = np.zeros_like(self.cont_proj)
-            dlin_cont = np.zeros_like(self.lin_cont)
-        dbias = np.array([dlogit.sum()])
-
-        grads = demb + dlin_cat + [dcont_proj, dlin_cont, dbias]
-        for dw, db in layer_grads:
-            grads.extend([dw, db])
-        return grads
+            dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
+            dlin_cont[...] = cont.T @ dlogit
+        dbias[0] = dlogit.sum()
+        return grad
 
     def _dlogit(self, out, targets, class_weights):
         if self.config.loss == "weighted_bce":
@@ -261,13 +277,14 @@ class BaseNet:
         return nn.mae_loss(out, targets)
 
     def loss_and_gradients(self, X, targets, class_weights=None):
-        """Forward + backward over one batch; returns (loss, flat gradients)."""
+        """Forward + backward over one batch; returns (loss, per-tensor
+        gradients in params() order)."""
         self._check_matrix(X)
         targets = np.asarray(targets, dtype=np.float64)
         out, cache = self._forward(X.cat, X.cont, want_cache=True)
         loss = self.batch_loss(out, targets, class_weights)
-        grads = self._backward(cache, self._dlogit(out, targets, class_weights))
-        return loss, grads
+        grad = self._backward(cache, self._dlogit(out, targets, class_weights))
+        return loss, _carve(grad, self._shapes)
 
     # ---- prediction ---------------------------------------------------------
 
@@ -324,7 +341,6 @@ class BaseNet:
             history.initial_val_loss = best_val
         bad_epochs = 0
         bs = self.config.batch_size
-        params = self.params()
         for epoch in range(self.config.epochs):
             order = np.arange(X.n_rows)
             if self.config.shuffle:
@@ -339,8 +355,8 @@ class BaseNet:
                 if not math.isfinite(loss):
                     raise TrainingError(
                         f"non-finite training loss at epoch {epoch}, batch row {start}")
-                grads = self._backward(cache, self._dlogit(out, batch_targets, class_weights))
-                self.optimizer.step(params, grads)
+                grad = self._backward(cache, self._dlogit(out, batch_targets, class_weights))
+                self.optimizer.step(self.flat, grad)
                 loss_sum += loss * len(rows)
             history.epochs_run = epoch + 1
             history.train_losses.append(loss_sum / X.n_rows)
@@ -362,38 +378,21 @@ class BaseNet:
         return history
 
     def _snapshot(self):
-        return ([p.copy() for p in self.params()], self.optimizer.state_copy())
+        return self.flat.copy(), self.optimizer.state_copy()
 
     def _restore(self, state):
-        saved, opt_state = state
-        for p, s in zip(self.params(), saved):
-            p[...] = s
-        self.optimizer.load_state(opt_state)
+        self.flat[...] = state[0]
+        self.optimizer.load_state(state[1])
 
     # ---- serialization ------------------------------------------------------
 
-    def to_arrays(self):
-        arrays = {}
-        for i, p in enumerate(self.params()):
-            arrays[f"param_{i:03d}"] = p
-        for i, m in enumerate(self.optimizer.m):
-            arrays[f"adam_m_{i:03d}"] = m
-        for i, v in enumerate(self.optimizer.v):
-            arrays[f"adam_v_{i:03d}"] = v
-        arrays["adam_t"] = np.int64(self.optimizer.t)
-        return arrays
-
-    def load_arrays(self, arrays):
-        params = self.params()
-        for i, p in enumerate(params):
-            stored = arrays[f"param_{i:03d}"]
-            if stored.shape != p.shape:
-                raise DataError(f"stored tensor {i} has shape {stored.shape}, expected {p.shape}")
-            p[...] = stored
-        for i in range(len(params)):
-            self.optimizer.m[i][...] = arrays[f"adam_m_{i:03d}"]
-            self.optimizer.v[i][...] = arrays[f"adam_v_{i:03d}"]
-        self.optimizer.t = int(arrays["adam_t"])
+    def _stored_views(self):
+        """(key, view) for every per-tensor array of a saved net: each
+        parameter tensor, then its Adam m and v, in layout order."""
+        for prefix, buffer in (("param", self.flat), ("adam_m", self.optimizer.m),
+                               ("adam_v", self.optimizer.v)):
+            for i, view in enumerate(_carve(buffer, self._shapes)):
+                yield f"{prefix}_{i:03d}", view
 
     def save(self, path):
         """Versioned single-file dump: tensors, optimizer state, config,
@@ -406,22 +405,23 @@ class BaseNet:
             "seed": self.seed,
         }
         np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **self.to_arrays())
+                 **dict(self._stored_views()), adam_t=np.int64(self.optimizer.t))
 
     @classmethod
     def load(cls, path):
-        blob = np.load(path)
-        meta = json.loads(bytes(blob["meta"]).decode())
-        if meta["format_version"] != NET_FORMAT_VERSION:
-            raise DataError(f"unsupported net format version {meta['format_version']}")
-        schema = FeatureSchema.from_dict(meta["schema"])
-        if schema.hash() != meta["schema_hash"]:
-            raise DataError("schema hash mismatch in saved net")
-        net = cls(schema, BaseNetConfig.from_dict(meta["config"]), seed=meta["seed"])
-        net.load_arrays(blob)
+        with np.load(path) as blob:
+            meta = json.loads(bytes(blob["meta"]).decode())
+            if meta["format_version"] != NET_FORMAT_VERSION:
+                raise DataError(f"unsupported net format version {meta['format_version']}")
+            schema = FeatureSchema.from_dict(meta["schema"])
+            if schema.hash() != meta["schema_hash"]:
+                raise DataError("schema hash mismatch in saved net")
+            net = cls(schema, BaseNetConfig.from_dict(meta["config"]), seed=meta["seed"])
+            for key, view in net._stored_views():
+                stored = blob[key]
+                if stored.shape != view.shape:
+                    raise DataError(f"stored {key} has shape {stored.shape}, "
+                                    f"expected {view.shape}")
+                view[...] = stored
+            net.optimizer.t = int(blob["adam_t"])
         return net
-
-
-def build_base_net(schema, config, seed=None):
-    """Fresh, seeded network; same seed twice gives identical parameters."""
-    return BaseNet(schema, config, seed)

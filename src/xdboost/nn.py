@@ -1,6 +1,6 @@
-"""Differentiable building blocks: activations, losses, dense layers,
-embedding tables and Adam. Everything is float64 and single-threaded;
-gradients are analytic and checked against finite differences in the tests.
+"""Differentiable building blocks: activations, losses, dense layers and
+Adam. Everything is float64 and single-threaded; gradients are analytic
+and checked against finite differences in the tests.
 """
 
 import numpy as np
@@ -115,18 +115,21 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 class DenseLayer:
     """Fully connected layer out = act(x @ W.T + b), W is (out_dim, in_dim).
 
-    forward returns a cache consumed by backward, so prediction can run
-    concurrently without mutating the layer.
+    The layer computes with the weight and bias arrays it is given, which
+    may be views into a larger buffer; construction Glorot-initializes the
+    weights in place and leaves the bias as it is. forward returns a cache
+    consumed by backward, so prediction can run concurrently without
+    mutating the layer.
     """
 
-    def __init__(self, in_dim, out_dim, activation, rng):
+    def __init__(self, weights, bias, activation, rng):
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation kind: {activation!r}")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
+        self.out_dim, self.in_dim = weights.shape
         self.activation = activation
-        self.weights = glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim)
-        self.bias = np.zeros(out_dim)
+        self.weights = weights
+        self.bias = bias
+        weights[...] = glorot_uniform(rng, weights.shape, self.in_dim, self.out_dim)
 
     def forward(self, x):
         if x.shape[1] != self.in_dim:
@@ -144,32 +147,13 @@ class DenseLayer:
         dz = dout * activation_grad_from_output(self.activation, out)
         return dz @ self.weights, dz.T @ x, dz.sum(axis=0)
 
-    def params(self):
-        return [self.weights, self.bias]
-
-
-class EmbeddingTable:
-    """vocab_size x dim lookup table; rows are gathered by integer index."""
-
-    def __init__(self, vocab_size, dim, rng):
-        if vocab_size < 1 or dim < 1:
-            raise ConfigError("vocab_size and dim must be positive")
-        self.vocab_size = vocab_size
-        self.dim = dim
-        # Fan-scaled like a (vocab, dim) dense weight. The small rows keep
-        # early pairwise-interaction scores (and with them the raw head
-        # inputs) near zero, so heads start unsaturated.
-        self.weights = glorot_uniform(rng, (vocab_size, dim), vocab_size, dim)
-
-    def lookup(self, idx):
-        return self.weights[idx]
-
 
 class Adam:
-    """Bias-corrected Adam over a fixed list of parameter tensors.
+    """Bias-corrected Adam over one flat parameter vector.
 
-    step() mutates the parameters in place and advances the step counter
-    by exactly 1. m/v accumulators mirror the parameter shapes.
+    step() mutates the vector in place with a single fused update and
+    advances the step counter by exactly 1. The m/v accumulators are
+    vectors of the same length.
     """
 
     def __init__(self, params, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -178,23 +162,21 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
     def step(self, params, grads):
-        if len(params) != len(self.m) or len(grads) != len(params):
-            raise UsageError("parameter/gradient count does not match optimizer state")
+        if params.shape != self.m.shape or grads.shape != params.shape:
+            raise UsageError(f"adam step on shapes {params.shape} and {grads.shape}, "
+                             f"optimizer state is {self.m.shape}")
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape or p.shape != m.shape:
-                raise UsageError(f"shape mismatch in adam step: {p.shape} vs {g.shape}")
-            kernels.adam_update(p, g, m, v, self.learning_rate,
-                                self.beta1, self.beta2, self.epsilon, self.t)
+        kernels.adam_update(params, grads, self.m, self.v, self.learning_rate,
+                            self.beta1, self.beta2, self.epsilon, self.t)
 
     def state_copy(self):
-        return (self.t, [m.copy() for m in self.m], [v.copy() for v in self.v])
+        return (self.t, self.m.copy(), self.v.copy())
 
     def load_state(self, state):
-        self.t, m, v = state[0], state[1], state[2]
-        self.m = [a.copy() for a in m]
-        self.v = [a.copy() for a in v]
+        self.t = state[0]
+        self.m[...] = state[1]
+        self.v[...] = state[2]

@@ -73,7 +73,7 @@ def oracle_forward(net, X):
     """
     n = X.n_rows
     k = net.config.embedding_dim
-    parts = [net.embeddings[j].weights[X.cat[:, j]] for j in range(net.n_cat)]
+    parts = [net.embeddings[j][X.cat[:, j]] for j in range(net.n_cat)]
     parts += [X.cont[:, g, None] * net.cont_proj[g][None, :]
               for g in range(net.n_cont)]
     V = np.stack(parts, axis=1) if parts else np.zeros((n, 0, k))

@@ -100,6 +100,10 @@ def test_create_validates_the_knobs():
         create_xdboost(schema, NET, error_lr=1.5)
     with pytest.raises(ConfigError):
         create_xdboost(schema, NET, error_lr=-0.1)
+    # without a continuous field a negative count would otherwise reach
+    # numpy as a negative dimension before any check ran
+    with pytest.raises(ConfigError):
+        create_xdboost(make_schema((3,), 0), NET, n_iterations=-1)
 
 
 # ---- training discipline ------------------------------------------------------------

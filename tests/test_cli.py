@@ -82,6 +82,28 @@ def test_load_config_bounds_sweep_percentages(tmp_path):
             cli.load_config(str(path))
 
 
+def test_load_config_bounds_sub_training_by_the_split(tmp_path):
+    path = tmp_path / "c.json"
+    raw = {"seed": 1, "split": {"train": 0.5, "val": 0.25, "test": 0.25},
+           "synthetic": {"n_rows": 100}}
+    path.write_text(json.dumps(raw))
+    # the default sweep budgets are those the training region can hold
+    assert cli.load_config(str(path)).sub_training_percentages == (1, 5, 10, 20, 40)
+    for key, value in (("sub_training_percent", 60), ("sub_training_percentages", [5, 60])):
+        path.write_text(json.dumps({**raw, key: value}))
+        with pytest.raises(ConfigError, match=r"60 outside \(0, 50\]"):
+            cli.load_config(str(path))
+        assert cli.main(["train", "--config", str(path)]) == 2
+
+
+def test_train_accepts_a_budget_the_split_allows(tmp_path):
+    config = write_config(tmp_path, split={"train": 0.9, "val": 0.05, "test": 0.05},
+                          sub_training_percent=80)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--output-dir", str(out)]) == 0
+    assert read_json(out / "train_result.json")["n_train_rows"] == 320
+
+
 def test_load_config_applies_overrides_and_synthetic_default():
     cfg = cli.load_config(None, seed=7, output_dir="out", synthetic=True)
     assert cfg.seed == 7

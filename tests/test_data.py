@@ -11,11 +11,9 @@ import pytest
 
 from conftest import make_records
 from xdboost.data import (ClassWeights, FeatureSchema, FieldSpec, SplitSpec,
-                          build_schema, build_schema_and_encode,
-                          chronological_split, class_weights,
+                          build_schema, chronological_split, class_weights,
                           cold_start_filter, encode, ingest_csv,
-                          load_encoded_splits, records_hash,
-                          save_encoded_splits, sub_training)
+                          records_hash, sub_training)
 from xdboost.errors import ConfigError, DataError, UsageError
 
 
@@ -205,6 +203,20 @@ def test_sub_training_range_errors():
         sub_training(records, train, 72.5)
     with pytest.raises(DataError):
         sub_training(make_records(5), train[:4], 10)  # floor gives zero rows
+
+
+def test_sub_training_bound_follows_the_split():
+    records = make_records(100)
+    split = SplitSpec(train=0.9, val=0.05, test=0.05)
+    train, _, _ = chronological_split(records, split)
+    assert sub_training(records, train, 80, split) == train[-80:]
+    assert sub_training(records, train, 90, split) == train
+    with pytest.raises(ConfigError, match=r"outside \(0, 90\]"):
+        sub_training(records, train, 90.5, split)
+    with pytest.raises(ConfigError, match=r"outside \(0, 50\]"):
+        SplitSpec(train=0.5, val=0.25, test=0.25).check_sub_training_percent(60)
+    # 100 * 0.57 is just below 57 in floating point; the bound still holds 57
+    SplitSpec(train=0.57, val=0.23, test=0.2).check_sub_training_percent(57)
 
 
 def test_sub_training_sets_are_nested():
@@ -398,23 +410,3 @@ def test_records_hash_is_order_and_content_sensitive():
     flipped[0].label = 1 - flipped[0].label
     assert records_hash(records) != records_hash(flipped)
 
-
-def test_save_and_load_encoded_splits_roundtrip(tmp_path):
-    records = make_records(50, seed=73)
-    spec = FieldSpec(user_field="user", item_field="item",
-                     categorical=["c0"], continuous=["x0"])
-    train, val, test = chronological_split(records)
-    schema, encoded = build_schema_and_encode(
-        train, {"train": train, "val": val, "test": test}, spec)
-    save_encoded_splits(tmp_path, schema, encoded)
-    loaded_schema, loaded = load_encoded_splits(tmp_path)
-    assert loaded_schema.hash() == schema.hash()
-    assert set(loaded) == {"train", "val", "test"}
-    for name in encoded:
-        X, y, ts = encoded[name]
-        LX, Ly, Lts = loaded[name]
-        assert np.array_equal(LX.cat, X.cat)
-        assert np.array_equal(LX.cont, X.cont)
-        assert LX.n_placeholders == X.n_placeholders
-        assert np.array_equal(Ly, y)
-        assert np.array_equal(Lts, ts)

@@ -94,6 +94,29 @@ def test_force_numpy_env_var_selects_fallback():
     assert proc.stdout.strip() == "numpy"
 
 
+# A stub stands in for the compiled extension, so the parse is exercised
+# whether or not the extension was built.
+_PARSE_SNIPPET = """
+import importlib, os, sys, types
+sys.modules["xdboost._native"] = types.ModuleType("xdboost._native")
+import xdboost
+from xdboost import kernels
+print(xdboost.BACKEND)
+for value in sys.argv[1:]:
+    os.environ["XDBOOST_FORCE_NUMPY"] = value
+    print(importlib.reload(kernels).BACKEND)
+"""
+
+
+def test_force_numpy_env_var_is_parsed_as_a_boolean():
+    values = {"0": "native", "false": "native", "no": "native", "": "native",
+              "1": "numpy", "true": "numpy", "YES": "numpy", " True ": "numpy"}
+    env = dict(os.environ, XDBOOST_FORCE_NUMPY="0")
+    proc = subprocess.run([sys.executable, "-c", _PARSE_SNIPPET, *values], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["native", *values.values()]
+
+
 _TRAIN_SNIPPET = """
 import hashlib
 import numpy as np

@@ -5,6 +5,7 @@ against finite differences, fit/early-stopping behavior and serialization.
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conftest import (fd_gradcheck, make_matrix, make_schema, oracle_forward,
                       random_net_case, well_conditioned)
 from xdboost.data import DesignMatrix
 from xdboost.errors import ConfigError, DataError, TrainingError
-from xdboost.models import (BaseNet, BaseNetConfig, build_base_net, fm_pairwise)
+from xdboost.models import BaseNet, BaseNetConfig, fm_pairwise
 
 
 # ---- pairwise interaction term ----------------------------------------------
@@ -101,9 +102,9 @@ def test_schema_without_fields_is_rejected():
 def test_same_seed_builds_identical_parameters():
     schema = make_schema((4, 3), 2)
     config = BaseNetConfig(embedding_dim=3, hidden_layers=(5,))
-    a = build_base_net(schema, config, seed=42)
-    b = build_base_net(schema, config, seed=42)
-    c = build_base_net(schema, config, seed=43)
+    a = BaseNet(schema, config, seed=42)
+    b = BaseNet(schema, config, seed=42)
+    c = BaseNet(schema, config, seed=43)
     for pa, pb in zip(a.params(), b.params()):
         assert np.array_equal(pa, pb)
     assert any(not np.array_equal(pa, pc)
@@ -114,11 +115,33 @@ def test_structure_follows_the_schema():
     schema = make_schema((4, 2), 1, n_placeholders=2)
     net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(6, 4)))
     assert len(net.embeddings) == 2
-    assert net.embeddings[0].weights.shape == (5, 3)  # vocab 4 plus OOV
-    assert net.embeddings[1].weights.shape == (3, 3)
+    assert net.embeddings[0].shape == (5, 3)  # vocab 4 plus OOV
+    assert net.embeddings[1].shape == (3, 3)
     assert net.cont_proj.shape == (3, 3)  # x0 plus two placeholders
     assert [layer.out_dim for layer in net.layers] == [6, 4, 1]
     assert net.layers[-1].activation == "identity"
+
+
+def test_every_tensor_is_a_view_into_one_arena():
+    schema = make_schema((4, 2), 1, n_placeholders=2)
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(6, 4)))
+    params = net.params()
+    # two embedding and two first-order tables, cont_proj, lin_cont, bias,
+    # and a weight and a bias for each of the three dense layers
+    assert len(params) == 2 + 2 + 3 + 2 * 3
+    assert net.flat.ndim == 1 and net.flat.flags.c_contiguous
+    start, offset = net.flat.__array_interface__["data"][0], 0
+    for p in params:  # back to back, in params() order
+        assert np.shares_memory(p, net.flat)
+        assert p.__array_interface__["data"][0] == start + offset * net.flat.itemsize
+        offset += p.size
+    assert offset == net.flat.size
+    named = ([*net.embeddings, *net.lin_cat, net.cont_proj, net.lin_cont, net.bias]
+             + [a for layer in net.layers for a in (layer.weights, layer.bias)])
+    assert all(np.shares_memory(a, net.flat) for a in named)
+    for moment in (net.optimizer.m, net.optimizer.v):
+        assert moment.shape == net.flat.shape and moment.flags.c_contiguous
+        assert not np.shares_memory(moment, net.flat)
 
 
 def test_zero_parameters_give_exactly_half():
@@ -285,7 +308,7 @@ def test_fit_validates_targets():
 def test_fit_raises_on_non_finite_loss():
     schema, X, y = _toy_classification(n=32)
     net = BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=2))
-    net.embeddings[0].weights[...] = np.nan
+    net.embeddings[0][...] = np.nan
     with pytest.raises(TrainingError, match="non-finite training loss"):
         net.fit(X, y)
 
@@ -304,6 +327,23 @@ def test_fit_that_never_improves_validation_is_rolled_back():
     assert history.best_epoch == -1
     for p, b in zip(net.params(), before):
         assert np.array_equal(p, b)
+
+
+def test_warm_started_fit_that_rolls_back_restores_the_optimizer_too():
+    schema, X, y = _toy_classification(n=40, seed=11)
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=2, hidden_layers=(4,),
+                                        learning_rate=5.0, epochs=3, patience=5,
+                                        batch_size=16), seed=13)
+    net.fit(X, y)
+    assert net.optimizer.t > 0 and np.any(net.optimizer.m != 0.0)
+    before = (net.flat.copy(), net.optimizer.m.copy(), net.optimizer.v.copy(),
+              net.optimizer.t)
+    history = net.fit(X, y, val=(X, y))
+    assert history.best_epoch == -1
+    assert np.array_equal(net.flat, before[0])
+    assert np.array_equal(net.optimizer.m, before[1])
+    assert np.array_equal(net.optimizer.v, before[2])
+    assert net.optimizer.t == before[3]
 
 
 def test_patience_stops_training_early():
@@ -359,6 +399,50 @@ def test_save_load_roundtrip_preserves_training_state(tmp_path):
     net.fit(X, y)
     clone.fit(X, y)
     assert np.array_equal(clone.predict_matrix(X), net.predict_matrix(X))
+
+
+def test_saved_net_keeps_one_array_per_tensor(tmp_path):
+    """The version-1 layout: meta, then param_NNN, adam_m_NNN and adam_v_NNN
+    per tensor, then adam_t."""
+    schema = make_schema((4, 2), 1, n_placeholders=2)
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(6, 4)), seed=3)
+    path = tmp_path / "net.npz"
+    net.save(path)
+    shapes = [(5, 3), (3, 3), (5,), (3,), (3, 3), (3,), (1,),
+              (6, 15), (6,), (4, 6), (4,), (1, 4), (1,)]
+    expected = {"meta": None, "adam_t": ()}
+    for prefix in ("param", "adam_m", "adam_v"):
+        expected.update({f"{prefix}_{i:03d}": s for i, s in enumerate(shapes)})
+    with np.load(path) as blob:
+        assert set(blob.files) == set(expected)
+        for key, shape in expected.items():
+            if shape is not None:
+                assert blob[key].shape == shape, key
+
+
+def _fds_open_on(path):
+    target = os.path.realpath(path)
+    return [fd for fd in os.listdir("/proc/self/fd")
+            if os.path.realpath(f"/proc/self/fd/{fd}") == target]
+
+
+def test_load_closes_its_file(tmp_path):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("needs /proc/self/fd to list open files")
+    schema, X, y = _toy_classification(n=20, seed=27)
+    path = tmp_path / "net.npz"
+    BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=1), seed=29).save(path)
+    clone = BaseNet.load(path)
+    assert _fds_open_on(path) == []
+    assert clone.predict_matrix(X).shape == (20,)
+
+    # a rejected file is closed too, while the error and its frames live on
+    tampered = tmp_path / "bad_version.npz"
+    _tampered_copy(path, tampered, lambda m: m.update(format_version=99))
+    with pytest.raises(DataError) as excinfo:
+        BaseNet.load(tampered)
+    assert excinfo.value.__traceback__ is not None
+    assert _fds_open_on(tampered) == []
 
 
 def _tampered_copy(path, out, mutate):

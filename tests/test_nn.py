@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from xdboost import nn
+from xdboost import kernels, nn
 from xdboost.errors import ConfigError, UsageError
 
 LN2 = math.log(2.0)
@@ -162,8 +162,17 @@ def test_glorot_uniform_bounds_and_determinism():
     assert np.array_equal(draws, again)
 
 
+def _dense(in_dim, out_dim, kind, rng):
+    return nn.DenseLayer(np.empty((out_dim, in_dim)), np.zeros(out_dim), kind, rng)
+
+
 def test_dense_layer_forward_and_errors():
-    layer = nn.DenseLayer(3, 2, "relu", np.random.default_rng(0))
+    layer = _dense(3, 2, "relu", np.random.default_rng(0))
+    limit = math.sqrt(6.0 / (3 + 2))
+    assert (layer.in_dim, layer.out_dim) == (3, 2)
+    assert np.array_equal(layer.weights,
+                          nn.glorot_uniform(np.random.default_rng(0), (2, 3), 3, 2))
+    assert np.max(np.abs(layer.weights)) <= limit
     out, cache = layer.forward(np.ones((4, 3)))
     assert out.shape == (4, 2)
     assert np.array_equal(out, np.maximum(np.ones((4, 3)) @ layer.weights.T + layer.bias, 0.0))
@@ -174,13 +183,13 @@ def test_dense_layer_forward_and_errors():
     with pytest.raises(UsageError):
         layer.backward(cache, np.ones((4, 3)))
     with pytest.raises(ConfigError):
-        nn.DenseLayer(3, 2, "softmax", np.random.default_rng(0))
+        _dense(3, 2, "softmax", np.random.default_rng(0))
 
 
 def test_dense_layer_backward_matches_finite_differences():
     rng = np.random.default_rng(6)
     for kind in ("identity", "relu", "tanh", "sigmoid"):
-        layer = nn.DenseLayer(4, 3, kind, rng)
+        layer = _dense(4, 3, kind, rng)
         x = rng.uniform(0.1, 1.0, size=(5, 4))
         # resample until every preactivation is far from the relu kink,
         # otherwise a finite-difference step could cross it
@@ -206,41 +215,30 @@ def test_dense_layer_backward_matches_finite_differences():
                 assert abs((up - down) / (2 * h) - gflat[j]) < 1e-6
 
 
-def test_embedding_table_lookup_and_validation():
-    table = nn.EmbeddingTable(4, 3, np.random.default_rng(1))
-    assert table.weights.shape == (4, 3)
-    assert np.array_equal(table.lookup(np.array([2, 2, 0])),
-                          table.weights[[2, 2, 0]])
-    with pytest.raises(ConfigError):
-        nn.EmbeddingTable(0, 3, np.random.default_rng(1))
-    with pytest.raises(ConfigError):
-        nn.EmbeddingTable(4, 0, np.random.default_rng(1))
-
-
 def test_adam_zero_gradients_leave_parameters_unchanged():
     param = np.array([1.0, -2.0, 3.0])
-    opt = nn.Adam([param], 1e-2)
+    opt = nn.Adam(param, 1e-2)
     before = param.copy()
     for _ in range(5):
-        opt.step([param], [np.zeros(3)])
+        opt.step(param, np.zeros(3))
     assert np.array_equal(param, before)
 
 
 def test_adam_first_step_size_is_the_learning_rate():
     param = np.array([1.0])
-    opt = nn.Adam([param], 1e-4)
-    opt.step([param], [np.array([1.0])])
+    opt = nn.Adam(param, 1e-4)
+    opt.step(param, np.array([1.0]))
     # bias correction makes mhat = vhat = 1 on the first step
     assert abs((1.0 - param[0]) - 1e-4) < 1e-10
 
 
 def test_adam_two_identical_steps_are_within_one_percent():
     param = np.array([1.0])
-    opt = nn.Adam([param], 1e-4)
-    opt.step([param], [np.array([1.0])])
+    opt = nn.Adam(param, 1e-4)
+    opt.step(param, np.array([1.0]))
     first = 1.0 - param[0]
     before = param[0]
-    opt.step([param], [np.array([1.0])])
+    opt.step(param, np.array([1.0]))
     second = before - param[0]
     assert abs(second - first) < 0.01 * first
 
@@ -251,9 +249,9 @@ def test_adam_is_deterministic():
     results = []
     for _ in range(2):
         param = np.arange(4, dtype=np.float64)
-        opt = nn.Adam([param], 3e-3)
+        opt = nn.Adam(param, 3e-3)
         for g in grads:
-            opt.step([param], [g.copy()])
+            opt.step(param, g.copy())
         results.append(param.copy())
     assert np.array_equal(results[0], results[1])
 
@@ -262,26 +260,49 @@ def test_adam_state_roundtrip_resumes_identically():
     rng = np.random.default_rng(14)
     grads = [rng.standard_normal(3) for _ in range(6)]
     param = np.zeros(3)
-    opt = nn.Adam([param], 1e-2)
+    opt = nn.Adam(param, 1e-2)
     for g in grads[:3]:
-        opt.step([param], [g])
+        opt.step(param, g)
     saved_param = param.copy()
     saved_state = opt.state_copy()
     for g in grads[3:]:
-        opt.step([param], [g])
+        opt.step(param, g)
     finished = param.copy()
 
     param[...] = saved_param
     opt.load_state(saved_state)
     for g in grads[3:]:
-        opt.step([param], [g])
+        opt.step(param, g)
     assert np.array_equal(param, finished)
 
 
 def test_adam_rejects_mismatched_gradients():
     param = np.zeros(3)
-    opt = nn.Adam([param], 1e-2)
+    opt = nn.Adam(param, 1e-2)
     with pytest.raises(UsageError):
-        opt.step([param], [np.zeros(3), np.zeros(3)])
+        opt.step(param, np.zeros((2, 3)))
     with pytest.raises(UsageError):
-        opt.step([param], [np.zeros(4)])
+        opt.step(param, np.zeros(4))
+    with pytest.raises(UsageError):
+        opt.step(np.zeros(4), np.zeros(4))
+
+
+def test_adam_flat_step_equals_per_tensor_steps_bitwise():
+    """One step over concatenated tensors lands on the same bits as one
+    kernel call per tensor."""
+    rng = np.random.default_rng(15)
+    shapes = [(5, 3), (5,), (1,), (4, 7), (4,)]
+    tensors = [rng.standard_normal(s) for s in shapes]
+    flat = np.concatenate([t.reshape(-1) for t in tensors])
+    opt = nn.Adam(flat, 1e-2)
+    ms = [np.zeros_like(t) for t in tensors]
+    vs = [np.zeros_like(t) for t in tensors]
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        opt.step(flat, np.concatenate([g.reshape(-1) for g in grads]))
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for p, g, m, v in zip(tensors, grads, ms, vs):
+            kernels._adam_update_np(p.reshape(-1), g.reshape(-1), m.reshape(-1),
+                                    v.reshape(-1), 1e-2, 0.9, 0.999, 1e-8, bc1, bc2)
+        for name, got, want in (("param", flat, tensors), ("m", opt.m, ms), ("v", opt.v, vs)):
+            assert np.array_equal(got, np.concatenate([a.reshape(-1) for a in want])), name
