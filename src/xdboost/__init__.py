@@ -10,8 +10,8 @@ filtering, AUC/log-loss evaluation and a CLI harness.
 
 from .boosting import (XDBoostModel, append_placeholders, create_xdboost,
                        predict_xdboost, train_unboosted, train_xdboost)
-from .data import (ClassWeights, DesignMatrix, FeatureSchema, FieldSpec,
-                   InteractionRecord, SplitSpec, build_schema,
+from .data import (ClassWeights, ClickLog, DesignMatrix, FeatureSchema,
+                   FieldSpec, SplitSpec, build_schema,
                    build_schema_and_encode, chronological_split, class_weights,
                    cold_start_filter, encode, ingest_csv, records_hash,
                    sub_training)
@@ -29,6 +29,7 @@ __all__ = [
     "BaseNet",
     "BaseNetConfig",
     "ClassWeights",
+    "ClickLog",
     "ConfigError",
     "DataError",
     "DesignMatrix",
@@ -36,7 +37,6 @@ __all__ = [
     "FeatureSchema",
     "FieldSpec",
     "FitHistory",
-    "InteractionRecord",
     "MetricsReport",
     "SplitSpec",
     "SynthConfig",

@@ -56,7 +56,7 @@ def append_placeholders(X: DesignMatrix, n):
     return DesignMatrix(X.cat, cont, n)
 
 
-def _check_knobs(n_iterations, error_lr):
+def _check_knobs(n_iterations, error_lr=0.0):
     if n_iterations < 1:
         raise ConfigError(f"boosting needs at least one iteration, got {n_iterations}")
     if not 0.0 <= error_lr <= 1.0:
@@ -164,6 +164,20 @@ def _check_boosting_matrix(X, n_iterations, name, require_zero):
         raise DataError(f"{name} placeholder columns must start zeroed")
 
 
+def _training_inputs(n_iterations, X_train, y_train, X_val, y_val, class_weights):
+    """Check the training matrices; returns float64 y_train and y_val (None
+    without validation rows) and the class weights as a dict."""
+    _check_boosting_matrix(X_train, n_iterations, "X_train", require_zero=True)
+    if (X_val is None) != (y_val is None):
+        raise UsageError("X_val and y_val must be given together")
+    if X_val is not None:
+        _check_boosting_matrix(X_val, n_iterations, "X_val", require_zero=True)
+        y_val = np.asarray(y_val, dtype=np.float64)
+    if hasattr(class_weights, "as_dict"):
+        class_weights = class_weights.as_dict()
+    return np.asarray(y_train, dtype=np.float64), y_val, class_weights
+
+
 def _reset_net(net):
     """Fresh parameters and optimizer for the same schema/config/seed."""
     return BaseNet(net.schema, net.config, seed=net.seed)
@@ -192,16 +206,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     (classifier_fit, residual_fit, placeholder_write) so tests and
     diagnostics can watch the column discipline without touching the loop.
     """
-    _check_boosting_matrix(X_train, model.n_iterations, "X_train", require_zero=True)
-    if (X_val is None) != (y_val is None):
-        raise UsageError("X_val and y_val must be given together")
-    if X_val is not None:
-        _check_boosting_matrix(X_val, model.n_iterations, "X_val", require_zero=True)
-    y_train = np.asarray(y_train, dtype=np.float64)
-    if y_val is not None:
-        y_val = np.asarray(y_val, dtype=np.float64)
-    if hasattr(class_weights, "as_dict"):
-        class_weights = class_weights.as_dict()
+    y_train, y_val, class_weights = _training_inputs(
+        model.n_iterations, X_train, y_train, X_val, y_val, class_weights)
 
     train_block = X_train.placeholder_block()
     val_block = X_val.placeholder_block() if X_val is not None else None
@@ -290,18 +296,11 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
     Returns (net, per-iteration fit log). The input matrices are not
     modified.
     """
-    if n_iterations < 1:
-        raise ConfigError(f"need at least one iteration, got {n_iterations}")
+    _check_knobs(n_iterations)
     ph_schema = schema.with_placeholders(n_iterations)
-    _check_boosting_matrix(X_train, n_iterations, "X_train", require_zero=True)
-    if (X_val is None) != (y_val is None):
-        raise UsageError("X_val and y_val must be given together")
-    if X_val is not None:
-        _check_boosting_matrix(X_val, n_iterations, "X_val", require_zero=True)
-    y_train = np.asarray(y_train, dtype=np.float64)
-    val = (X_val, np.asarray(y_val, dtype=np.float64)) if X_val is not None else None
-    if hasattr(class_weights, "as_dict"):
-        class_weights = class_weights.as_dict()
+    y_train, y_val, class_weights = _training_inputs(
+        n_iterations, X_train, y_train, X_val, y_val, class_weights)
+    val = (X_val, y_val) if X_val is not None else None
 
     net = BaseNet(ph_schema, config.as_classifier(), seed=classifier_seed(seed))
     log = []

@@ -28,15 +28,14 @@ from . import metrics, synth
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        append_placeholders, create_xdboost, predict_xdboost,
                        train_unboosted, train_xdboost)
-from .data import (FieldSpec, MISSING_TOKEN, SplitSpec, InteractionRecord,
-                   build_schema_and_encode, chronological_split, class_weights,
-                   cold_start_filter, encode, ingest_csv, records_hash,
-                   sub_training)
+from .data import (FieldSpec, SplitSpec, build_schema_and_encode,
+                   chronological_split, class_weights, cold_start_filter, encode,
+                   ingest_csv, read_csv, records_hash, sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
 from .models import BaseNetConfig
 
-log = logging.getLogger(__name__)
+logger = logging.getLogger(__name__)
 
 DEFAULT_PERCENTAGES = (1, 5, 10, 20, 40, 60, 72)
 
@@ -184,20 +183,20 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
 
 
 def load_records(cfg):
-    """Returns (records, field_spec, source meta)."""
+    """Returns (ClickLog, field_spec, source meta)."""
     if cfg.synthetic is not None:
-        records, meta = synth.generate_records(cfg.synthetic)
-        return records, synth.field_spec(), {"source": "synthetic", **meta}
+        log, meta = synth.generate_records(cfg.synthetic)
+        return log, synth.field_spec(), {"source": "synthetic", **meta}
     if cfg.dataset is None:
         raise ConfigError("config needs either a dataset path or a synthetic block")
     if not cfg.fields:
         raise ConfigError("a dataset path requires a fields mapping")
     spec = FieldSpec.from_mapping(cfg.fields)
-    records = ingest_csv(cfg.dataset, spec)
-    return records, spec, {"source": cfg.dataset, "n_rows": len(records)}
+    log = ingest_csv(cfg.dataset, spec)
+    return log, spec, {"source": cfg.dataset, "n_rows": len(log)}
 
 
-def run_experiment(cfg, records, field_spec, sub_percent, eval_test=None,
+def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
                    command="train"):
     """One boosted-vs-reference run; returns (result dict, trained model).
 
@@ -206,15 +205,15 @@ def run_experiment(cfg, records, field_spec, sub_percent, eval_test=None,
     """
     timings = {}
     t0 = time.perf_counter()
-    train_region, val_records, test_records = chronological_split(records, cfg.split)
-    sub = (sub_training(records, train_region, sub_percent, cfg.split)
+    train_region, val_log, test_log = chronological_split(log, cfg.split)
+    sub = (sub_training(log, train_region, sub_percent, cfg.split)
            if sub_percent is not None else train_region)
-    test_eval = eval_test if eval_test is not None else test_records
+    test_eval = eval_test if eval_test is not None else test_log
     timings["split"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     schema, encoded = build_schema_and_encode(
-        sub, {"train": sub, "val": val_records, "test": test_eval},
+        sub, {"train": sub, "val": val_log, "test": test_eval},
         field_spec, cfg.normalize_continuous)
     X_train, y_train, _ = encoded["train"]
     X_val, y_val, _ = encoded["val"]
@@ -258,9 +257,9 @@ def run_experiment(cfg, records, field_spec, sub_percent, eval_test=None,
         "config": cfg.snapshot(),
         "seed": cfg.seed,
         "sub_training_percent": sub_percent,
-        "n_rows_total": len(records),
+        "n_rows_total": len(log),
         "n_train_rows": len(sub),
-        "n_val_rows": len(val_records),
+        "n_val_rows": len(val_log),
         "n_test_rows": len(test_eval),
         "class_weights": {"nonclick": weights.weight_nonclick,
                           "click": weights.weight_click},
@@ -288,9 +287,8 @@ def _print_metrics(result):
 
 
 def cmd_train(cfg):
-    records, field_spec, source = load_records(cfg)
-    result, model = run_experiment(cfg, records, field_spec,
-                                   cfg.sub_training_percent)
+    log, field_spec, source = load_records(cfg)
+    result, model = run_experiment(cfg, log, field_spec, cfg.sub_training_percent)
     result["data_source"] = source
     os.makedirs(cfg.output_dir, exist_ok=True)
     result_path = os.path.join(cfg.output_dir, "train_result.json")
@@ -306,17 +304,16 @@ def cmd_train(cfg):
 def cmd_sweep(cfg):
     if not cfg.sub_training_percentages:
         raise ConfigError("sweep needs a non-empty sub-training percentage list")
-    records, field_spec, source = load_records(cfg)
+    log, field_spec, source = load_records(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = []
     failures = []
     results = []
     for pct in cfg.sub_training_percentages:
         try:
-            result, _ = run_experiment(cfg, records, field_spec, pct,
-                                       command="sweep")
+            result, _ = run_experiment(cfg, log, field_spec, pct, command="sweep")
         except XDBoostError as exc:
-            log.warning("sweep run at %s%% failed: %s", pct, exc)
+            logger.warning("sweep run at %s%% failed: %s", pct, exc)
             failures.append({"percentage": pct, "type": type(exc).__name__,
                              "error": str(exc)})
             continue
@@ -361,107 +358,61 @@ def failures_to_error(failures):
 
 
 def cmd_coldstart(cfg):
-    records, field_spec, source = load_records(cfg)
-    train_region, _, test_records = chronological_split(records, cfg.split)
-    sub = (sub_training(records, train_region, cfg.sub_training_percent, cfg.split)
+    log, field_spec, source = load_records(cfg)
+    train_region, _, test_log = chronological_split(log, cfg.split)
+    sub = (sub_training(log, train_region, cfg.sub_training_percent, cfg.split)
            if cfg.sub_training_percent is not None else train_region)
-    filtered = cold_start_filter(test_records, sub)
+    filtered = cold_start_filter(test_log, sub)
     os.makedirs(cfg.output_dir, exist_ok=True)
     result_path = os.path.join(cfg.output_dir, "coldstart_result.json")
-    if not filtered:
+    if not len(filtered):
         result = {
             "command": "coldstart",
             "config": cfg.snapshot(),
             "no_cold_start_items": True,
-            "n_unfiltered_test_rows": len(test_records),
+            "n_unfiltered_test_rows": len(test_log),
             "n_filtered_test_rows": 0,
         }
         _write_json(result_path, result)
         print("coldstart: no cold-start items in the test set; nothing to evaluate")
         return 0
-    result, model = run_experiment(cfg, records, field_spec,
-                                   cfg.sub_training_percent, eval_test=filtered,
-                                   command="coldstart")
+    result, model = run_experiment(cfg, log, field_spec, cfg.sub_training_percent,
+                                   eval_test=filtered, command="coldstart")
     result["data_source"] = source
     result["no_cold_start_items"] = False
-    result["n_unfiltered_test_rows"] = len(test_records)
+    result["n_unfiltered_test_rows"] = len(test_log)
     result["n_filtered_test_rows"] = len(filtered)
     _write_json(result_path, result)
     model.save_bundle(os.path.join(cfg.output_dir, "model_bundle"))
-    print(f"coldstart: {len(filtered)} of {len(test_records)} test rows kept")
+    print(f"coldstart: {len(filtered)} of {len(test_log)} test rows kept")
     _print_metrics(result)
     print(f"result written to {result_path}")
     return 0
 
 
-def _read_scoring_rows(path, schema):
-    """Parse a CSV for scoring; timestamp and label columns are optional."""
-    if not os.path.exists(path):
-        raise DataError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = list(reader.fieldnames or [])
-        needed = list(schema.cat_fields) + list(schema.cont_fields)
-        missing = [name for name in needed if name not in header]
-        if missing:
-            raise DataError(f"input is missing schema fields: {missing}")
-        raw_rows = list(reader)
-    records = []
-    for i, row in enumerate(raw_rows):
-        cat = {}
-        for name in schema.cat_fields:
-            if name in (schema.user_field, schema.item_field):
-                continue
-            cat[name] = (row[name] or "").strip() or MISSING_TOKEN
-        cont = {}
-        for name in schema.cont_fields:
-            value = (row[name] or "").strip()
-            if not value:
-                cont[name] = None
-            else:
-                try:
-                    cont[name] = float(value)
-                except ValueError:
-                    raise DataError(
-                        f"line {i + 2}: field {name!r} is continuous but holds {value!r}")
-        user = item = None
-        if schema.user_field:
-            user = (row[schema.user_field] or "").strip() or MISSING_TOKEN
-        if schema.item_field:
-            item = (row[schema.item_field] or "").strip() or MISSING_TOKEN
-        try:
-            ts = float(row.get("timestamp") or i)
-        except ValueError:
-            ts = float(i)
-        label_raw = (row.get("label") or "").strip()
-        label = int(label_raw) if label_raw in ("0", "1") else 0
-        records.append(InteractionRecord(ts, user, item, cat, cont, label))
-    return header, raw_rows, records
-
-
 def cmd_predict(bundle_path, input_path, output_path):
     model = XDBoostModel.load_bundle(bundle_path)
-    schema = model.schema
-    base_schema = dataclasses.replace(schema, n_placeholders=0)
-    header, raw_rows, records = _read_scoring_rows(input_path, schema)
-    X, _, _ = encode(records, base_schema)
+    schema = dataclasses.replace(model.schema, n_placeholders=0)
+    user, item = schema.user_field, schema.item_field
+    fields = FieldSpec(user, item, [f for f in schema.cat_fields if f not in (user, item)],
+                       list(schema.cont_fields))
+    header, rows, log = read_csv(input_path, fields, scoring=True)
+    X, _, _ = encode(log, schema)
     probs = (predict_xdboost(model, append_placeholders(X, model.n_iterations))
-             if records else np.zeros(0))
+             if rows else np.zeros(0))
     with open(output_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header + ["predicted_ctr"])
-        writer.writeheader()
-        for row, p in zip(raw_rows, probs):
-            row["predicted_ctr"] = repr(float(p))
-            writer.writerow(row)
-    print(f"predict: scored {len(raw_rows)} rows -> {output_path}")
+        writer = csv.writer(fh)
+        writer.writerow(header + ["predicted_ctr"])
+        writer.writerows(row + [repr(p)] for row, p in zip(rows, probs.tolist()))
+    print(f"predict: scored {len(rows)} rows -> {output_path}")
     return 0
 
 
 def cmd_synth_gen(out_dir, synth_cfg):
-    records, meta = synth.generate_records(synth_cfg)
+    log, meta = synth.generate_records(synth_cfg)
     os.makedirs(out_dir, exist_ok=True)
     data_path = os.path.join(out_dir, "data.csv")
-    synth.write_csv(records, data_path)
+    synth.write_csv(log, data_path)
     _write_json(os.path.join(out_dir, "fields.json"), synth.field_mapping())
     _write_json(os.path.join(out_dir, "meta.json"), meta)
     print(f"synth-gen: {meta['n_rows']} rows (ctr {meta['ctr']:.4f}, "

@@ -1,40 +1,77 @@
 """Click-log ingestion, encoding, chronological splitting and class weights.
 
-The raw unit is an interaction record (timestamp, user, item, context
-fields, binary click label). Vocabularies and continuous-feature statistics
-are always built from the training split only; unseen tokens map to a
-reserved out-of-vocabulary index per field.
+A click log is one ClickLog: a column per field (timestamp, user, item,
+context fields, continuous fields, binary click label), one entry per
+impression. Training and scoring parse CSV with the one reader here,
+``read_csv``; the synthetic generator builds the same columns directly.
+Splits, sub-training sets and the cold-start filter are row selections on
+a log. Vocabularies and continuous-feature statistics are always built
+from the training split only; unseen tokens map to a reserved
+out-of-vocabulary index per field.
 """
 
 import csv
 import hashlib
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ConfigError, DataError, UsageError
-
-log = logging.getLogger(__name__)
 
 MISSING_TOKEN = "__missing__"
 
 FIELD_TYPES = ("user", "item", "categorical", "continuous")
 
 
-@dataclass
-class InteractionRecord:
-    """One labeled impression."""
+@dataclass(eq=False)
+class ClickLog:
+    """Labeled impressions, held column by column.
 
-    timestamp: float
-    user_id: str | None
-    item_id: str | None
+    String columns are object arrays of str; ``user_id`` and ``item_id``
+    are None when the log has no such field. ``categorical`` and
+    ``continuous`` map each context field to its column. Timestamps and
+    continuous values are float64, with NaN marking a missing continuous
+    value; labels are int64. ``log[idx]`` selects rows by slice, index
+    array or boolean mask; a slice shares its columns with the log.
+    """
+
+    timestamp: np.ndarray
+    user_id: np.ndarray | None
+    item_id: np.ndarray | None
     categorical: dict
     continuous: dict
-    label: int
+    label: np.ndarray
+
+    def __post_init__(self):
+        def strings(col):
+            return None if col is None else np.asarray(col, dtype=object)
+
+        try:
+            self.timestamp = np.asarray(self.timestamp, dtype=np.float64)
+            self.continuous = {name: np.asarray(col, dtype=np.float64)
+                               for name, col in self.continuous.items()}
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"non-numeric value in a numeric column: {exc}")
+        self.user_id = strings(self.user_id)
+        self.item_id = strings(self.item_id)
+        self.categorical = {name: strings(col) for name, col in self.categorical.items()}
+        self.label = np.asarray(self.label, dtype=np.int64)
+
+    def __len__(self):
+        return len(self.label)
+
+    def __getitem__(self, idx):
+        def pick(col):
+            return None if col is None else col[idx]
+
+        return ClickLog(self.timestamp[idx], pick(self.user_id), pick(self.item_id),
+                        {name: col[idx] for name, col in self.categorical.items()},
+                        {name: col[idx] for name, col in self.continuous.items()},
+                        self.label[idx])
 
 
 @dataclass
@@ -122,76 +159,91 @@ class SplitSpec:
                               f"(0, {100 * self.train:g}]")
 
 
-def ingest_csv(path, field_spec, strict=True):
-    """Parse a click-log CSV into records, in file order.
+def read_csv(path, field_spec, scoring=False):
+    """The one click-log CSV parser; returns (header, raw rows, ClickLog).
 
-    The header must contain ``timestamp``, ``label`` and every declared
-    field. Malformed rows raise a DataError naming the line when strict,
-    otherwise they are counted, logged and skipped.
+    Rows stay in file order; blank lines are skipped and short rows are
+    padded with blank cells. The header must name every declared field, and
+    ``timestamp`` and ``label`` unless scoring: a scoring file may lack
+    them, and then the row order fills the timestamps and 0 the labels. A
+    blank categorical cell is MISSING_TOKEN and a blank continuous cell is
+    missing (NaN). A row with more cells than the header, a non-binary
+    label, or a timestamp or continuous value that is not a finite number
+    raises a DataError naming its line.
     """
     if not os.path.exists(path):
-        raise DataError(f"dataset file not found: {path}")
-    records = []
-    skipped = 0
+        raise DataError(f"CSV file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ["timestamp", "label"] + list(field_spec.to_mapping())
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise DataError(f"missing required columns: {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(_parse_row(row, field_spec, lineno))
-            except DataError:
-                if strict:
-                    raise
-                skipped += 1
-    if skipped:
-        log.warning("skipped %d malformed rows in %s", skipped, path)
-    return records
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise DataError(f"missing required columns: {missing}")
+    width = len(header)
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != width:
+            if len(row) > width:
+                raise DataError(f"line {lineno}: {len(row)} cells, the header has {width}")
+            row += [""] * (width - len(row))
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+
+    def strings(name):
+        if name is None:
+            return None
+        return np.array([c.strip() or MISSING_TOKEN for c in cells[name]], dtype=object)
+
+    def parsed(name, parse, what):
+        values = [parse(c.strip()) for c in cells[name]]
+        if None in values:
+            i = values.index(None)
+            raise DataError(f"line {i + 2}: {what}: {cells[name][i].strip()!r}")
+        return values
+
+    n = len(rows)
+    log = ClickLog(
+        timestamp=(parsed("timestamp", _finite, "bad timestamp")
+                   if "timestamp" in cells else np.arange(n)),
+        user_id=strings(field_spec.user_field),
+        item_id=strings(field_spec.item_field),
+        categorical={name: strings(name) for name in field_spec.categorical},
+        continuous={name: parsed(name, _finite_or_blank, f"bad continuous value in {name!r}")
+                    for name in field_spec.continuous},
+        label=(parsed("label", {"0": 0, "1": 1}.get, "non-binary label")
+               if "label" in cells else np.zeros(n)))
+    return header, rows, log
 
 
-def _parse_row(row, field_spec, lineno):
-    label_raw = (row["label"] or "").strip()
-    if label_raw not in ("0", "1"):
-        raise DataError(f"line {lineno}: non-binary label {label_raw!r}")
+def _finite(text):
+    """The finite float a cell spells, else None."""
     try:
-        ts = float(row["timestamp"])
-    except (TypeError, ValueError):
-        raise DataError(f"line {lineno}: bad timestamp {row['timestamp']!r}")
-    cat = {}
-    for name in field_spec.categorical:
-        value = (row[name] or "").strip()
-        cat[name] = value if value else MISSING_TOKEN
-    cont = {}
-    for name in field_spec.continuous:
-        value = (row[name] or "").strip()
-        if not value:
-            cont[name] = None
-        else:
-            try:
-                cont[name] = float(value)
-            except ValueError:
-                raise DataError(f"line {lineno}: bad continuous value {value!r} in {name!r}")
-    user = item = None
-    if field_spec.user_field:
-        user = (row[field_spec.user_field] or "").strip() or MISSING_TOKEN
-    if field_spec.item_field:
-        item = (row[field_spec.item_field] or "").strip() or MISSING_TOKEN
-    return InteractionRecord(ts, user, item, cat, cont, int(label_raw))
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
 
 
-def chronological_split(records, spec=None):
+def _finite_or_blank(text):
+    return _finite(text) if text else math.nan
+
+
+def ingest_csv(path, field_spec):
+    """Parse a training click-log CSV into a ClickLog, in file order (see
+    read_csv: ``timestamp`` and ``label`` are required)."""
+    return read_csv(path, field_spec)[2]
+
+
+def chronological_split(log, spec=None):
     """Stable-sort by timestamp, then cut earliest->train, latest->test.
 
     Sizes are floor(fraction * n) per split; leftover rows go to train.
     """
     spec = spec or SplitSpec()
-    if len(records) < 3:
-        raise DataError(f"need at least 3 records to split, got {len(records)}")
-    ordered = sorted(records, key=lambda r: r.timestamp)
-    n = len(ordered)
+    n = len(log)
+    if n < 3:
+        raise DataError(f"need at least 3 records to split, got {n}")
+    ordered = log[np.argsort(log.timestamp, kind="stable")]
     n_train = math.floor(spec.train * n)
     n_val = math.floor(spec.val * n)
     n_test = math.floor(spec.test * n)
@@ -201,15 +253,15 @@ def chronological_split(records, spec=None):
             ordered[n_train + n_val:])
 
 
-def sub_training(all_records, train_region, x_percent, split=None):
-    """Most recent floor(x% of the full dataset) records of the train region.
+def sub_training(full_log, train_region, x_percent, split=None):
+    """Most recent floor(x% of the full dataset) rows of the train region.
 
     x_percent is a percentage of the FULL dataset, bounded by the training
     fraction of the split that cut train_region (default SplitSpec(): 72).
     Validation/test are untouched.
     """
     (split or SplitSpec()).check_sub_training_percent(x_percent)
-    k = math.floor(x_percent / 100.0 * len(all_records))
+    k = math.floor(x_percent / 100.0 * len(full_log))
     if k < 1:
         raise DataError(f"sub-training of {x_percent}% selects zero records")
     if k > len(train_region):
@@ -243,12 +295,13 @@ def class_weights(train_labels):
     return ClassWeights(1.0, ratio if ratio > 1.0 else 1.0)
 
 
-def cold_start_filter(test_records, subtrain_records):
-    """Drop test records whose item id occurs in the sub-training set."""
-    if any(r.item_id is None for r in test_records + subtrain_records):
+def cold_start_filter(test_log, subtrain_log):
+    """Drop test rows whose item id occurs in the sub-training set."""
+    if test_log.item_id is None or subtrain_log.item_id is None:
         raise DataError("cold-start filtering requires an item field")
-    seen = {r.item_id for r in subtrain_records}
-    return [r for r in test_records if r.item_id not in seen]
+    seen = set(subtrain_log.item_id.tolist())
+    return test_log[np.array([item not in seen for item in test_log.item_id.tolist()],
+                             dtype=bool)]
 
 
 @dataclass
@@ -329,88 +382,83 @@ class DesignMatrix:
         return self.cont[:, self.cont.shape[1] - self.n_placeholders:]
 
 
-def records_hash(records):
-    """Order-sensitive digest of raw records, before any encoding.
+def records_hash(log):
+    """Order-sensitive digest of raw rows, before any encoding.
 
     Lets experiment runs prove they evaluated on the same rows even when
-    their schemas (and therefore encoded matrices) differ.
+    their schemas (and therefore encoded matrices) differ. Each row hashes
+    as the JSON list [timestamp, user, item, sorted categorical pairs,
+    sorted continuous pairs (null when missing), label].
     """
+    cat = [(name, col.tolist()) for name, col in sorted(log.categorical.items())]
+    cont = [(name, [None if math.isnan(v) else v for v in col.tolist()])
+            for name, col in sorted(log.continuous.items())]
+    users, items = (repeat(None) if col is None else col.tolist()
+                    for col in (log.user_id, log.item_id))
     h = hashlib.sha256()
-    for r in records:
-        payload = [r.timestamp, r.user_id, r.item_id,
-                   sorted(r.categorical.items()),
-                   sorted(r.continuous.items()), r.label]
+    rows = zip(log.timestamp.tolist(), users, items, log.label.tolist())
+    for i, (ts, user, item, label) in enumerate(rows):
+        payload = [ts, user, item, [[name, col[i]] for name, col in cat],
+                   [[name, col[i]] for name, col in cont], label]
         h.update(json.dumps(payload).encode())
     return h.hexdigest()
 
 
-def _cat_token(record, name, field_spec_user, field_spec_item):
-    if name == field_spec_user:
-        return record.user_id
-    if name == field_spec_item:
-        return record.item_id
-    return record.categorical.get(name, MISSING_TOKEN)
+def _token_columns(log, user_field, item_field):
+    """Categorical field name -> string column, user and item included."""
+    return {**log.categorical, user_field: log.user_id, item_field: log.item_id}
 
 
-def build_schema(train_records, field_spec, normalize=True):
-    """Fit vocabularies and continuous stats on the training split only."""
-    if not train_records:
+def build_schema(train_log, field_spec, normalize=True):
+    """Fit vocabularies and continuous stats on the training split only.
+
+    Each vocabulary numbers its tokens in order of first occurrence.
+    """
+    if not len(train_log):
         raise DataError("cannot build a schema from an empty training split")
     cat_fields = field_spec.all_categorical()
-    vocab = {}
-    for name in cat_fields:
-        mapping = {}
-        for r in train_records:
-            token = _cat_token(r, name, field_spec.user_field, field_spec.item_field)
-            if token not in mapping:
-                mapping[token] = len(mapping)
-        vocab[name] = mapping
+    tokens = _token_columns(train_log, field_spec.user_field, field_spec.item_field)
+    vocab = {name: {token: i for i, token in enumerate(dict.fromkeys(tokens[name].tolist()))}
+             for name in cat_fields}
     cont_stats = {}
     for name in field_spec.continuous:
-        values = [r.continuous[name] for r in train_records if r.continuous.get(name) is not None]
-        if values:
-            cont_stats[name] = (float(min(values)), float(max(values)),
-                                float(sum(values) / len(values)))
-        else:
-            cont_stats[name] = (0.0, 1.0, 0.0)
+        col = train_log.continuous[name]
+        values = col[~np.isnan(col)].tolist()
+        # sum() over the list, not np.mean: the stats enter the schema hash,
+        # so the mean must keep the same last bit.
+        cont_stats[name] = ((min(values), max(values), sum(values) / len(values))
+                            if values else (0.0, 1.0, 0.0))
     return FeatureSchema(cat_fields, vocab, list(field_spec.continuous), cont_stats,
                          0, field_spec.user_field, field_spec.item_field, normalize)
 
 
-def encode(records, schema):
-    """Encode records against a schema; unseen tokens map to the OOV index.
+def encode(log, schema):
+    """Encode a log against a schema; unseen tokens map to the OOV index.
 
+    Missing continuous values take the training mean; with normalization,
+    values are min-max scaled by the training range and clamped to [0, 1].
     Returns (DesignMatrix without placeholders, labels, timestamps).
     """
-    n = len(records)
-    cat = np.zeros((n, len(schema.cat_fields)), dtype=np.int64)
+    n = len(log)
+    tokens = _token_columns(log, schema.user_field, schema.item_field)
+    cat = np.empty((n, len(schema.cat_fields)), dtype=np.int64)
     for j, name in enumerate(schema.cat_fields):
-        mapping = schema.vocab[name]
-        oov = schema.oov_index(name)
-        for i, r in enumerate(records):
-            token = _cat_token(r, name, schema.user_field, schema.item_field)
-            cat[i, j] = mapping.get(token, oov)
-    cont = np.zeros((n, len(schema.cont_fields)), dtype=np.float64)
+        lookup = map(schema.vocab[name].get, tokens[name], repeat(schema.oov_index(name)))
+        cat[:, j] = np.fromiter(lookup, dtype=np.int64, count=n)
+    cont = np.empty((n, len(schema.cont_fields)), dtype=np.float64)
     for j, name in enumerate(schema.cont_fields):
         lo, hi, mean = schema.cont_stats[name]
-        for i, r in enumerate(records):
-            value = r.continuous.get(name)
-            if value is None:
-                value = mean
-            elif not isinstance(value, (int, float)):
-                raise DataError(f"field {name!r} declared continuous but holds {value!r}")
-            if schema.normalize:
-                value = (value - lo) / (hi - lo) if hi > lo else 0.0
-                value = min(max(value, 0.0), 1.0)
-            cont[i, j] = value
-    y = np.array([r.label for r in records], dtype=np.float64)
-    ts = np.array([r.timestamp for r in records], dtype=np.float64)
-    return DesignMatrix(cat, cont, 0), y, ts
+        col = log.continuous[name]
+        values = np.where(np.isnan(col), mean, col)
+        if schema.normalize:
+            values = np.clip((values - lo) / (hi - lo), 0.0, 1.0) if hi > lo else 0.0
+        cont[:, j] = values
+    return DesignMatrix(cat, cont, 0), log.label.astype(np.float64), log.timestamp.copy()
 
 
-def build_schema_and_encode(train_records, splits, field_spec, normalize=True):
-    """Fit the schema on train_records and encode every provided split."""
-    schema = build_schema(train_records, field_spec, normalize)
-    encoded = {name: encode(records, schema) for name, records in splits.items()}
+def build_schema_and_encode(train_log, splits, field_spec, normalize=True):
+    """Fit the schema on train_log and encode every provided split."""
+    schema = build_schema(train_log, field_spec, normalize)
+    encoded = {name: encode(log, schema) for name, log in splits.items()}
     return schema, encoded
 

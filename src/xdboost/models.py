@@ -209,7 +209,8 @@ class BaseNet:
                 f"{self.schema.n_placeholders}")
         if X.n_rows:
             for j, name in enumerate(self.schema.cat_fields):
-                if X.cat[:, j].max() >= self.schema.vocab_size(name):
+                col = X.cat[:, j]
+                if col.min() < 0 or col.max() >= self.schema.vocab_size(name):
                     raise DataError(f"categorical index out of range in field {name!r}")
 
     def _forward(self, cat, cont, want_cache):
@@ -410,7 +411,12 @@ class BaseNet:
     @classmethod
     def load(cls, path):
         with np.load(path) as blob:
-            meta = json.loads(bytes(blob["meta"]).decode())
+            def stored(key):
+                if key not in blob:
+                    raise DataError(f"saved net {path} lacks the array {key!r}")
+                return blob[key]
+
+            meta = json.loads(bytes(stored("meta")).decode())
             if meta["format_version"] != NET_FORMAT_VERSION:
                 raise DataError(f"unsupported net format version {meta['format_version']}")
             schema = FeatureSchema.from_dict(meta["schema"])
@@ -418,10 +424,10 @@ class BaseNet:
                 raise DataError("schema hash mismatch in saved net")
             net = cls(schema, BaseNetConfig.from_dict(meta["config"]), seed=meta["seed"])
             for key, view in net._stored_views():
-                stored = blob[key]
-                if stored.shape != view.shape:
-                    raise DataError(f"stored {key} has shape {stored.shape}, "
+                array = stored(key)
+                if array.shape != view.shape:
+                    raise DataError(f"stored {key} has shape {array.shape}, "
                                     f"expected {view.shape}")
-                view[...] = stored
-            net.optimizer.t = int(blob["adam_t"])
+                view[...] = array
+            net.optimizer.t = int(stored("adam_t"))
         return net

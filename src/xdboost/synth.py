@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FieldSpec, InteractionRecord
+from .data import ClickLog, FieldSpec
 from .errors import ConfigError
 
 USER_FIELD = "user"
@@ -85,7 +85,7 @@ def _rng(seed, stream):
 
 
 def generate_records(config: SynthConfig):
-    """Build the log; returns (records in timestamp order, meta dict).
+    """Build the log; returns (ClickLog in timestamp order, meta dict).
 
     Cold-start planting targets the trailing floor(test_fraction * n) rows,
     which is exactly the region a chronological split with the same test
@@ -130,26 +130,21 @@ def generate_records(config: SynthConfig):
     score += (cont_values - 0.5) @ cont_weights
 
     probs = 1.0 / (1.0 + np.exp(-score))
-    labels = (_rng(config.seed, 3).uniform(size=n) < probs).astype(int)
+    labels = (_rng(config.seed, 3).uniform(size=n) < probs).astype(np.int64)
 
-    records = []
-    novel_counter = 0
-    for i in range(n):
-        if novel_rows[i]:
-            item = f"i_new{novel_counter}"
-            novel_counter += 1
-        else:
-            item = f"i{tokens[i, 1]}"
-        records.append(InteractionRecord(
-            timestamp=float(i),
-            user_id=f"u{tokens[i, 0]}",
-            item_id=item,
-            categorical={name: f"{name}_{tokens[i, 2 + j]}"
-                         for j, name in enumerate(CONTEXT_FIELDS)},
-            continuous={name: float(cont_values[i, j])
-                        for j, name in enumerate(CONTINUOUS_FIELDS)},
-            label=int(labels[i]),
-        ))
+    def column(prefix, j):
+        """Token strings of column j; rows drawing one token share its str."""
+        return np.array([f"{prefix}{t}" for t in range(v)], dtype=object)[tokens[:, j]]
+
+    items = column("i", 1)
+    items[novel_rows] = [f"i_new{k}" for k in range(n_novel_rows)]
+    log = ClickLog(
+        timestamp=np.arange(n, dtype=np.float64),
+        user_id=column("u", 0),
+        item_id=items,
+        categorical={name: column(f"{name}_", 2 + j) for j, name in enumerate(CONTEXT_FIELDS)},
+        continuous={name: cont_values[:, j].copy() for j, name in enumerate(CONTINUOUS_FIELDS)},
+        label=labels)
 
     meta = {
         "config": config.to_dict(),
@@ -159,19 +154,19 @@ def generate_records(config: SynthConfig):
         "n_novel_item_rows": n_novel_rows,
         "mean_click_probability": float(probs.mean()),
     }
-    return records, meta
+    return log, meta
 
 
-def write_csv(records, path):
+def write_csv(log, path):
     """One CSV with the standard header; floats round-trip exactly."""
     header = (["timestamp", USER_FIELD, ITEM_FIELD]
               + list(CONTEXT_FIELDS) + list(CONTINUOUS_FIELDS) + ["label"])
+    columns = [log.timestamp.astype(np.int64).tolist(), log.user_id.tolist(),
+               log.item_id.tolist()]
+    columns += [log.categorical[name].tolist() for name in CONTEXT_FIELDS]
+    columns += [map(repr, log.continuous[name].tolist()) for name in CONTINUOUS_FIELDS]
+    columns.append(log.label.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in records:
-            row = [int(r.timestamp), r.user_id, r.item_id]
-            row += [r.categorical[name] for name in CONTEXT_FIELDS]
-            row += [repr(r.continuous[name]) for name in CONTINUOUS_FIELDS]
-            row.append(r.label)
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

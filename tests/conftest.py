@@ -1,6 +1,6 @@
 """Shared builders for the test suite.
 
-Hand-built schemas and design matrices, a record factory, an independent
+Hand-built schemas and design matrices, a click-log factory, an independent
 forward-pass implementation and a central finite-difference gradient check.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from xdboost.data import DesignMatrix, FeatureSchema, InteractionRecord
+from xdboost.data import ClickLog, DesignMatrix, FeatureSchema
 from xdboost.models import BaseNet, BaseNetConfig
 
 SESSION_START = time.monotonic()
@@ -47,20 +47,43 @@ def make_matrix(rng, schema, n_rows, zero_placeholders=True):
     return DesignMatrix(cat, np.ascontiguousarray(cont), schema.n_placeholders)
 
 
-def make_records(n, n_users=5, n_items=4, seed=0, timestamps=None, labels=None):
-    """n interaction records; timestamps default to 0..n-1 in order."""
+def make_records(n, n_users=5, n_items=4, seed=0, timestamps=None):
+    """A ClickLog of n rows; timestamps default to 0..n-1 in order.
+
+    Fields are user, item, categorical c0 and continuous x0. The columns
+    are fresh arrays, so tests may overwrite entries in place.
+    """
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
-        records.append(InteractionRecord(
-            timestamp=float(i) if timestamps is None else float(timestamps[i]),
-            user_id=f"u{rng.integers(n_users)}",
-            item_id=f"i{rng.integers(n_items)}",
-            categorical={"c0": f"g{rng.integers(3)}"},
-            continuous={"x0": float(rng.uniform())},
-            label=int(rng.integers(2)) if labels is None else int(labels[i]),
-        ))
-    return records
+    users, items, groups, values, labels = [], [], [], [], []
+    for _ in range(n):
+        users.append(f"u{rng.integers(n_users)}")
+        items.append(f"i{rng.integers(n_items)}")
+        groups.append(f"g{rng.integers(3)}")
+        values.append(float(rng.uniform()))
+        labels.append(int(rng.integers(2)))
+    return ClickLog(
+        timestamp=np.arange(n, dtype=np.float64) if timestamps is None else timestamps,
+        user_id=users, item_id=items, categorical={"c0": groups},
+        continuous={"x0": values}, label=labels)
+
+
+def log_rows(log):
+    """The log as one plain tuple per row, for comparing logs by value:
+    (timestamp, user, item, categorical dict, continuous dict, label), with
+    None for a missing continuous value."""
+    n = len(log)
+
+    def plain(col):
+        return [None] * n if col is None else col.tolist()
+
+    cat = {name: col.tolist() for name, col in log.categorical.items()}
+    cont = {name: [None if np.isnan(v) else v for v in col.tolist()]
+            for name, col in log.continuous.items()}
+    return [(ts, user, item, {name: col[i] for name, col in cat.items()},
+             {name: col[i] for name, col in cont.items()}, label)
+            for i, (ts, user, item, label) in enumerate(zip(
+                plain(log.timestamp), plain(log.user_id), plain(log.item_id),
+                plain(log.label)))]
 
 
 def oracle_forward(net, X):

@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SESSION_START, fd_gradcheck, random_net_case, well_conditioned
+from conftest import (SESSION_START, fd_gradcheck, log_rows, random_net_case,
+                      well_conditioned)
 from xdboost import cli, synth
 from xdboost.boosting import (append_placeholders, create_xdboost,
                               predict_xdboost, train_unboosted, train_xdboost)
@@ -264,10 +265,12 @@ def test_criterion_07_sweep_scores_every_budget_on_identical_test_rows(
     assert hashes == {records_hash(test_records)}
     assert summary["test_set_hash"] == records_hash(test_records)
 
+    # nesting, checked by position: each smaller budget is the tail of the
+    # next larger one, column for column
     subs = [sub_training(records, train_region, p) for p in pcts]
     for small, big in zip(subs, subs[1:]):
         assert len(small) < len(big)
-        assert all(a is b for a, b in zip(small, big[-len(small):]))
+        assert log_rows(small) == log_rows(big[len(big) - len(small):])
 
     with open(out / "sweep.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -286,12 +289,15 @@ def test_criterion_08_cold_start_keeps_exactly_the_planted_novel_items(capsys):
     records, meta = synth.generate_records(gen_cfg)
     assert meta["n_novel_item_rows"] == 300  # round(0.3 * 1000)
     train_region, _, test_records = chronological_split(records, SplitSpec())
-    planted = [r for r in test_records if r.item_id.startswith("i_new")]
-    assert len(planted) == 300
+    planted = np.array([item.startswith("i_new") for item in test_records.item_id])
+    assert planted.sum() == 300
 
+    # the kept rows are the planted rows: timestamps are row numbers in a
+    # synthetic log, so equal timestamps mean the same rows
     filtered = cold_start_filter(test_records, train_region)
     assert len(filtered) == 300
-    assert [id(r) for r in filtered] == [id(r) for r in planted]
+    assert np.array_equal(filtered.timestamp, test_records.timestamp[planted])
+    assert log_rows(filtered) == log_rows(test_records[planted])
 
     cfg = cli.ExperimentConfig(seed=88, split=SplitSpec(), n_iterations=1,
                                error_lr=0.5, net=FAST_NET)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix, make_schema
-from xdboost.boosting import (append_placeholders, classifier_seed,
+from xdboost.boosting import (XDBoostModel, append_placeholders, classifier_seed,
                               create_xdboost, derive_seed, predict_xdboost,
                               regressor_seed, train_unboosted, train_xdboost)
 from xdboost.data import class_weights
@@ -94,8 +94,15 @@ def test_create_accepts_single_iteration_and_zero_error_lr():
 
 def test_create_validates_the_knobs():
     schema = make_schema((3,), 1)
-    with pytest.raises(ConfigError):
-        create_xdboost(schema, NET, n_iterations=0)
+    # one rule, one message, wherever the iteration count comes in
+    messages = set()
+    for build in (lambda: create_xdboost(schema, NET, n_iterations=0),
+                  lambda: XDBoostModel(schema, 0, 0.5, None, []),
+                  lambda: train_unboosted(schema, NET, 0, None, None)):
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        messages.add(str(excinfo.value))
+    assert messages == {"boosting needs at least one iteration, got 0"}
     with pytest.raises(ConfigError):
         create_xdboost(schema, NET, error_lr=1.5)
     with pytest.raises(ConfigError):

@@ -4,7 +4,9 @@ commands on small synthetic logs, batch scoring, and exit codes."""
 import csv
 import json
 import os
+import shutil
 
+import numpy as np
 import pytest
 
 from xdboost import cli, synth
@@ -134,7 +136,7 @@ def test_synth_gen_writes_an_ingestable_log(tmp_path):
     spec = FieldSpec.from_mapping(fields)
     records = ingest_csv(str(out / "data.csv"), spec)
     assert len(records) == 250
-    assert {r.label for r in records} <= {0, 1}
+    assert set(records.label.tolist()) <= {0, 1}
 
 
 # ---- train ------------------------------------------------------------------------
@@ -259,8 +261,8 @@ def test_coldstart_evaluates_only_novel_items(tmp_path):
 def test_coldstart_with_nothing_novel_short_circuits(tmp_path, capsys):
     cfg = synth.SynthConfig(n_rows=400, vocab_size=5, seed=11)
     records, _ = synth.generate_records(cfg)
-    train_items = {r.item_id for r in records[:288]}  # the 72% train region
-    test_items = {r.item_id for r in records[320:]}
+    train_items = set(records.item_id[:288])  # the 72% train region
+    test_items = set(records.item_id[320:])
     assert test_items <= train_items  # precondition: no natural cold starts
 
     config = write_config(tmp_path, synthetic={"n_rows": 400, "vocab_size": 5})
@@ -341,4 +343,62 @@ def test_predict_exit_codes_for_missing_paths(trained_run, tmp_path):
                      "--output", str(tmp_path / "out.csv")]) == 3
     assert cli.main(["predict", "--bundle", str(tmp_path / "nobundle"),
                      "--input", data,
+                     "--output", str(tmp_path / "out.csv")]) == 3
+
+
+def _rewrite_csv(src, dst, edit_row=None, drop=()):
+    """Copy a CSV, dropping columns and letting edit_row change data rows."""
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    fieldnames = [f for f in rows[0] if f not in drop]
+    with open(dst, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer.writeheader()
+        for i, row in enumerate(rows):
+            if edit_row:
+                edit_row(i, row)
+            writer.writerow(row)
+
+
+def _scored(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_predict_without_timestamp_and_label_scores_every_row(trained_run, tmp_path):
+    bundle, data = trained_run
+    full, bare = tmp_path / "full.csv", tmp_path / "bare.csv"
+    assert cli.main(["predict", "--bundle", bundle, "--input", data,
+                     "--output", str(full)]) == 0
+    stripped = tmp_path / "stripped.csv"
+    _rewrite_csv(data, stripped, drop=("timestamp", "label"))
+    assert cli.main(["predict", "--bundle", bundle, "--input", str(stripped),
+                     "--output", str(bare)]) == 0
+    full_rows, bare_rows = _scored(full), _scored(bare)
+    assert len(bare_rows) == 40
+    assert list(bare_rows[0]) == [f for f in full_rows[0] if f not in ("timestamp", "label")]
+    for a, b in zip(full_rows, bare_rows):
+        assert b == {k: v for k, v in a.items() if k not in ("timestamp", "label")}
+
+
+def test_predict_rejects_non_finite_values(trained_run, tmp_path):
+    bundle, data = trained_run
+    for column, bad in (("x0", "nan"), ("x1", "inf"), ("timestamp", "-inf")):
+        path = tmp_path / f"bad_{column}.csv"
+        _rewrite_csv(data, path, lambda i, row: row.update({column: bad}) if i == 4 else None)
+        out = tmp_path / "out.csv"
+        assert cli.main(["predict", "--bundle", bundle, "--input", str(path),
+                         "--output", str(out)]) == 3
+        assert not out.exists()
+
+
+def test_predict_rejects_a_bundle_missing_an_array(trained_run, tmp_path):
+    bundle, data = trained_run
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    net_path = broken / "classifier.npz"
+    with np.load(net_path) as blob:
+        arrays = {k: blob[k] for k in blob.files if k != "adam_v_002"}
+    np.savez(net_path, **arrays)
+    assert cli.main(["predict", "--bundle", str(broken), "--input", data,
                      "--output", str(tmp_path / "out.csv")]) == 3

@@ -1,16 +1,18 @@
-"""Ingestion, chronological splitting, sub-training carving, class weights,
-encoding and cold-start filtering. Split and weight rules are checked both
-on hand-sized examples and as seeded random property loops.
+"""The columnar click log, CSV ingestion, chronological splitting,
+sub-training carving, class weights, encoding and cold-start filtering.
+Split and weight rules are checked both on hand-sized examples and as
+seeded random property loops.
 """
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_records
-from xdboost.data import (ClassWeights, FeatureSchema, FieldSpec, SplitSpec,
+from conftest import log_rows, make_records
+from xdboost.data import (ClickLog, FeatureSchema, FieldSpec, SplitSpec,
                           build_schema, chronological_split, class_weights,
                           cold_start_filter, encode, ingest_csv,
                           records_hash, sub_training)
@@ -63,13 +65,26 @@ def test_ingest_happy_path(tmp_path):
     path = tmp_path / "log.csv"
     _write_log(path, [[3, "u1", "i1", "g0", 0.25, 1],
                       [1, "u2", "i2", "g1", 0.75, 0]])
-    records = ingest_csv(path, _SPEC)
-    assert [r.timestamp for r in records] == [3.0, 1.0]  # file order, not sorted
-    assert records[0].user_id == "u1"
-    assert records[0].item_id == "i1"
-    assert records[0].categorical == {"c0": "g0"}
-    assert records[0].continuous == {"x0": 0.25}
-    assert [r.label for r in records] == [1, 0]
+    log = ingest_csv(path, _SPEC)
+    assert log_rows(log) == [  # file order, not sorted
+        (3.0, "u1", "i1", {"c0": "g0"}, {"x0": 0.25}, 1),
+        (1.0, "u2", "i2", {"c0": "g1"}, {"x0": 0.75}, 0)]
+    assert log.timestamp.dtype == np.float64 and log.label.dtype == np.int64
+    assert log.user_id.dtype == object and log.continuous["x0"].dtype == np.float64
+
+
+def test_click_log_selects_rows_by_slice_index_array_and_mask():
+    log = make_records(6, seed=3)
+    rows = log_rows(log)
+    assert len(log) == 6
+    assert log_rows(log[2:5]) == rows[2:5]
+    assert log_rows(log[np.array([4, 0, 4])]) == [rows[4], rows[0], rows[4]]
+    mask = np.array([True, False, False, True, False, True])
+    assert log_rows(log[mask]) == [rows[0], rows[3], rows[5]]
+    assert len(log[:0]) == 0
+    no_user = ClickLog([1, 2], None, ["a", "b"], {}, {}, [0, 1])
+    assert no_user[1:].user_id is None
+    assert log_rows(no_user[1:]) == [(2.0, None, "b", {}, {}, 1)]
 
 
 def test_ingest_missing_file_and_columns(tmp_path):
@@ -96,23 +111,36 @@ def test_ingest_strict_errors_name_the_line(tmp_path):
     with pytest.raises(DataError, match="line 2: bad continuous value"):
         ingest_csv(path, _SPEC)
 
+    _write_log(path, [[1, "u1", "i1", "g0", 0.5, 1, "extra"]])
+    with pytest.raises(DataError, match="line 2: 7 cells, the header has 6"):
+        ingest_csv(path, _SPEC)
 
-def test_ingest_non_strict_skips_malformed_rows(tmp_path):
+
+def test_ingest_rejects_non_finite_numbers(tmp_path):
+    # NaN would pass for a missing value and inf would stretch the
+    # training range until every finite value encodes to 0
     path = tmp_path / "log.csv"
-    _write_log(path, [[1, "u1", "i1", "g0", 0.5, 1],
-                      [2, "u2", "i2", "g1", 0.5, 7],
-                      [3, "u3", "i3", "g0", 0.5, 0]])
-    records = ingest_csv(path, _SPEC, strict=False)
-    assert [r.timestamp for r in records] == [1.0, 3.0]
+    for bad in ("inf", "-inf", "nan", "1e999"):
+        _write_log(path, [[1, "u1", "i1", "g0", 0.5, 1],
+                          [2, "u2", "i2", "g1", bad, 0]])
+        with pytest.raises(DataError, match=f"line 3: bad continuous value in 'x0': '{bad}'"):
+            ingest_csv(path, _SPEC)
+        _write_log(path, [[bad, "u1", "i1", "g0", 0.5, 1]])
+        with pytest.raises(DataError, match="line 2: bad timestamp"):
+            ingest_csv(path, _SPEC)
 
 
 def test_ingest_fills_missing_values(tmp_path):
     path = tmp_path / "log.csv"
     _write_log(path, [[1, "", "i1", "", "", 1]])
-    record = ingest_csv(path, _SPEC)[0]
-    assert record.user_id == "__missing__"
-    assert record.categorical["c0"] == "__missing__"
-    assert record.continuous["x0"] is None
+    path.write_text(path.read_text() + "\n2,u2,i2,g1\n")  # a blank line, a short row
+    with pytest.raises(DataError, match="line 3: non-binary label: ''"):
+        ingest_csv(path, _SPEC)
+    path.write_text(path.read_text().replace("i2,g1", "i2,g1,,0"))
+    log = ingest_csv(path, _SPEC)
+    assert log.user_id.tolist() == ["__missing__", "u2"]
+    assert log.categorical["c0"].tolist() == ["__missing__", "g1"]
+    assert np.isnan(log.continuous["x0"]).all()
 
 
 # ---- chronological split ----------------------------------------------------------
@@ -131,14 +159,16 @@ def test_split_of_10_gives_train_the_remainder():
 def test_split_sorts_by_timestamp_before_cutting():
     records = make_records(50, timestamps=list(reversed(range(50))))
     train, val, test = chronological_split(records)
-    ordered = train + val + test
-    assert [r.timestamp for r in ordered] == sorted(float(t) for t in range(50))
+    ordered = log_rows(train) + log_rows(val) + log_rows(test)
+    assert ordered == log_rows(records)[::-1]
+    assert [r[0] for r in ordered] == sorted(float(t) for t in range(50))
 
 
 def test_split_with_equal_timestamps_keeps_input_order():
     records = make_records(20, timestamps=[5.0] * 20)
+    records.item_id[:] = [f"row{i}" for i in range(20)]
     train, val, test = chronological_split(records)
-    assert [r is o for r, o in zip(train + val + test, records)] == [True] * 20
+    assert log_rows(train) + log_rows(val) + log_rows(test) == log_rows(records)
 
 
 def test_split_needs_three_records():
@@ -159,14 +189,17 @@ def test_split_partition_and_order_property():
         n = int(rng.integers(3, 400))
         ts = rng.integers(0, 50, size=n)  # duplicates on purpose
         records = make_records(n, timestamps=ts)
+        records.item_id[:] = [f"row{i}" for i in range(n)]
         train, val, test = chronological_split(records)
         assert len(train) + len(val) + len(test) == n
         assert len(val) == math.floor(0.08 * n)
         assert len(test) == math.floor(0.20 * n)
-        assert sorted(map(id, train + val + test)) == sorted(map(id, records))
-        chunks = [c for c in (train, val, test) if c]
+        # every row lands in exactly one split, unchanged
+        parts = log_rows(train) + log_rows(val) + log_rows(test)
+        assert sorted(parts, key=lambda r: r[2]) == sorted(log_rows(records), key=lambda r: r[2])
+        chunks = [c for c in (train, val, test) if len(c)]
         for early, late in zip(chunks, chunks[1:]):
-            assert early[-1].timestamp <= late[0].timestamp
+            assert early.timestamp[-1] <= late.timestamp[0]
 
 
 # ---- sub-training carving -----------------------------------------------------------
@@ -176,14 +209,13 @@ def test_sub_training_takes_the_most_recent_slice():
     train, _, _ = chronological_split(records)
     sub = sub_training(records, train, 10)
     assert len(sub) == 10
-    assert sub == train[-10:]
-    assert all(a is b for a, b in zip(sub, train[-10:]))
+    assert log_rows(sub) == log_rows(train)[-10:]
 
 
 def test_sub_training_at_72_is_the_whole_region():
     records = make_records(100)
     train, _, _ = chronological_split(records)
-    assert sub_training(records, train, 72) == train
+    assert log_rows(sub_training(records, train, 72)) == log_rows(train)
 
 
 def test_sub_training_one_percent_of_100_is_one_record():
@@ -191,7 +223,7 @@ def test_sub_training_one_percent_of_100_is_one_record():
     train, _, _ = chronological_split(records)
     sub = sub_training(records, train, 1)
     assert len(sub) == 1
-    assert sub[0] is train[-1]
+    assert log_rows(sub) == log_rows(train)[-1:]
 
 
 def test_sub_training_range_errors():
@@ -209,8 +241,8 @@ def test_sub_training_bound_follows_the_split():
     records = make_records(100)
     split = SplitSpec(train=0.9, val=0.05, test=0.05)
     train, _, _ = chronological_split(records, split)
-    assert sub_training(records, train, 80, split) == train[-80:]
-    assert sub_training(records, train, 90, split) == train
+    assert log_rows(sub_training(records, train, 80, split)) == log_rows(train)[-80:]
+    assert log_rows(sub_training(records, train, 90, split)) == log_rows(train)
     with pytest.raises(ConfigError, match=r"outside \(0, 90\]"):
         sub_training(records, train, 90.5, split)
     with pytest.raises(ConfigError, match=r"outside \(0, 50\]"):
@@ -226,7 +258,7 @@ def test_sub_training_sets_are_nested():
     subs = [sub_training(records, train, p) for p in pcts]
     for smaller, larger in zip(subs, subs[1:]):
         assert len(smaller) < len(larger)
-        assert all(a is b for a, b in zip(reversed(smaller), reversed(larger)))
+        assert log_rows(smaller) == log_rows(larger)[-len(smaller):]
 
 
 # ---- class weights --------------------------------------------------------------------
@@ -272,17 +304,17 @@ def test_class_weights_match_the_count_ratio_exactly():
 
 def _records_with_items(items, offset=0):
     records = make_records(len(items), seed=offset)
-    for record, item in zip(records, items):
-        record.item_id = item
+    records.item_id[:] = items
     return records
 
 
 def test_cold_start_filter_cases():
     test_rows = _records_with_items(["A", "B", "C"])
-    assert cold_start_filter(test_rows, _records_with_items(["X", "Y"])) == test_rows
-    assert cold_start_filter(test_rows, _records_with_items(["A", "B", "C"])) == []
+    kept = cold_start_filter(test_rows, _records_with_items(["X", "Y"]))
+    assert log_rows(kept) == log_rows(test_rows)
+    assert len(cold_start_filter(test_rows, _records_with_items(["A", "B", "C"]))) == 0
     kept = cold_start_filter(test_rows, _records_with_items(["B"]))
-    assert [r.item_id for r in kept] == ["A", "C"]
+    assert log_rows(kept) == [log_rows(test_rows)[i] for i in (0, 2)]
 
 
 def test_cold_start_filter_soundness_property():
@@ -290,25 +322,25 @@ def test_cold_start_filter_soundness_property():
     for _ in range(25):
         test_rows = _records_with_items([f"i{rng.integers(8)}" for _ in range(30)])
         train_rows = _records_with_items([f"i{rng.integers(8)}" for _ in range(20)])
-        seen = {r.item_id for r in train_rows}
+        seen = set(train_rows.item_id)
         kept = cold_start_filter(test_rows, train_rows)
-        assert all(r.item_id not in seen for r in kept)
-        dropped = [r for r in test_rows if r not in kept]
-        assert all(r.item_id in seen for r in dropped)
+        # exactly the unseen rows survive, in their order
+        assert log_rows(kept) == [r for r in log_rows(test_rows) if r[2] not in seen]
 
 
 def test_cold_start_filter_requires_item_ids():
     rows = _records_with_items(["A"])
-    rows[0].item_id = None
+    rows.item_id = None
     with pytest.raises(DataError):
         cold_start_filter(rows, _records_with_items(["B"]))
+    with pytest.raises(DataError):
+        cold_start_filter(_records_with_items(["B"]), rows)
 
 
 # ---- schema building and encoding ----------------------------------------------------
 
 def test_vocabulary_counts_distinct_tokens_plus_oov():
-    records = make_records(3)
-    records[0].item_id, records[1].item_id, records[2].item_id = "a", "b", "a"
+    records = _records_with_items(["a", "b", "a"])
     spec = FieldSpec(user_field="user", item_field="item",
                      categorical=["c0"], continuous=["x0"])
     schema = build_schema(records, spec)
@@ -326,25 +358,24 @@ def test_encode_is_consistent_and_maps_unseen_to_oov():
     X, y, ts = encode(records[:30], schema)
     assert X.cat.dtype == np.int64
     assert X.cont.dtype == np.float64
-    assert np.array_equal(y, [r.label for r in records[:30]])
-    assert np.array_equal(ts, [r.timestamp for r in records[:30]])
+    assert y.dtype == np.float64 and np.array_equal(y, records.label[:30])
+    assert np.array_equal(ts, records.timestamp[:30])
 
     item_col = schema.cat_fields.index("item")
     token_to_index = {}
-    for row, record in zip(X.cat, records[:30]):
-        token_to_index.setdefault(record.item_id, set()).add(int(row[item_col]))
+    for row, item in zip(X.cat, records.item_id[:30]):
+        token_to_index.setdefault(item, set()).add(int(row[item_col]))
     assert all(len(v) == 1 for v in token_to_index.values())
+    assert {t: i.pop() for t, i in token_to_index.items()} == schema.vocab["item"]
 
-    novel = make_records(1, seed=58)
-    novel[0].item_id = "never-seen"
+    novel = _records_with_items(["never-seen"], offset=58)
     X_novel, _, _ = encode(novel, schema)
     assert X_novel.cat[0, item_col] == schema.oov_index("item")
 
 
 def test_encode_minmax_scales_train_to_unit_interval():
     records = make_records(20, seed=59)
-    for i, r in enumerate(records):
-        r.continuous["x0"] = float(i)
+    records.continuous["x0"][:] = np.arange(20.0)
     spec = FieldSpec(user_field="user", item_field="item", continuous=["x0"])
     schema = build_schema(records, spec)
     X, _, _ = encode(records, schema)
@@ -353,39 +384,42 @@ def test_encode_minmax_scales_train_to_unit_interval():
     assert abs(col[10] - 10.0 / 19.0) < 1e-12
 
     out_of_range = make_records(2, seed=60)
-    out_of_range[0].continuous["x0"] = -5.0
-    out_of_range[1].continuous["x0"] = 99.0
+    out_of_range.continuous["x0"][:] = [-5.0, 99.0]
     X_clamped, _, _ = encode(out_of_range, schema)
     assert np.array_equal(X_clamped.cont[:, 0], [0.0, 1.0])
 
 
 def test_encode_imputes_missing_continuous_with_the_train_mean():
-    records = make_records(4, seed=61)
-    values = [1.0, 2.0, 3.0, 6.0]
-    for r, v in zip(records, values):
-        r.continuous["x0"] = v
+    records = make_records(5, seed=61)
+    records.continuous["x0"][:] = [1.0, 2.0, np.nan, 3.0, 6.0]  # NaN is missing
     spec = FieldSpec(user_field="user", item_field="item", continuous=["x0"])
     schema = build_schema(records, spec, normalize=False)
     assert schema.cont_stats["x0"] == (1.0, 6.0, 3.0)
     holed = make_records(1, seed=62)
-    holed[0].continuous["x0"] = None
+    holed.continuous["x0"][0] = np.nan
     X, _, _ = encode(holed, schema)
     assert X.cont[0, 0] == 3.0
+    records.continuous["x0"][:] = np.nan
+    assert build_schema(records, spec).cont_stats["x0"] == (0.0, 1.0, 0.0)
 
 
-def test_encode_rejects_non_numeric_values():
+def test_encode_rejects_non_numeric_values(tmp_path):
+    """A non-numeric continuous value never reaches encode: building or
+    parsing the log rejects it."""
     records = make_records(2, seed=63)
-    spec = FieldSpec(user_field="user", item_field="item", continuous=["x0"])
-    schema = build_schema(records, spec)
-    records[1].continuous["x0"] = "expensive"
-    with pytest.raises(DataError):
-        encode(records, schema)
+    with pytest.raises(DataError, match="non-numeric value in a numeric column"):
+        ClickLog(records.timestamp, records.user_id, records.item_id,
+                 records.categorical, {"x0": [0.5, "expensive"]}, records.label)
+    path = tmp_path / "log.csv"
+    _write_log(path, [[1, "u1", "i1", "g0", 0.5, 1], [2, "u2", "i2", "g1", "expensive", 0]])
+    with pytest.raises(DataError, match="line 3: bad continuous value in 'x0': 'expensive'"):
+        ingest_csv(path, _SPEC)
 
 
 def test_build_schema_needs_training_rows():
     spec = FieldSpec(user_field="user", item_field="item")
     with pytest.raises(DataError):
-        build_schema([], spec)
+        build_schema(make_records(3)[:0], spec)
 
 
 def test_schema_dict_roundtrip_and_hash():
@@ -404,9 +438,22 @@ def test_schema_dict_roundtrip_and_hash():
 
 def test_records_hash_is_order_and_content_sensitive():
     records = make_records(10, seed=71)
-    assert records_hash(records) == records_hash(list(records))
+    assert records_hash(records) == records_hash(records[np.arange(10)])
     assert records_hash(records) != records_hash(records[::-1])
     flipped = make_records(10, seed=71)
-    flipped[0].label = 1 - flipped[0].label
+    flipped.label[0] = 1 - flipped.label[0]
     assert records_hash(records) != records_hash(flipped)
+
+
+def test_records_hash_digests_one_json_list_per_row():
+    # the digest stays comparable with result files written before the
+    # log became columnar: one JSON list per row, null for a missing value
+    log = ClickLog([2.0, 7.5], ["u1", "u2"], ["i1", "i2"], {"c1": ["b", "d"], "c0": ["a", "c"]},
+                   {"x0": [0.25, np.nan]}, [1, 0])
+    expected = hashlib.sha256()
+    expected.update(b'[2.0, "u1", "i1", [["c0", "a"], ["c1", "b"]], [["x0", 0.25]], 1]')
+    expected.update(b'[7.5, "u2", "i2", [["c0", "c"], ["c1", "d"]], [["x0", null]], 0]')
+    assert records_hash(log) == expected.hexdigest()
+    no_item = ClickLog([1.0], ["u1"], None, {}, {}, [1])
+    assert records_hash(no_item) == hashlib.sha256(b'[1.0, "u1", null, [], [], 1]').hexdigest()
 

@@ -206,6 +206,10 @@ def test_matrix_schema_mismatch_is_a_data_error():
     bad_index.cat[0, 0] = 99
     with pytest.raises(DataError):
         net.predict_matrix(bad_index)
+    # a negative index would wrap to the OOV row and still get a score
+    bad_index.cat[0, 0] = -1
+    with pytest.raises(DataError, match="out of range"):
+        net.predict_matrix(bad_index)
 
 
 # ---- gradients ----------------------------------------------------------------

@@ -4,6 +4,7 @@ planting and CSV round-trips."""
 import numpy as np
 import pytest
 
+from conftest import log_rows
 from xdboost import synth
 from xdboost.data import chronological_split, cold_start_filter, ingest_csv, records_hash
 from xdboost.errors import ConfigError
@@ -24,15 +25,17 @@ def test_generated_shape_and_meta():
     records, meta = synth.generate_records(config)
     assert len(records) == 800
     assert meta["n_rows"] == 800
-    assert [r.timestamp for r in records] == [float(i) for i in range(800)]
-    labels = [r.label for r in records]
-    assert set(labels) == {0, 1}
-    assert meta["ctr"] == np.mean(labels)
+    assert records.timestamp.tolist() == [float(i) for i in range(800)]
+    assert set(records.label.tolist()) == {0, 1}
+    assert meta["ctr"] == np.mean(records.label)
     assert 0.0 < meta["mean_click_probability"] < 1.0
-    for r in records[:20]:
-        assert set(r.categorical) == set(synth.CONTEXT_FIELDS)
-        assert set(r.continuous) == set(synth.CONTINUOUS_FIELDS)
-        assert all(0.0 <= v <= 1.0 for v in r.continuous.values())
+    assert list(records.categorical) == list(synth.CONTEXT_FIELDS)
+    assert list(records.continuous) == list(synth.CONTINUOUS_FIELDS)
+    for col in records.continuous.values():
+        assert col.dtype == np.float64 and ((0.0 <= col) & (col <= 1.0)).all()
+    for col in (records.user_id, records.item_id, *records.categorical.values()):
+        assert col.dtype == object and len(col) == 800
+    assert all(u.startswith("u") for u in records.user_id)
 
 
 def test_field_declarations_cover_the_columns():
@@ -56,17 +59,17 @@ def test_cold_start_planting_counts_and_placement():
     assert meta["n_test_region_rows"] == n_test
     assert meta["n_novel_item_rows"] == planted
 
-    novel = [r for r in records if r.item_id.startswith("i_new")]
-    assert len(novel) == planted
-    assert all(r.timestamp >= 1000 - n_test for r in novel)
-    # each planted row carries its own token, never reused
-    assert len({r.item_id for r in novel}) == planted
+    novel = np.array([item.startswith("i_new") for item in records.item_id])
+    assert novel.sum() == planted
+    assert (records.timestamp[novel] >= 1000 - n_test).all()
+    # each planted row carries its own token, never reused, numbered in row order
+    assert records.item_id[novel].tolist() == [f"i_new{k}" for k in range(planted)]
 
 
 def test_cold_start_fraction_zero_plants_nothing():
     records, meta = synth.generate_records(synth.SynthConfig(n_rows=400, seed=9))
     assert meta["n_novel_item_rows"] == 0
-    assert not any(r.item_id.startswith("i_new") for r in records)
+    assert not any(item.startswith("i_new") for item in records.item_id)
 
 
 def test_planted_rows_survive_the_cold_start_filter():
@@ -75,8 +78,8 @@ def test_planted_rows_survive_the_cold_start_filter():
     records, meta = synth.generate_records(config)
     train, _, test = chronological_split(records)
     kept = cold_start_filter(test, train)
-    novel_in_test = {r.item_id for r in test if r.item_id.startswith("i_new")}
-    assert novel_in_test <= {r.item_id for r in kept}
+    novel_in_test = {item for item in test.item_id if item.startswith("i_new")}
+    assert novel_in_test <= set(kept.item_id)
     assert len(novel_in_test) == meta["n_novel_item_rows"]
 
 
@@ -96,5 +99,5 @@ def test_csv_roundtrip_reproduces_the_records(tmp_path):
     path = tmp_path / "log.csv"
     synth.write_csv(records, path)
     loaded = ingest_csv(path, synth.field_spec())
-    assert loaded == records
+    assert log_rows(loaded) == log_rows(records)
     assert records_hash(loaded) == records_hash(records)
