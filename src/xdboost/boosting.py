@@ -127,13 +127,18 @@ class XDBoostModel:
         schema = FeatureSchema.from_dict(manifest["schema"])
         if schema.hash() != manifest["schema_hash"]:
             raise DataError("schema hash mismatch in model bundle")
-        classifier = BaseNet.load(os.path.join(path, manifest["files"]["classifier"]))
-        regressors = [BaseNet.load(os.path.join(path, fname))
-                      for fname in manifest["files"]["regressors"]]
-        return cls(schema, manifest["n_iterations"], manifest["error_lr"],
-                   classifier, regressors, seed=manifest["seed"],
-                   cold_restart=manifest["cold_restart"],
-                   trained=manifest["trained"])
+        nets = []
+        for fname in [manifest["files"]["classifier"], *manifest["files"]["regressors"]]:
+            nets.append(BaseNet.load(os.path.join(path, fname)))
+            if nets[-1].schema.hash() != manifest["schema_hash"]:
+                raise DataError(f"{fname} was saved for another schema than the model bundle's")
+        try:
+            return cls(schema, manifest["n_iterations"], manifest["error_lr"],
+                       nets[0], nets[1:], seed=manifest["seed"],
+                       cold_restart=manifest["cold_restart"],
+                       trained=manifest["trained"])
+        except ConfigError as exc:
+            raise DataError(f"inconsistent model bundle {path}: {exc}") from exc
 
 
 def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,

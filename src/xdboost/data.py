@@ -104,11 +104,6 @@ class FieldSpec:
                     f"field {name!r}: unknown type {kind!r} (expected one of {FIELD_TYPES})")
         return spec
 
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_mapping(json.load(fh))
-
     def to_mapping(self):
         out = {}
         if self.user_field:

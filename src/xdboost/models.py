@@ -14,7 +14,9 @@ Every parameter tensor of a net is a view into one contiguous float64
 vector, its parameter arena, in one fixed layout. The gradient of a batch
 is a vector in the same layout, and Adam's two moment vectors match it
 too, so an optimizer step is one fused update over the whole vector and
-an early-stopping snapshot is one copy per vector. Saved nets keep one
+an early-stopping snapshot is one copy per vector. The categorical tables
+lead the layout, so one scatter-add over flat bucket indices fills the
+gradient of every embedding and first-order table. Saved nets keep one
 array per tensor, written from and read back into the views.
 
 All gradients are hand-derived; the tests check them against central
@@ -24,6 +26,7 @@ finite differences.
 import dataclasses
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +162,9 @@ class BaseNet:
         self.n_fields = self.n_cat + self.n_cont
 
         vocab = [schema.vocab_size(name) for name in schema.cat_fields]
+        starts = np.cumsum([0, *vocab])[:-1]
+        self._emb_starts, self._lin_starts = k * starts, k * sum(vocab) + starts
+        self._n_cat_params = (k + 1) * sum(vocab)
         dims = [self.n_fields * k, *config.hidden_layers, 1]
         self._shapes = ([(v, k) for v in vocab] + [(v,) for v in vocab]
                         + [(self.n_cont, k), (self.n_cont,), (1,)]
@@ -248,7 +254,7 @@ class BaseNet:
         V, total, caches, cat, cont = cache
         n, k = cat.shape[0], self.config.embedding_dim
         grad = np.zeros_like(self.flat)
-        demb, dlin_cat, (dcont_proj, dlin_cont, dbias), dlayers = self._group(grad)
+        _, _, (dcont_proj, dlin_cont, dbias), dlayers = self._group(grad)
 
         dh = dlogit[:, None]
         for layer, layer_cache, (dw, db) in zip(reversed(self.layers), reversed(caches),
@@ -258,9 +264,14 @@ class BaseNet:
         dV = dh.reshape(n, self.n_fields, k)
         dV = dV + dlogit[:, None, None] * (total[:, None, :] - V)
 
-        for j in range(self.n_cat):
-            kernels.scatter_add_rows(demb[j], cat[:, j], dV[:, j, :])
-            kernels.scatter_add_scalars(dlin_cat[j], cat[:, j], dlogit)
+        # The categorical tables lead the layout, embeddings first, so one
+        # scatter fills them all: entry (row, field, c) of the embedding
+        # part, then (row, field) of the first-order part, both row-major.
+        emb_bucket = (self._emb_starts + k * cat)[:, :, None] + np.arange(k)
+        kernels.scatter_add_scalars(
+            grad[:self._n_cat_params],
+            np.concatenate([emb_bucket.ravel(), (self._lin_starts + cat).ravel()]),
+            np.concatenate([dV[:, :self.n_cat, :].ravel(), np.repeat(dlogit, self.n_cat)]))
         if self.n_cont:
             dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
             dlin_cont[...] = cont.T @ dlogit
@@ -410,24 +421,31 @@ class BaseNet:
 
     @classmethod
     def load(cls, path):
-        with np.load(path) as blob:
-            def stored(key):
-                if key not in blob:
-                    raise DataError(f"saved net {path} lacks the array {key!r}")
-                return blob[key]
+        """Read a net written by save(); a missing, unreadable or
+        inconsistent file is a DataError."""
+        try:
+            with np.load(path) as blob:
+                arrays = dict(blob)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"cannot read saved net {path}: {exc}") from exc
 
-            meta = json.loads(bytes(stored("meta")).decode())
-            if meta["format_version"] != NET_FORMAT_VERSION:
-                raise DataError(f"unsupported net format version {meta['format_version']}")
-            schema = FeatureSchema.from_dict(meta["schema"])
-            if schema.hash() != meta["schema_hash"]:
-                raise DataError("schema hash mismatch in saved net")
-            net = cls(schema, BaseNetConfig.from_dict(meta["config"]), seed=meta["seed"])
-            for key, view in net._stored_views():
-                array = stored(key)
-                if array.shape != view.shape:
-                    raise DataError(f"stored {key} has shape {array.shape}, "
-                                    f"expected {view.shape}")
-                view[...] = array
-            net.optimizer.t = int(stored("adam_t"))
+        def stored(key):
+            if key not in arrays:
+                raise DataError(f"saved net {path} lacks the array {key!r}")
+            return arrays[key]
+
+        meta = json.loads(bytes(stored("meta")).decode())
+        if meta["format_version"] != NET_FORMAT_VERSION:
+            raise DataError(f"unsupported net format version {meta['format_version']}")
+        schema = FeatureSchema.from_dict(meta["schema"])
+        if schema.hash() != meta["schema_hash"]:
+            raise DataError("schema hash mismatch in saved net")
+        net = cls(schema, BaseNetConfig.from_dict(meta["config"]), seed=meta["seed"])
+        for key, view in net._stored_views():
+            array = stored(key)
+            if array.shape != view.shape:
+                raise DataError(f"stored {key} has shape {array.shape}, "
+                                f"expected {view.shape}")
+            view[...] = array
+        net.optimizer.t = int(stored("adam_t"))
         return net

@@ -2,6 +2,7 @@
 commands on small synthetic logs, batch scoring, and exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -12,6 +13,7 @@ import pytest
 from xdboost import cli, synth
 from xdboost.data import FieldSpec, ingest_csv
 from xdboost.errors import ConfigError
+from xdboost.models import BaseNet
 
 FAST_MODEL = {
     "n_iterations": 1,
@@ -402,3 +404,33 @@ def test_predict_rejects_a_bundle_missing_an_array(trained_run, tmp_path):
     np.savez(net_path, **arrays)
     assert cli.main(["predict", "--bundle", str(broken), "--input", data,
                      "--output", str(tmp_path / "out.csv")]) == 3
+
+
+def _classifier_for_another_schema(bundle):
+    """Resave the classifier under renamed tokens: same shapes, other schema."""
+    net = BaseNet.load(bundle / "classifier.npz")
+    name = net.schema.cat_fields[-1]
+    renamed = {f"{token}_renamed": i for token, i in net.schema.vocab[name].items()}
+    schema = dataclasses.replace(net.schema, vocab={**net.schema.vocab, name: renamed})
+    BaseNet(schema, net.config, seed=net.seed).save(bundle / "classifier.npz")
+
+
+BUNDLE_FAULTS = {
+    "missing-regressor": lambda bundle: (bundle / "regressor_00.npz").unlink(),
+    "truncated-classifier": lambda bundle: os.truncate(bundle / "classifier.npz", 300),
+    "classifier-as-regressor": lambda bundle: shutil.copy(bundle / "classifier.npz",
+                                                          bundle / "regressor_00.npz"),
+    "net-for-another-schema": _classifier_for_another_schema,
+}
+
+
+@pytest.mark.parametrize("fault", list(BUNDLE_FAULTS))
+def test_predict_rejects_a_damaged_bundle(trained_run, tmp_path, fault):
+    bundle, data = trained_run
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle, broken)
+    BUNDLE_FAULTS[fault](broken)
+    out = tmp_path / "out.csv"
+    assert cli.main(["predict", "--bundle", str(broken), "--input", data,
+                     "--output", str(out)]) == 3
+    assert not out.exists()

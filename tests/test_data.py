@@ -41,14 +41,6 @@ def test_field_spec_rejects_bad_mappings():
         FieldSpec.from_mapping({"a": "embedding"})
 
 
-def test_field_spec_from_json_file(tmp_path):
-    path = tmp_path / "fields.json"
-    path.write_text(json.dumps({"uid": "user", "price": "continuous"}))
-    spec = FieldSpec.from_json_file(path)
-    assert spec.user_field == "uid"
-    assert spec.continuous == ["price"]
-
-
 # ---- CSV ingestion ---------------------------------------------------------------
 
 _SPEC = FieldSpec(user_field="user", item_field="item",

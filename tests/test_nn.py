@@ -300,9 +300,7 @@ def test_adam_flat_step_equals_per_tensor_steps_bitwise():
     for t in range(1, 6):
         grads = [rng.standard_normal(s) for s in shapes]
         opt.step(flat, np.concatenate([g.reshape(-1) for g in grads]))
-        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
         for p, g, m, v in zip(tensors, grads, ms, vs):
-            kernels._adam_update_np(p.reshape(-1), g.reshape(-1), m.reshape(-1),
-                                    v.reshape(-1), 1e-2, 0.9, 0.999, 1e-8, bc1, bc2)
+            kernels.adam_update(p, g, m, v, 1e-2, 0.9, 0.999, 1e-8, t)
         for name, got, want in (("param", flat, tensors), ("m", opt.m, ms), ("v", opt.v, vs)):
             assert np.array_equal(got, np.concatenate([a.reshape(-1) for a in want])), name
