@@ -197,11 +197,12 @@ def load_records(cfg):
 
 
 def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
-                   command="train"):
+                   command="train", test_set_hash=None):
     """One boosted-vs-reference run; returns (result dict, trained model).
 
     eval_test substitutes the rows metrics are computed on (the cold-start
     command passes the filtered test set); training data is unaffected.
+    test_set_hash, when given, is the known records_hash of those rows.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -263,7 +264,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         "n_test_rows": len(test_eval),
         "class_weights": {"nonclick": weights.weight_nonclick,
                           "click": weights.weight_click},
-        "test_set_hash": records_hash(test_eval),
+        "test_set_hash": test_set_hash or records_hash(test_eval),
         "schema_hash": schema.hash(),
         "metrics": result_metrics,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
@@ -309,14 +310,17 @@ def cmd_sweep(cfg):
     rows = []
     failures = []
     results = []
+    test_set_hash = None  # the test split is the same for every budget
     for pct in cfg.sub_training_percentages:
         try:
-            result, _ = run_experiment(cfg, log, field_spec, pct, command="sweep")
+            result, _ = run_experiment(cfg, log, field_spec, pct, command="sweep",
+                                       test_set_hash=test_set_hash)
         except XDBoostError as exc:
             logger.warning("sweep run at %s%% failed: %s", pct, exc)
             failures.append({"percentage": pct, "type": type(exc).__name__,
                              "error": str(exc)})
             continue
+        test_set_hash = result["test_set_hash"]
         result["data_source"] = source
         _write_json(os.path.join(cfg.output_dir, f"sweep_p{pct:g}.json"), result)
         for model_name, label in (("boosted", "xdboost"), ("baseline", "base")):
@@ -334,7 +338,7 @@ def cmd_sweep(cfg):
         "command": "sweep",
         "config": cfg.snapshot(),
         "percentages": list(cfg.sub_training_percentages),
-        "test_set_hash": results[0]["test_set_hash"] if results else None,
+        "test_set_hash": test_set_hash,
         "failures": failures,
         "csv": csv_path,
     }

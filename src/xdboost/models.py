@@ -19,6 +19,15 @@ lead the layout, so one scatter-add over flat bucket indices fills the
 gradient of every embedding and first-order table. Saved nets keep one
 array per tensor, written from and read back into the views.
 
+Rows reach the forward pass as prepared batches: each batch's continuous
+columns plus the arena index of every categorical parameter its rows
+read. One gather from the arena with those indices replaces the per-table
+lookups, and the backward pass scatters into the same indices. A fit
+prepares its validation batches once and, unless batches are shuffled,
+its training batches once too, and reuses them every epoch; prediction
+prepares each batch as it goes. The prepared form changes no bit of any
+output: every reduction adds in the order the per-table form did.
+
 All gradients are hand-derived; the tests check them against central
 finite differences.
 """
@@ -145,6 +154,10 @@ class BaseNet:
     mirror it, so one Adam call updates every tensor. Construction draws
     the random initial values in a fixed order (embeddings, continuous
     projection, dense weights), so the same seed gives the same bits.
+
+    Training, validation and prediction all run on batches prepared by
+    ``_batch``; ``fit`` checks and prepares its validation matrix once,
+    and its training batches once when ``config.shuffle`` is off.
     """
 
     def __init__(self, schema: FeatureSchema, config: BaseNetConfig, seed=None):
@@ -219,21 +232,53 @@ class BaseNet:
                 if col.min() < 0 or col.max() >= self.schema.vocab_size(name):
                     raise DataError(f"categorical index out of range in field {name!r}")
 
-    def _forward(self, cat, cont, want_cache):
-        n = cat.shape[0]
-        k = self.config.embedding_dim
-        V = np.empty((n, self.n_fields, k))
-        for j, table in enumerate(self.embeddings):
-            V[:, j, :] = table[cat[:, j]]
-        if self.n_cont:
-            V[:, self.n_cat:, :] = cont[:, :, None] * self.cont_proj[None, :, :]
+    def _batch(self, cat, cont):
+        """The prepared form of a batch of rows: (cont, idx).
 
-        total = V.sum(axis=1)
+        ``idx`` holds the arena index of every categorical parameter the
+        rows read, embedding entries (row, field, c) row-major, then
+        first-order weights (field, row) field-major. The forward pass
+        gathers them from ``flat`` in one call and the backward pass
+        scatters into the same buckets of the gradient.
+        """
+        (n, n_cat), k = cat.shape, self.config.embedding_dim
+        idx = np.empty(n * n_cat * (k + 1), dtype=np.int64)
+        split = n * n_cat * k
+        np.add((self._emb_starts + k * cat)[:, :, None], np.arange(k),
+               out=idx[:split].reshape(n, n_cat, k))
+        np.add(self._lin_starts[:, None], cat.T, out=idx[split:].reshape(n_cat, n))
+        return cont, idx
+
+    def _batches(self, X):
+        """Prepared batches of X's rows in order, ``batch_size`` rows each,
+        built lazily; X is checked against the schema first."""
+        self._check_matrix(X)
+        bs = self.config.batch_size
+        return (self._batch(X.cat[lo:lo + bs], X.cont[lo:lo + bs])
+                for lo in range(0, X.n_rows, bs))
+
+    def _forward(self, batch, want_cache):
+        cont, idx = batch
+        n, k, n_cat = cont.shape[0], self.config.embedding_dim, self.n_cat
+        split = n * n_cat * k
+        gathered = self.flat[idx]
+        emb = gathered[:split].reshape(n, n_cat, k)
+        if self.n_cont:
+            V = np.empty((n, self.n_fields, k))
+            V[:, :n_cat] = emb
+            np.multiply(cont[:, :, None], self.cont_proj, out=V[:, n_cat:])
+        else:
+            V = emb
+
+        # Bit for bit V.sum(axis=1), which adds the fields one by one into
+        # zeros, as einsum does five times faster; at k == 1 the fields are
+        # the contiguous axis, and there numpy sums them pairwise.
+        total = np.einsum("nfk->nk", V) if k > 1 else V.sum(axis=1)
         fm = 0.5 * ((total * total).sum(axis=1) - (V * V).sum(axis=(1, 2)))
 
         linear = np.full(n, self.bias[0])
-        for j, w in enumerate(self.lin_cat):
-            linear += w[cat[:, j]]
+        for w in gathered[split:].reshape(n_cat, n):
+            linear += w
         if self.n_cont:
             linear += cont @ self.lin_cont
 
@@ -246,13 +291,13 @@ class BaseNet:
         out = nn.activation_apply(self.config.head, logit)
         if not want_cache:
             return out, None
-        return out, (V, total, caches, cat, cont)
+        return out, (V, total, caches, batch)
 
     def _backward(self, cache, dlogit):
         """Gradient of the scalar loss given dL/dlogit, as one vector laid
         out like ``flat``."""
-        V, total, caches, cat, cont = cache
-        n, k = cat.shape[0], self.config.embedding_dim
+        V, total, caches, (cont, idx) = cache
+        n, k = V.shape[0], self.config.embedding_dim
         grad = np.zeros_like(self.flat)
         _, _, (dcont_proj, dlin_cont, dbias), dlayers = self._group(grad)
 
@@ -261,17 +306,19 @@ class BaseNet:
                                                 reversed(dlayers)):
             dh, dw[...], db[...] = layer.backward(layer_cache, dh)
 
+        # dh is a fresh array, so the pairwise term's gradient is added in place
         dV = dh.reshape(n, self.n_fields, k)
-        dV = dV + dlogit[:, None, None] * (total[:, None, :] - V)
+        pairwise = total[:, None, :] - V
+        pairwise *= dlogit[:, None, None]
+        dV += pairwise
 
         # The categorical tables lead the layout, embeddings first, so one
-        # scatter fills them all: entry (row, field, c) of the embedding
-        # part, then (row, field) of the first-order part, both row-major.
-        emb_bucket = (self._emb_starts + k * cat)[:, :, None] + np.arange(k)
+        # scatter into the buckets the forward pass gathered from fills
+        # them all. Each bucket belongs to one field and receives its rows
+        # in order, so the sums equal a per-table scatter bit for bit.
         kernels.scatter_add_scalars(
-            grad[:self._n_cat_params],
-            np.concatenate([emb_bucket.ravel(), (self._lin_starts + cat).ravel()]),
-            np.concatenate([dV[:, :self.n_cat, :].ravel(), np.repeat(dlogit, self.n_cat)]))
+            grad[:self._n_cat_params], idx,
+            np.concatenate([dV[:, :self.n_cat, :].ravel(), np.tile(dlogit, self.n_cat)]))
         if self.n_cont:
             dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
             dlin_cont[...] = cont.T @ dlogit
@@ -293,26 +340,26 @@ class BaseNet:
         gradients in params() order)."""
         self._check_matrix(X)
         targets = np.asarray(targets, dtype=np.float64)
-        out, cache = self._forward(X.cat, X.cont, want_cache=True)
+        out, cache = self._forward(self._batch(X.cat, X.cont), want_cache=True)
         loss = self.batch_loss(out, targets, class_weights)
         grad = self._backward(cache, self._dlogit(out, targets, class_weights))
         return loss, _carve(grad, self._shapes)
 
     # ---- prediction ---------------------------------------------------------
 
+    def _predict(self, batches):
+        outputs = [self._forward(batch, want_cache=False)[0] for batch in batches]
+        return np.concatenate(outputs) if outputs else np.zeros(0)
+
     def predict_matrix(self, X: DesignMatrix):
         """Per-row head outputs; pure, no state is mutated."""
-        self._check_matrix(X)
-        n = X.n_rows
-        if n == 0:
-            return np.zeros(0)
-        bs = self.config.batch_size
-        chunks = [self._forward(X.cat[lo:lo + bs], X.cont[lo:lo + bs], want_cache=False)[0]
-                  for lo in range(0, n, bs)]
-        return np.concatenate(chunks)
+        return self._predict(self._batches(X))
 
     def eval_loss(self, X, targets, class_weights=None):
-        return self.batch_loss(self.predict_matrix(X), np.asarray(targets, np.float64),
+        """Loss of the head outputs on X. Inside fit, X is the validation
+        matrix already prepared as a list of batches."""
+        batches = self._batches(X) if isinstance(X, DesignMatrix) else X
+        return self.batch_loss(self._predict(batches), np.asarray(targets, np.float64),
                                class_weights)
 
     # ---- training -----------------------------------------------------------
@@ -329,7 +376,8 @@ class BaseNet:
         """Mini-batch training with optional early stopping.
 
         Batches follow chronological row order unless config.shuffle is on;
-        the last short batch is kept. When a validation pair is given, the
+        the last short batch is kept. Unshuffled batches are prepared once
+        and reused every epoch. When a validation pair is given, the
         best parameters seen (and their optimizer state) are restored at
         the end; the incoming parameters count as a candidate, so a fit
         that never improves the validation loss is a no-op. Returns a
@@ -345,36 +393,46 @@ class BaseNet:
         if self.config.epochs == 0 or X.n_rows == 0:
             return history
 
-        best_val = math.inf
-        best_state = None
-        if val is not None:
-            best_val = self.eval_loss(val[0], val[1], class_weights)
-            best_state = self._snapshot()
-            history.initial_val_loss = best_val
-        bad_epochs = 0
         bs = self.config.batch_size
-        for epoch in range(self.config.epochs):
+
+        def epoch_batches():
             order = np.arange(X.n_rows)
             if self.config.shuffle:
                 self._shuffle_rng.shuffle(order)
-            loss_sum = 0.0
             for start in range(0, X.n_rows, bs):
                 rows = order[start:start + bs]
-                batch = DesignMatrix(X.cat[rows], X.cont[rows], X.n_placeholders)
-                out, cache = self._forward(batch.cat, batch.cont, want_cache=True)
-                batch_targets = targets[rows]
+                yield self._batch(X.cat[rows], X.cont[rows]), targets[rows]
+
+        best_val = math.inf
+        best_state = None
+        if val is not None:
+            # prepared (and so checked) once, then evaluated every epoch
+            val_batches = list(self._batches(val[0]))
+            val_targets = np.asarray(val[1], dtype=np.float64)
+            best_val = self.eval_loss(val_batches, val_targets, class_weights)
+            best_state = self._snapshot()
+            history.initial_val_loss = best_val
+        # Unshuffled batches are the same every epoch, so they are prepared
+        # once; shuffled ones are prepared in each epoch's order.
+        reused = (list(epoch_batches())
+                  if not self.config.shuffle and self.config.epochs > 1 else None)
+        bad_epochs = 0
+        for epoch in range(self.config.epochs):
+            loss_sum = 0.0
+            for i, (batch, batch_targets) in enumerate(reused or epoch_batches()):
+                out, cache = self._forward(batch, want_cache=True)
                 loss = self.batch_loss(out, batch_targets, class_weights)
                 if not math.isfinite(loss):
                     raise TrainingError(
-                        f"non-finite training loss at epoch {epoch}, batch row {start}")
+                        f"non-finite training loss at epoch {epoch}, batch row {i * bs}")
                 grad = self._backward(cache, self._dlogit(out, batch_targets, class_weights))
                 self.optimizer.step(self.flat, grad)
-                loss_sum += loss * len(rows)
+                loss_sum += loss * len(batch_targets)
             history.epochs_run = epoch + 1
             history.train_losses.append(loss_sum / X.n_rows)
 
             if val is not None:
-                val_loss = self.eval_loss(val[0], val[1], class_weights)
+                val_loss = self.eval_loss(val_batches, val_targets, class_weights)
                 history.val_losses.append(val_loss)
                 if val_loss < best_val:
                     best_val = val_loss

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from xdboost import cli, synth
-from xdboost.data import FieldSpec, ingest_csv
+from xdboost.data import FieldSpec, ingest_csv, records_hash
 from xdboost.errors import ConfigError
 from xdboost.models import BaseNet
 
@@ -226,6 +226,29 @@ def test_sweep_writes_csv_and_per_percentage_results(tmp_path):
         hashes.add(result["test_set_hash"])
     # every percentage was scored against the identical held-out rows
     assert hashes == {summary["test_set_hash"]}
+
+
+def test_sweep_hashes_the_test_split_once(tmp_path, monkeypatch):
+    config = write_config(tmp_path, synthetic={"n_rows": 600, "vocab_size": 8})
+    code = cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "train")])
+    assert code == 0
+    fresh = read_json(tmp_path / "train" / "train_result.json")["test_set_hash"]
+
+    calls = []
+
+    def counted(log):
+        calls.append(len(log))
+        return records_hash(log)
+
+    monkeypatch.setattr(cli, "records_hash", counted)
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", config, "--output-dir", str(out),
+                     "--percentages", "5,10,20"])
+    assert code == 0
+    assert len(calls) == 1
+    for pct in (5, 10, 20):
+        assert read_json(out / f"sweep_p{pct}.json")["test_set_hash"] == fresh
+    assert read_json(out / "sweep_summary.json")["test_set_hash"] == fresh
 
 
 def test_sweep_where_every_run_fails_exits_nonzero(tmp_path):

@@ -1,13 +1,13 @@
 """The numpy kernels: the one categorical scatter must add in index order,
-bit for bit, and the backward pass built on it must equal the per-field
-scatter-add formulation it replaced."""
+bit for bit, and the forward and backward passes built on prepared batches
+must equal the per-field formulations they replaced."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_matrix, make_schema
-from xdboost import kernels
+from xdboost import kernels, nn
 from xdboost.models import BaseNet, BaseNetConfig
 
 # Values of both signs spanning sixteen orders of magnitude, so a changed
@@ -44,10 +44,65 @@ def test_scatter_add_scalars_equals_an_in_order_loop(size, data):
     assert out.tobytes() == np.array(expected).tobytes()
 
 
-def _per_field_backward(net, cache, dlogit):
+def _per_field_forward(net, cat, cont):
+    """The forward pass as it was before prepared batches: one gather per
+    table and ``V.sum(axis=1)``. Returns (outputs, V, total)."""
+    n = cat.shape[0]
+    k = net.config.embedding_dim
+    V = np.empty((n, net.n_fields, k))
+    for j, table in enumerate(net.embeddings):
+        V[:, j, :] = table[cat[:, j]]
+    if net.n_cont:
+        V[:, net.n_cat:, :] = cont[:, :, None] * net.cont_proj[None, :, :]
+    total = V.sum(axis=1)
+    fm = 0.5 * ((total * total).sum(axis=1) - (V * V).sum(axis=(1, 2)))
+    linear = np.full(n, net.bias[0])
+    for j, w in enumerate(net.lin_cat):
+        linear += w[cat[:, j]]
+    if net.n_cont:
+        linear += cont @ net.lin_cont
+    h = V.reshape(n, net.n_fields * k)
+    for layer in net.layers:
+        h, _ = layer.forward(h)
+    return nn.activation_apply(net.config.head, h[:, 0] + fm + linear), V, total
+
+
+@settings(max_examples=120, deadline=None)
+@given(vocab_sizes=st.sampled_from([(3, 2, 1), (1,), (), (4, 3, 2, 2, 2, 2, 2, 2, 2)]),
+       n_cont=st.sampled_from([0, 2]), n_placeholders=st.sampled_from([0, 1]),
+       n_rows=st.integers(0, 48), k=st.integers(1, 64), hidden=st.sampled_from([(), (5,)]),
+       head=st.sampled_from(["sigmoid", "tanh"]), seed=st.integers(0, 2 ** 32 - 1))
+@example(vocab_sizes=(4, 3, 2, 2, 2, 2, 2, 2, 2), n_cont=2, n_placeholders=1, n_rows=30,
+         k=1, hidden=(), head="sigmoid", seed=1)
+@example(vocab_sizes=(3, 2, 1), n_cont=0, n_placeholders=0, n_rows=0, k=64, hidden=(5,),
+         head="tanh", seed=2)
+def test_forward_equals_the_per_field_gather(vocab_sizes, n_cont, n_placeholders, n_rows,
+                                             k, hidden, head, seed):
+    """Every parameter, the zero-initialized ones too, is drawn over eight
+    orders of magnitude below 1, so a changed summation order shows in the
+    bits while the head stays unsaturated; nine categorical fields reach
+    numpy's pairwise summation of the fields at k == 1."""
+    if not vocab_sizes and not n_cont + n_placeholders:
+        n_cont = 1
+    schema = make_schema(vocab_sizes, n_cont=n_cont, n_placeholders=n_placeholders)
+    config = BaseNetConfig(embedding_dim=k, hidden_layers=hidden, head=head,
+                           loss="weighted_bce" if head == "sigmoid" else "mae")
+    net = BaseNet(schema, config, seed=seed)
+    rng = np.random.default_rng(seed)
+    net.flat[...] = rng.standard_normal(net.flat.size) * 10.0 ** rng.integers(-8, 1, net.flat.size)
+    X = make_matrix(rng, schema, n_rows, zero_placeholders=False)
+    out, (V, total, _, _) = net._forward(net._batch(X.cat, X.cont), want_cache=True)
+    expected = _per_field_forward(net, X.cat, X.cont)
+    assert out.tobytes() == expected[0].tobytes()
+    assert V.tobytes() == expected[1].tobytes()
+    assert total.tobytes() == expected[2].tobytes()
+    assert net._forward(net._batch(X.cat, X.cont), want_cache=False)[0].tobytes() == out.tobytes()
+
+
+def _per_field_backward(net, cat, cache, dlogit):
     """The backward pass as it was before the single scatter: one
     ``np.add.at`` per embedding table and per first-order table."""
-    V, total, caches, cat, cont = cache
+    V, total, caches, (cont, _) = cache
     n, k = cat.shape[0], net.config.embedding_dim
     grad = np.zeros_like(net.flat)
     demb, dlin_cat, (dcont_proj, dlin_cont, dbias), dlayers = net._group(grad)
@@ -78,10 +133,10 @@ def test_backward_equals_the_per_field_scatter(vocab_sizes, n_rows, k, hidden, s
     net = BaseNet(schema, BaseNetConfig(embedding_dim=k, hidden_layers=hidden), seed=seed)
     rng = np.random.default_rng(seed)
     X = make_matrix(rng, schema, n_rows)
-    _, cache = net._forward(X.cat, X.cont, want_cache=True)
+    _, cache = net._forward(net._batch(X.cat, X.cont), want_cache=True)
     dlogit = scale * rng.standard_normal(n_rows)
     got = net._backward(cache, dlogit)
-    assert got.tobytes() == _per_field_backward(net, cache, dlogit).tobytes()
+    assert got.tobytes() == _per_field_backward(net, X.cat, cache, dlogit).tobytes()
 
 
 def test_adam_update_rejects_non_contiguous_params():

@@ -4,6 +4,7 @@ against finite differences, fit/early-stopping behavior and serialization.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -13,7 +14,7 @@ import pytest
 from conftest import (fd_gradcheck, make_matrix, make_schema, oracle_forward,
                       random_net_case, well_conditioned)
 from xdboost.data import DesignMatrix
-from xdboost.errors import ConfigError, DataError, TrainingError
+from xdboost.errors import ConfigError, DataError, TrainingError, UsageError
 from xdboost.models import BaseNet, BaseNetConfig, fm_pairwise
 
 
@@ -384,6 +385,73 @@ def test_shuffle_is_seeded_and_changes_batch_order():
     plain = BaseNet(schema, dataclasses.replace(config, shuffle=False), seed=21)
     plain.fit(X, y)
     assert not np.array_equal(a.predict_matrix(X), plain.predict_matrix(X))
+
+
+# Recorded from the fit before batches were prepared once per fit; the
+# prepared form must leave every bit of a fit unchanged.
+FIT_DIGESTS = {
+    False: "b183b588daab37dc67ab4a98989d39ec2cf92e607f679d3e490772df6c22b5c8",
+    True: "1112153185fe8b502d13d62a869b9eacee3c646382b00ff118bb740886776e2d",
+}
+
+
+def _fit_case(seed=23):
+    """70 training rows (four batches of 16 and a short one of 6) and 25
+    validation rows, with labels a token decides up to 20% noise."""
+    schema = make_schema((4, 3, 2), n_cont=2, n_placeholders=1)
+    rng = np.random.default_rng(seed)
+    X = make_matrix(rng, schema, 70, zero_placeholders=False)
+    val_X = make_matrix(rng, schema, 25, zero_placeholders=False)
+    y = (X.cat[:, 0] >= 2).astype(np.float64)
+    val_y = (val_X.cat[:, 0] >= 2).astype(np.float64)
+    flip = rng.random(70) < 0.2
+    y[flip] = 1.0 - y[flip]
+    return schema, X, y, val_X, val_y
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_fit_is_bit_identical_to_the_recorded_fit(shuffle):
+    schema, X, y, val_X, val_y = _fit_case()
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(5,),
+                                        learning_rate=0.05, epochs=12, patience=3,
+                                        batch_size=16, shuffle=shuffle), seed=29)
+    history = net.fit(X, y, {0: 1.0, 1: 1.5}, val=(val_X, val_y))
+    # an early stop that rolls back past the last epochs
+    assert 0 < history.best_epoch < history.epochs_run - 1 < 11
+    digest = hashlib.sha256()
+    for array in (net.flat, net.optimizer.m, net.optimizer.v, np.int64(net.optimizer.t)):
+        digest.update(array.tobytes())
+    digest.update(json.dumps(history.to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == FIT_DIGESTS[shuffle]
+
+
+def _wrong_placeholders(val_X, val_y):
+    return DesignMatrix(val_X.cat, val_X.cont, val_X.n_placeholders - 1), val_y
+
+
+def _index(value):
+    def damage(val_X, val_y):
+        cat = val_X.cat.copy()
+        cat[-1, 1] = value
+        return DesignMatrix(cat, val_X.cont, val_X.n_placeholders), val_y
+    return damage
+
+
+@pytest.mark.parametrize("damage, error", [
+    (_wrong_placeholders, DataError),
+    (_index(99), DataError),
+    (_index(-1), DataError),
+    (lambda val_X, val_y: (val_X, val_y[:-1]), UsageError),
+], ids=["placeholders", "index-out-of-range", "negative-index", "target-length"])
+def test_a_bad_validation_pair_fails_before_the_first_step(damage, error):
+    """The validation matrix is checked once per fit, before any training."""
+    schema, X, y, val_X, val_y = _fit_case()
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, epochs=3, batch_size=16), seed=29)
+    before = net.flat.copy()
+    with pytest.raises(error):
+        net.fit(X, y, val=damage(val_X, val_y))
+    assert net.optimizer.t == 0
+    assert np.array_equal(net.flat, before)
 
 
 # ---- serialization --------------------------------------------------------------
