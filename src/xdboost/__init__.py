@@ -19,7 +19,7 @@ from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
 from .kernels import BACKEND
 from .metrics import MetricsReport, auc, evaluate, log_loss
-from .models import BaseNet, BaseNetConfig, FitHistory, fm_pairwise
+from .models import BaseNet, BaseNetConfig, FitHistory
 from .synth import SynthConfig, generate_records
 
 __version__ = "0.1.0"
@@ -54,7 +54,6 @@ __all__ = [
     "create_xdboost",
     "encode",
     "evaluate",
-    "fm_pairwise",
     "generate_records",
     "ingest_csv",
     "log_loss",

@@ -14,6 +14,7 @@ only ever speak to the classifier through the placeholder columns.
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .data import DesignMatrix, FeatureSchema
 from .errors import ConfigError, DataError, TrainingError, UsageError
 from .models import BaseNet, BaseNetConfig
 
-BUNDLE_FORMAT_VERSION = 1
-MANIFEST_NAME = "manifest.json"
+BUNDLE_FORMAT_VERSION = 2
 
 DEFAULT_N_ITERATIONS = 3
 DEFAULT_ERROR_LR = 0.5
@@ -93,14 +93,18 @@ class XDBoostModel:
     # ---- persistence --------------------------------------------------------
 
     def save_bundle(self, path):
-        """Write a predict-ready directory: manifest plus one file per net."""
-        os.makedirs(path, exist_ok=True)
-        files = {"classifier": "classifier.npz",
-                 "regressors": [f"regressor_{i:02d}.npz"
-                                for i in range(self.n_iterations)]}
-        self.classifier.save(os.path.join(path, files["classifier"]))
-        for reg, fname in zip(self.regressors, files["regressors"]):
-            reg.save(os.path.join(path, fname))
+        """Write the predict-ready model as one archive at exactly path.
+
+        The archive holds a JSON manifest (the knobs, the schema and each
+        net's config, seed and Adam step count) and each net's arena and
+        Adam moment vectors, classifier first. It is written beside path
+        and renamed over it, so path holds the old bundle or the new one,
+        never a mix.
+        """
+        path = os.fspath(path)
+        if os.path.isdir(path):
+            raise UsageError(f"{path} is a directory; remove it to save a model bundle there")
+        nets = [self.classifier, *self.regressors]
         manifest = {
             "format_version": BUNDLE_FORMAT_VERSION,
             "n_iterations": self.n_iterations,
@@ -110,35 +114,66 @@ class XDBoostModel:
             "trained": self.trained,
             "schema": self.schema.to_dict(),
             "schema_hash": self.schema.hash(),
-            "files": files,
+            "nets": [{"config": net.config.to_dict(), "seed": net.seed,
+                      "adam_t": net.optimizer.t} for net in nets],
         }
-        with open(os.path.join(path, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        arrays = dict(entry for i, net in enumerate(nets) for entry in _stored_vectors(net, i))
+        tmp = path + ".tmp"
+        try:
+            # a handle, because np.savez appends ".npz" to a path
+            with open(tmp, "wb") as fh:
+                np.savez(fh, manifest=np.frombuffer(json.dumps(manifest).encode(), np.uint8),
+                         **arrays)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load_bundle(cls, path):
-        manifest_path = os.path.join(path, MANIFEST_NAME)
-        if not os.path.exists(manifest_path):
-            raise DataError(f"no model manifest at {manifest_path}")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        if manifest["format_version"] != BUNDLE_FORMAT_VERSION:
-            raise DataError(f"unsupported bundle format {manifest['format_version']}")
-        schema = FeatureSchema.from_dict(manifest["schema"])
-        if schema.hash() != manifest["schema_hash"]:
-            raise DataError("schema hash mismatch in model bundle")
-        nets = []
-        for fname in [manifest["files"]["classifier"], *manifest["files"]["regressors"]]:
-            nets.append(BaseNet.load(os.path.join(path, fname)))
-            if nets[-1].schema.hash() != manifest["schema_hash"]:
-                raise DataError(f"{fname} was saved for another schema than the model bundle's")
+        """Read a bundle written by save_bundle; a missing, unreadable,
+        damaged or inconsistent bundle is a DataError naming path."""
+        if os.path.isdir(path):
+            raise DataError(f"{path} is a directory, as version-1 model bundles were; "
+                            "retrain to write a one-file bundle")
         try:
+            # np.load leaks a handle it opened itself when the zip is damaged
+            with open(path, "rb") as fh, np.load(fh) as archive:
+                arrays = dict(archive)
+            manifest = json.loads(bytes(arrays["manifest"]).decode())
+            if manifest["format_version"] != BUNDLE_FORMAT_VERSION:
+                raise DataError(f"unsupported format version {manifest['format_version']}; "
+                                "retrain the model")
+            schema = FeatureSchema.from_dict(manifest["schema"])
+            if schema.hash() != manifest["schema_hash"]:
+                raise DataError("schema hash mismatch")
+            nets = []
+            for i, spec in enumerate(manifest["nets"]):
+                net = BaseNet(schema, BaseNetConfig.from_dict(spec["config"]), seed=spec["seed"])
+                for key, vector in _stored_vectors(net, i):
+                    if arrays[key].shape != vector.shape:
+                        raise DataError(f"{key} has shape {arrays[key].shape}, "
+                                        f"expected {vector.shape}")
+                    vector[...] = arrays[key]
+                net.optimizer.t = int(spec["adam_t"])
+                nets.append(net)
+            classifier, *regressors = nets
             return cls(schema, manifest["n_iterations"], manifest["error_lr"],
-                       nets[0], nets[1:], seed=manifest["seed"],
-                       cold_restart=manifest["cold_restart"],
-                       trained=manifest["trained"])
-        except ConfigError as exc:
-            raise DataError(f"inconsistent model bundle {path}: {exc}") from exc
+                       classifier, regressors, seed=manifest["seed"],
+                       cold_restart=manifest["cold_restart"], trained=manifest["trained"])
+        except KeyError as exc:
+            raise DataError(f"model bundle {path} lacks {exc}") from exc
+        except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile,
+                ConfigError, DataError) as exc:
+            raise DataError(f"cannot load model bundle {path}: {exc}") from exc
+
+
+def _stored_vectors(net, i):
+    """(archive entry name, vector) for each stored vector of bundle net i."""
+    return ((f"flat_{i}", net.flat), (f"adam_m_{i}", net.optimizer.m),
+            (f"adam_v_{i}", net.optimizer.v))
 
 
 def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,
@@ -266,18 +301,18 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     return model
 
 
-def predict_xdboost(model: XDBoostModel, X_test, observer=None, inplace=False):
+def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     """Probabilities for rows whose placeholder columns start zeroed.
 
     Regressor i fills placeholder column i (scaled by the error learning
     rate) in index order, exactly mirroring the training-time writes; the
-    classifier then scores the completed matrix. The input is copied unless
-    inplace is set.
+    classifier then scores the completed matrix. The writes go to a copy,
+    so X_test is left as it was.
     """
     if not model.trained:
         raise UsageError("model has not been trained")
     _check_boosting_matrix(X_test, model.n_iterations, "X_test", require_zero=True)
-    X = X_test if inplace else X_test.copy()
+    X = X_test.copy()
     block = X.placeholder_block()
     for i, regressor in enumerate(model.regressors):
         written = model.error_lr * regressor.predict_matrix(X)

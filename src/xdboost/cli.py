@@ -91,13 +91,7 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
     """
     raw = {}
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}")
+        raw = _read_json(path, "config file")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
@@ -120,10 +114,7 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
 
     fields = raw.get("fields")
     if isinstance(fields, str):
-        if not os.path.exists(fields):
-            raise ConfigError(f"field declaration file not found: {fields}")
-        with open(fields) as fh:
-            fields = json.load(fh)
+        fields = _read_json(fields, "field declaration file")
     if fields is not None and not isinstance(fields, dict):
         raise ConfigError("fields must be a mapping of column name to type")
 
@@ -134,17 +125,13 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
             raise ConfigError("synthetic must be a JSON object of generator settings")
         synth_raw = dict(synth_raw)
         synth_raw.setdefault("seed", raw["seed"])
-        try:
-            synth_cfg = synth.SynthConfig(**synth_raw)
-        except TypeError as exc:
-            raise ConfigError(f"bad synthetic settings: {exc}")
+        synth_cfg = _checked("synthetic settings", lambda: synth.SynthConfig(**synth_raw))
 
-    try:
-        split = SplitSpec(**raw.get("split") or {}) if raw.get("split") else SplitSpec()
-    except TypeError as exc:
-        raise ConfigError(f"bad split settings: {exc}")
+    split = _checked("split settings", lambda: SplitSpec(**raw.get("split") or {}))
 
     model_raw = raw.get("model") or {}
+    if not isinstance(model_raw, dict):
+        raise ConfigError("model must be a JSON object of model settings")
     unknown = set(model_raw) - _MODEL_KEYS
     if unknown:
         raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
@@ -152,20 +139,16 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
     managed = [k for k in _MANAGED_NET_KEYS if k in net_raw]
     if managed:
         raise ConfigError(f"net settings {managed} are managed automatically")
-    try:
-        net = BaseNetConfig(**net_raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad net settings: {exc}")
+    net = _checked("net settings", lambda: BaseNetConfig(**net_raw))
 
-    pcts = tuple(raw.get("sub_training_percentages",
-                         [p for p in DEFAULT_PERCENTAGES if split.holds_sub_training(p)]))
-    for p in pcts:
-        split.check_sub_training_percent(p)
+    pcts = _checked("sub-training percentages", lambda: tuple(raw.get(
+        "sub_training_percentages",
+        [p for p in DEFAULT_PERCENTAGES if split.holds_sub_training(p)])))
     sub_percent = raw.get("sub_training_percent")
-    if sub_percent is not None:
-        split.check_sub_training_percent(sub_percent)
+    for p in pcts + ((sub_percent,) if sub_percent is not None else ()):
+        _checked("sub-training percentage", lambda: split.check_sub_training_percent(p))
 
-    return ExperimentConfig(
+    return _checked("config value", lambda: ExperimentConfig(
         seed=int(raw["seed"]),
         dataset=raw.get("dataset"),
         fields=fields,
@@ -179,7 +162,28 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
         cold_restart=bool(model_raw.get("cold_restart", False)),
         net=net,
         output_dir=raw.get("output_dir", "runs"),
-    )
+    ))
+
+
+def _read_json(path, what):
+    """The one reader of JSON inputs; a missing, unreadable or malformed
+    file is a ConfigError."""
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _checked(what, build):
+    """build(), with the TypeError or ValueError of a wrongly typed
+    setting raised as a ConfigError."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def load_records(cfg):
@@ -461,7 +465,7 @@ def build_parser():
                         help="use only the last X%% of the data for training")
 
     p_pred = sub.add_parser("predict", help="score a CSV with a saved bundle")
-    p_pred.add_argument("--bundle", required=True, help="model bundle directory")
+    p_pred.add_argument("--bundle", required=True, help="model bundle file")
     p_pred.add_argument("--input", required=True, help="CSV to score")
     p_pred.add_argument("--output", required=True, help="where to write scored CSV")
 

@@ -25,12 +25,10 @@ def _tied_ranks(scores):
     """1-based ranks, averaging within tie groups (Mann-Whitney convention)."""
     order = np.argsort(scores, kind="mergesort")
     s = scores[order]
-    boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
-    ranks_sorted = np.empty(len(s))
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        ranks_sorted[start:stop] = 0.5 * (start + 1 + stop)
+    # tie group g spans sorted positions b[g]..b[g+1]-1
+    b = np.append(np.flatnonzero(np.r_[True, s[1:] != s[:-1]]), len(s))
     ranks = np.empty(len(s))
-    ranks[order] = ranks_sorted
+    ranks[order] = np.repeat(0.5 * (b[:-1] + 1 + b[1:]), np.diff(b))
     return ranks
 
 

@@ -16,8 +16,8 @@ is a vector in the same layout, and Adam's two moment vectors match it
 too, so an optimizer step is one fused update over the whole vector and
 an early-stopping snapshot is one copy per vector. The categorical tables
 lead the layout, so one scatter-add over flat bucket indices fills the
-gradient of every embedding and first-order table. Saved nets keep one
-array per tensor, written from and read back into the views.
+gradient of every embedding and first-order table. A model bundle stores
+each net as the same three vectors.
 
 Rows reach the forward pass as prepared batches: each batch's continuous
 columns plus the arena index of every categorical parameter its rows
@@ -33,20 +33,16 @@ finite differences.
 """
 
 import dataclasses
-import json
 import math
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels, nn
 from .data import DesignMatrix, FeatureSchema
-from .errors import ConfigError, DataError, TrainingError, UsageError
+from .errors import ConfigError, DataError, TrainingError
 
 HEAD_LOSS_PAIRS = {"sigmoid": "weighted_bce", "tanh": "mae"}
-
-NET_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -115,22 +111,6 @@ class FitHistory:
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-
-def fm_pairwise(field_vectors):
-    """Sum of dot products over all unordered pairs of field vectors.
-
-    Uses the identity sum_{i<j} <v_i, v_j> = (|sum v|^2 - sum |v|^2) / 2.
-    """
-    vectors = [np.asarray(v, dtype=np.float64) for v in field_vectors]
-    if not vectors:
-        raise UsageError("fm_pairwise needs at least one vector")
-    dim = vectors[0].shape
-    if any(v.shape != dim for v in vectors):
-        raise UsageError("field vectors must share one dimension")
-    stacked = np.stack(vectors)
-    total = stacked.sum(axis=0)
-    return float(0.5 * (total @ total - float((stacked * stacked).sum())))
 
 
 def _carve(buffer, shapes):
@@ -453,57 +433,3 @@ class BaseNet:
     def _restore(self, state):
         self.flat[...] = state[0]
         self.optimizer.load_state(state[1])
-
-    # ---- serialization ------------------------------------------------------
-
-    def _stored_views(self):
-        """(key, view) for every per-tensor array of a saved net: each
-        parameter tensor, then its Adam m and v, in layout order."""
-        for prefix, buffer in (("param", self.flat), ("adam_m", self.optimizer.m),
-                               ("adam_v", self.optimizer.v)):
-            for i, view in enumerate(_carve(buffer, self._shapes)):
-                yield f"{prefix}_{i:03d}", view
-
-    def save(self, path):
-        """Versioned single-file dump: tensors, optimizer state, config,
-        schema and schema hash."""
-        meta = {
-            "format_version": NET_FORMAT_VERSION,
-            "config": self.config.to_dict(),
-            "schema": self.schema.to_dict(),
-            "schema_hash": self.schema.hash(),
-            "seed": self.seed,
-        }
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 **dict(self._stored_views()), adam_t=np.int64(self.optimizer.t))
-
-    @classmethod
-    def load(cls, path):
-        """Read a net written by save(); a missing, unreadable or
-        inconsistent file is a DataError."""
-        try:
-            with np.load(path) as blob:
-                arrays = dict(blob)
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise DataError(f"cannot read saved net {path}: {exc}") from exc
-
-        def stored(key):
-            if key not in arrays:
-                raise DataError(f"saved net {path} lacks the array {key!r}")
-            return arrays[key]
-
-        meta = json.loads(bytes(stored("meta")).decode())
-        if meta["format_version"] != NET_FORMAT_VERSION:
-            raise DataError(f"unsupported net format version {meta['format_version']}")
-        schema = FeatureSchema.from_dict(meta["schema"])
-        if schema.hash() != meta["schema_hash"]:
-            raise DataError("schema hash mismatch in saved net")
-        net = cls(schema, BaseNetConfig.from_dict(meta["config"]), seed=meta["seed"])
-        for key, view in net._stored_views():
-            array = stored(key)
-            if array.shape != view.shape:
-                raise DataError(f"stored {key} has shape {array.shape}, "
-                                f"expected {view.shape}")
-            view[...] = array
-        net.optimizer.t = int(stored("adam_t"))
-        return net

@@ -1,12 +1,14 @@
 """Shared builders for the test suite.
 
 Hand-built schemas and design matrices, a click-log factory, an independent
-forward-pass implementation and a central finite-difference gradient check.
+forward-pass implementation, a central finite-difference gradient check and
+a reader and writer of model bundle archives for fault injection.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
 check is shared between the unit tests and the acceptance gate.
 """
 
+import json
 import time
 
 import numpy as np
@@ -197,3 +199,17 @@ def fd_gradcheck(net, X, targets, weights, rng, step=1e-5, coord_cap=24):
             err = abs(fd - flat_g[j]) / max(1.0, abs(fd), abs(flat_g[j]))
             worst = max(worst, err)
     return worst
+
+
+def read_bundle(path):
+    """(manifest dict, {entry name: array}) of a saved model bundle."""
+    with open(path, "rb") as fh, np.load(fh) as archive:
+        arrays = dict(archive)
+    return json.loads(bytes(arrays.pop("manifest")).decode()), arrays
+
+
+def write_bundle(path, manifest, arrays):
+    """Write a bundle archive; manifest is a dict or raw bytes."""
+    raw = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    with open(path, "wb") as fh:
+        np.savez(fh, manifest=np.frombuffer(raw, dtype=np.uint8), **arrays)

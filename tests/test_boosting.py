@@ -1,13 +1,13 @@
 """Boosting loop contracts: seed derivation, placeholder column discipline,
 the error-learning-rate collapse to the unboosted reference, determinism
-and bundle persistence."""
+and bundle persistence, including a save that fails part-way."""
 
 import json
 
 import numpy as np
 import pytest
 
-from conftest import make_matrix, make_schema
+from conftest import make_matrix, make_schema, read_bundle, write_bundle
 from xdboost.boosting import (XDBoostModel, append_placeholders, classifier_seed,
                               create_xdboost, derive_seed, predict_xdboost,
                               regressor_seed, train_unboosted, train_xdboost)
@@ -176,23 +176,22 @@ def test_predict_replays_the_training_writes():
         assert np.all(np.abs(e["values"]) < model.error_lr)
 
 
-def test_predict_copies_unless_inplace():
+def test_predict_leaves_its_input_zeroed():
+    """predict writes the placeholder columns of a copy, so the caller's
+    matrix keeps its zeroed block and can be scored again."""
     schema, X_train, y_train, X_val, y_val = _training_setup()
     model = create_xdboost(schema, NET, n_iterations=2, seed=13)
     train_xdboost(model, X_train, y_train, X_val, y_val)
 
     rng = np.random.default_rng(1)
     X_test = append_placeholders(make_matrix(rng, schema, 25), 2)
-    pure = predict_xdboost(model, X_test)
+    before = X_test.cont.copy()
+    events = []
+    first = predict_xdboost(model, X_test, observer=events.append)
+    assert any(np.any(e["values"] != 0.0) for e in events)
+    assert np.array_equal(X_test.cont, before)
     assert np.all(X_test.placeholder_block() == 0.0)
-    again = predict_xdboost(model, X_test)
-    assert np.array_equal(pure, again)
-
-    mutated = predict_xdboost(model, X_test, inplace=True)
-    assert np.array_equal(mutated, pure)
-    assert np.any(X_test.placeholder_block() != 0.0)
-    with pytest.raises(DataError):
-        predict_xdboost(model, X_test)  # block is no longer zeroed
+    assert np.array_equal(predict_xdboost(model, X_test), first)
 
 
 def test_predict_requires_a_trained_model():
@@ -282,16 +281,20 @@ def test_cold_restart_changes_the_outcome():
                               predict_xdboost(cold, X_test))
 
 
-def test_bundle_roundtrip_reproduces_predictions(tmp_path):
-    from xdboost.boosting import XDBoostModel
+def _trained_model(seed):
     schema, X_train, y_train, X_val, y_val = _training_setup()
-    model = create_xdboost(schema, NET, n_iterations=2, seed=27)
-    train_xdboost(model, X_train, y_train, X_val, y_val)
+    model = create_xdboost(schema, NET, n_iterations=2, seed=seed)
+    return train_xdboost(model, X_train, y_train, X_val, y_val), schema
+
+
+def test_bundle_roundtrip_reproduces_predictions(tmp_path):
+    model, schema = _trained_model(27)
     X_test = append_placeholders(make_matrix(np.random.default_rng(7), schema, 20), 2)
     expected = predict_xdboost(model, X_test)
 
     bundle = tmp_path / "bundle"
     model.save_bundle(bundle)
+    assert bundle.is_file()
     loaded = XDBoostModel.load_bundle(bundle)
     assert loaded.trained is True
     assert loaded.n_iterations == 2
@@ -300,25 +303,45 @@ def test_bundle_roundtrip_reproduces_predictions(tmp_path):
 
 
 def test_load_bundle_rejects_missing_or_tampered_manifests(tmp_path):
-    from xdboost.boosting import MANIFEST_NAME, XDBoostModel
-    with pytest.raises(DataError, match="manifest"):
+    with pytest.raises(DataError, match="nowhere"):
         XDBoostModel.load_bundle(tmp_path / "nowhere")
 
-    schema, X_train, y_train, X_val, y_val = _training_setup()
-    model = create_xdboost(schema, NET, n_iterations=2, seed=29)
-    train_xdboost(model, X_train, y_train, X_val, y_val)
+    model, _ = _trained_model(29)
     bundle = tmp_path / "bundle"
     model.save_bundle(bundle)
-    manifest_path = bundle / MANIFEST_NAME
-    manifest = json.loads(manifest_path.read_text())
+    manifest, arrays = read_bundle(bundle)
 
-    manifest["format_version"] = 99
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="format"):
+    write_bundle(bundle, {k: v for k, v in manifest.items() if k != "nets"}, arrays)
+    with pytest.raises(DataError, match="lacks 'nets'"):
         XDBoostModel.load_bundle(bundle)
 
-    manifest["format_version"] = 1
-    manifest["schema"]["n_placeholders"] = 7
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="hash"):
+    write_bundle(bundle, b"[1, 2]", arrays)
+    with pytest.raises(DataError, match="cannot load model bundle"):
         XDBoostModel.load_bundle(bundle)
+
+    write_bundle(bundle, {**manifest, "n_iterations": 3}, arrays)
+    with pytest.raises(DataError, match="3 iterations"):
+        XDBoostModel.load_bundle(bundle)
+
+
+def test_an_interrupted_save_leaves_the_previous_bundle(tmp_path, monkeypatch):
+    """The archive is written beside the bundle and renamed over it, so a
+    save that fails mid-write changes nothing a reader can see."""
+    old, schema = _trained_model(31)
+    bundle = tmp_path / "bundle"
+    old.save_bundle(bundle)
+    saved = bundle.read_bytes()
+
+    def savez_then_fail(fh, **arrays):
+        fh.write(b"PK\x03\x04 half an archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        _trained_model(37)[0].save_bundle(bundle)
+    monkeypatch.undo()
+    assert bundle.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
+    X_test = append_placeholders(make_matrix(np.random.default_rng(8), schema, 20), 2)
+    assert np.array_equal(predict_xdboost(XDBoostModel.load_bundle(bundle), X_test),
+                          predict_xdboost(old, X_test))

@@ -7,13 +7,12 @@ import json
 import os
 import shutil
 
-import numpy as np
 import pytest
 
+from conftest import read_bundle, write_bundle
 from xdboost import cli, synth
-from xdboost.data import FieldSpec, ingest_csv, records_hash
+from xdboost.data import FeatureSchema, FieldSpec, ingest_csv, records_hash
 from xdboost.errors import ConfigError
-from xdboost.models import BaseNet
 
 FAST_MODEL = {
     "n_iterations": 1,
@@ -108,6 +107,27 @@ def test_train_accepts_a_budget_the_split_allows(tmp_path):
     assert read_json(out / "train_result.json")["n_train_rows"] == 320
 
 
+def _bad_fields_file(tmp_path):
+    fields = tmp_path / "fields.json"
+    fields.write_text("{user: categorical")
+    return {"dataset": "data.csv", "fields": str(fields)}
+
+
+@pytest.mark.parametrize("overrides", [
+    _bad_fields_file,
+    lambda tmp_path: {"model": {"net": {"hidden_layers": "ab"}}},
+    lambda tmp_path: {"sub_training_percent": "10"},
+    lambda tmp_path: {"model": {**FAST_MODEL, "n_iterations": "two"}},
+    lambda tmp_path: {"model": 5},
+    lambda tmp_path: {"sub_training_percentages": 5},
+], ids=["fields-file-not-json", "hidden-layers-not-numbers", "percent-as-string",
+        "iterations-not-a-number", "model-not-an-object", "percentages-not-a-list"])
+def test_malformed_config_inputs_exit_2(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides(tmp_path))
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_load_config_applies_overrides_and_synthetic_default():
     cfg = cli.load_config(None, seed=7, output_dir="out", synthetic=True)
     assert cfg.seed == 7
@@ -166,7 +186,18 @@ def test_train_command_end_to_end(tmp_path):
     assert result["class_weights"]["nonclick"] == 1.0
     # the embedded config omits managed net settings
     assert "head" not in result["config"]["model"]["net"]
-    assert (out / "model_bundle" / "manifest.json").exists()
+    assert (out / "model_bundle").is_file()
+
+
+def test_train_leaves_a_bundle_directory_alone(tmp_path, capsys):
+    """A version-1 bundle is a directory; saving over it is refused."""
+    out = tmp_path / "run"
+    (out / "model_bundle").mkdir(parents=True)
+    (out / "model_bundle" / "manifest.json").write_text("{}")
+    assert cli.main(["train", "--config", write_config(tmp_path),
+                     "--output-dir", str(out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert os.listdir(out / "model_bundle") == ["manifest.json"]
 
 
 def test_train_is_reproducible(tmp_path):
@@ -417,43 +448,69 @@ def test_predict_rejects_non_finite_values(trained_run, tmp_path):
         assert not out.exists()
 
 
-def test_predict_rejects_a_bundle_missing_an_array(trained_run, tmp_path):
+def _predict_with(bundle, data, out, capsys):
+    """Exit code of predict with a damaged bundle, which must name it and
+    write nothing."""
+    code = cli.main(["predict", "--bundle", str(bundle), "--input", data,
+                     "--output", str(out)])
+    assert str(bundle) in capsys.readouterr().err
+    assert not out.exists()
+    return code
+
+
+def _edited(change):
+    """A fault that rewrites the archive after change(manifest, arrays)."""
+    def fault(bundle):
+        manifest, arrays = read_bundle(bundle)
+        change(manifest, arrays)
+        write_bundle(bundle, manifest, arrays)
+    return fault
+
+
+def test_predict_rejects_a_bundle_missing_an_array(trained_run, tmp_path, capsys):
     bundle, data = trained_run
     broken = tmp_path / "bundle"
-    shutil.copytree(bundle, broken)
-    net_path = broken / "classifier.npz"
-    with np.load(net_path) as blob:
-        arrays = {k: blob[k] for k in blob.files if k != "adam_v_002"}
-    np.savez(net_path, **arrays)
-    assert cli.main(["predict", "--bundle", str(broken), "--input", data,
-                     "--output", str(tmp_path / "out.csv")]) == 3
+    shutil.copy(bundle, broken)
+    _edited(lambda manifest, arrays: arrays.pop("adam_v_1"))(broken)
+    assert _predict_with(broken, data, tmp_path / "out.csv", capsys) == 3
 
 
-def _classifier_for_another_schema(bundle):
-    """Resave the classifier under renamed tokens: same shapes, other schema."""
-    net = BaseNet.load(bundle / "classifier.npz")
-    name = net.schema.cat_fields[-1]
-    renamed = {f"{token}_renamed": i for token, i in net.schema.vocab[name].items()}
-    schema = dataclasses.replace(net.schema, vocab={**net.schema.vocab, name: renamed})
-    BaseNet(schema, net.config, seed=net.seed).save(bundle / "classifier.npz")
+def _schema_with_one_more_token(manifest, arrays):
+    """Same hash discipline, other schema: every stored vector is now one
+    embedding row and one weight too short."""
+    schema = FeatureSchema.from_dict(manifest["schema"])
+    name = schema.cat_fields[-1]
+    vocab = {**schema.vocab, name: {**schema.vocab[name], "extra_token": len(schema.vocab[name])}}
+    schema = dataclasses.replace(schema, vocab=vocab)
+    manifest.update(schema=schema.to_dict(), schema_hash=schema.hash())
+
+
+def _version_1_directory(bundle):
+    os.remove(bundle)
+    os.mkdir(bundle)
+    (bundle / "manifest.json").write_text(json.dumps({"format_version": 1}))
 
 
 BUNDLE_FAULTS = {
-    "missing-regressor": lambda bundle: (bundle / "regressor_00.npz").unlink(),
-    "truncated-classifier": lambda bundle: os.truncate(bundle / "classifier.npz", 300),
-    "classifier-as-regressor": lambda bundle: shutil.copy(bundle / "classifier.npz",
-                                                          bundle / "regressor_00.npz"),
-    "net-for-another-schema": _classifier_for_another_schema,
+    "truncated": lambda bundle: os.truncate(bundle, 300),
+    "missing-regressor": _edited(lambda manifest, arrays: [
+        arrays.pop(f"{prefix}_1") for prefix in ("flat", "adam_m", "adam_v")]),
+    "wrong-length-flat": _edited(lambda manifest, arrays: arrays.update(
+        flat_1=arrays["flat_1"][:1])),
+    "classifier-as-regressor": _edited(lambda manifest, arrays: manifest["nets"].__setitem__(
+        1, manifest["nets"][0])),
+    "net-for-another-schema": _edited(_schema_with_one_more_token),
+    "manifest-not-json": lambda bundle: write_bundle(bundle, b"{not json",
+                                                     read_bundle(bundle)[1]),
+    "manifest-without-error-lr": _edited(lambda manifest, arrays: manifest.pop("error_lr")),
+    "version-1-directory": _version_1_directory,
 }
 
 
 @pytest.mark.parametrize("fault", list(BUNDLE_FAULTS))
-def test_predict_rejects_a_damaged_bundle(trained_run, tmp_path, fault):
+def test_predict_rejects_a_damaged_bundle(trained_run, tmp_path, capsys, fault):
     bundle, data = trained_run
     broken = tmp_path / "bundle"
-    shutil.copytree(bundle, broken)
+    shutil.copy(bundle, broken)
     BUNDLE_FAULTS[fault](broken)
-    out = tmp_path / "out.csv"
-    assert cli.main(["predict", "--bundle", str(broken), "--input", data,
-                     "--output", str(out)]) == 3
-    assert not out.exists()
+    assert _predict_with(broken, data, tmp_path / "out.csv", capsys) == 3

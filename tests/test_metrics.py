@@ -49,6 +49,32 @@ def test_auc_matches_brute_force_with_ties():
                    - brute_force_auc(scores, labels)) <= 1e-12
 
 
+def loop_tied_ranks(scores):
+    """Oracle: the per-tie-group loop that _tied_ranks replaced."""
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    boundaries = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
+    ranks_sorted = np.empty(len(s))
+    for start, stop in zip(boundaries[:-1], boundaries[1:]):
+        ranks_sorted[start:stop] = 0.5 * (start + 1 + stop)
+    ranks = np.empty(len(s))
+    ranks[order] = ranks_sorted
+    return ranks
+
+
+def test_tied_ranks_equal_the_loop_form_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(1, 400))
+        levels = int(rng.integers(1, 60))
+        kind = rng.integers(0, 3)
+        scores = (rng.random(n) if kind == 0
+                  else rng.integers(0, levels, size=n) / levels if kind == 1
+                  else np.full(n, rng.random()))
+        assert metrics._tied_ranks(scores).tobytes() == loop_tied_ranks(scores).tobytes()
+    assert metrics._tied_ranks(np.zeros(0)).shape == (0,)
+
+
 def test_auc_is_invariant_under_monotone_transforms():
     rng = np.random.default_rng(18)
     for _ in range(30):

@@ -1,24 +1,44 @@
 """Base network: configuration contracts, the pairwise interaction term,
 forward pass against an independent reimplementation, analytic gradients
-against finite differences, fit/early-stopping behavior and serialization.
+against finite differences, fit/early-stopping behavior and the model
+bundle that stores every net.
 """
 
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from conftest import (fd_gradcheck, make_matrix, make_schema, oracle_forward,
-                      random_net_case, well_conditioned)
+                      random_net_case, read_bundle, well_conditioned, write_bundle)
+from xdboost.boosting import (XDBoostModel, append_placeholders, create_xdboost,
+                              predict_xdboost, train_xdboost)
 from xdboost.data import DesignMatrix
 from xdboost.errors import ConfigError, DataError, TrainingError, UsageError
-from xdboost.models import BaseNet, BaseNetConfig, fm_pairwise
+from xdboost.models import BaseNet, BaseNetConfig
 
 
 # ---- pairwise interaction term ----------------------------------------------
+
+def fm_pairwise(field_vectors):
+    """Oracle: sum of dot products over all unordered pairs of field vectors.
+
+    Uses the identity sum_{i<j} <v_i, v_j> = (|sum v|^2 - sum |v|^2) / 2.
+    """
+    vectors = [np.asarray(v, dtype=np.float64) for v in field_vectors]
+    if not vectors:
+        raise UsageError("fm_pairwise needs at least one vector")
+    dim = vectors[0].shape
+    if any(v.shape != dim for v in vectors):
+        raise UsageError("field vectors must share one dimension")
+    stacked = np.stack(vectors)
+    total = stacked.sum(axis=0)
+    return float(0.5 * (total @ total - float((stacked * stacked).sum())))
+
 
 def test_fm_pairwise_hand_examples():
     assert fm_pairwise([(1.0, 0.0), (0.0, 1.0)]) == 0.0
@@ -31,7 +51,6 @@ def test_fm_pairwise_single_vector_has_no_pairs():
 
 
 def test_fm_pairwise_errors():
-    from xdboost.errors import UsageError
     with pytest.raises(UsageError):
         fm_pairwise([])
     with pytest.raises(UsageError):
@@ -47,6 +66,25 @@ def test_fm_pairwise_matches_brute_force():
         brute = sum(float(vectors[i] @ vectors[j])
                     for i in range(m) for j in range(i + 1, m))
         assert abs(fm_pairwise(list(vectors)) - brute) < 1e-10
+
+
+def test_the_net_scores_the_pairwise_term_of_each_row():
+    """With the linear terms and the MLP zeroed, the logit is the pairwise
+    term alone: the oracle over the row's embedding rows and its scaled
+    continuous projections."""
+    schema = make_schema((4, 3), 2)
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(5,)), seed=7)
+    for tensor in (*net.lin_cat, net.lin_cont, net.bias):
+        tensor[...] = 0.0
+    for layer in net.layers:
+        layer.weights[...] = 0.0
+        layer.bias[...] = 0.0
+    X = make_matrix(np.random.default_rng(41), schema, 30)
+    fm = np.array([fm_pairwise([*(net.embeddings[j][X.cat[r, j]] for j in range(net.n_cat)),
+                                *(X.cont[r, g] * net.cont_proj[g] for g in range(net.n_cont))])
+                   for r in range(X.n_rows)])
+    assert np.ptp(fm) > 1e-3
+    assert np.allclose(net.predict_matrix(X), 1.0 / (1.0 + np.exp(-fm)), rtol=0, atol=1e-12)
 
 
 # ---- configuration -----------------------------------------------------------
@@ -454,42 +492,64 @@ def test_a_bad_validation_pair_fails_before_the_first_step(damage, error):
     assert np.array_equal(net.flat, before)
 
 
-# ---- serialization --------------------------------------------------------------
+# ---- model bundle -------------------------------------------------------------
+
+def _trained_model(seed=25):
+    """A trained two-iteration model and its (placeholder-filled) training rows."""
+    schema = make_schema((4, 2), 1)
+    rng = np.random.default_rng(seed)
+    X = append_placeholders(make_matrix(rng, schema, 60), 2)
+    y = (X.cat[:, 0] % 2).astype(np.float64)
+    config = BaseNetConfig(embedding_dim=3, hidden_layers=(6, 4), learning_rate=1e-2,
+                           epochs=3, batch_size=32)
+    model = create_xdboost(schema, config, n_iterations=2, seed=seed)
+    train_xdboost(model, X, y)
+    return model, X, y
+
 
 def test_save_load_roundtrip_preserves_training_state(tmp_path):
-    schema, X, y = _toy_classification(n=60, seed=23)
-    config = BaseNetConfig(embedding_dim=2, hidden_layers=(4,), learning_rate=1e-2,
-                           epochs=3, batch_size=32)
-    net = BaseNet(schema, config, seed=25)
-    net.fit(X, y)
-    path = tmp_path / "net.npz"
-    net.save(path)
-    clone = BaseNet.load(path)
-    assert np.array_equal(clone.predict_matrix(X), net.predict_matrix(X))
+    """Every net comes back with its arena, Adam moments and step count, so
+    predictions match and one more fit of any net stays bit-identical."""
+    model, X, y = _trained_model()
+    path = tmp_path / "bundle"
+    model.save_bundle(path)
+    clone = XDBoostModel.load_bundle(path)
+    assert clone.schema.hash() == model.schema.hash()
+    X_new = append_placeholders(make_matrix(np.random.default_rng(3), make_schema((4, 2), 1),
+                                            20), 2)
+    assert np.array_equal(predict_xdboost(clone, X_new), predict_xdboost(model, X_new))
 
-    # optimizer state came along: one more fit stays bit-identical
-    net.fit(X, y)
-    clone.fit(X, y)
-    assert np.array_equal(clone.predict_matrix(X), net.predict_matrix(X))
+    for net, twin in zip([model.classifier, *model.regressors],
+                         [clone.classifier, *clone.regressors]):
+        assert (twin.config, twin.seed) == (net.config, net.seed)
+        assert twin.optimizer.t == net.optimizer.t > 0
+        targets = y if net.config.head == "sigmoid" else y - 0.5
+        net.fit(X, targets)
+        twin.fit(X, targets)
+        for a, b in ((net.flat, twin.flat), (net.optimizer.m, twin.optimizer.m),
+                     (net.optimizer.v, twin.optimizer.v)):
+            assert a.tobytes() == b.tobytes()
 
 
-def test_saved_net_keeps_one_array_per_tensor(tmp_path):
-    """The version-1 layout: meta, then param_NNN, adam_m_NNN and adam_v_NNN
-    per tensor, then adam_t."""
-    schema = make_schema((4, 2), 1, n_placeholders=2)
-    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(6, 4)), seed=3)
-    path = tmp_path / "net.npz"
-    net.save(path)
-    shapes = [(5, 3), (3, 3), (5,), (3,), (3, 3), (3,), (1,),
-              (6, 15), (6,), (4, 6), (4,), (1, 4), (1,)]
-    expected = {"meta": None, "adam_t": ()}
-    for prefix in ("param", "adam_m", "adam_v"):
-        expected.update({f"{prefix}_{i:03d}": s for i, s in enumerate(shapes)})
-    with np.load(path) as blob:
-        assert set(blob.files) == set(expected)
-        for key, shape in expected.items():
-            if shape is not None:
-                assert blob[key].shape == shape, key
+def test_bundle_keeps_three_vectors_per_net(tmp_path):
+    """One file: a JSON manifest, then flat_i, adam_m_i and adam_v_i for
+    each net i, classifier first, each exactly as long as the arena."""
+    model, _, _ = _trained_model()
+    path = tmp_path / "bundle"
+    model.save_bundle(path)
+    assert os.listdir(tmp_path) == ["bundle"]
+    manifest, arrays = read_bundle(path)
+    assert set(arrays) == {f"{prefix}_{i}" for prefix in ("flat", "adam_m", "adam_v")
+                           for i in range(3)}
+    for key, array in arrays.items():
+        assert (array.shape, array.dtype) == ((174,), np.float64), key
+    nets = [model.classifier, *model.regressors]
+    assert manifest["format_version"] == 2
+    assert manifest["schema_hash"] == model.schema.hash()
+    assert [n["config"]["head"] for n in manifest["nets"]] == ["sigmoid", "tanh", "tanh"]
+    assert [(n["seed"], n["adam_t"]) for n in manifest["nets"]] == [
+        (net.seed, net.optimizer.t) for net in nets]
+    assert arrays["adam_v_2"].tobytes() == model.regressors[1].optimizer.v.tobytes()
 
 
 def _fds_open_on(path):
@@ -501,43 +561,39 @@ def _fds_open_on(path):
 def test_load_closes_its_file(tmp_path):
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("needs /proc/self/fd to list open files")
-    schema, X, y = _toy_classification(n=20, seed=27)
-    path = tmp_path / "net.npz"
-    BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=1), seed=29).save(path)
-    clone = BaseNet.load(path)
+    model, _, _ = _trained_model()
+    path = tmp_path / "bundle"
+    model.save_bundle(path)
+    XDBoostModel.load_bundle(path)
     assert _fds_open_on(path) == []
-    assert clone.predict_matrix(X).shape == (20,)
 
-    # a rejected file is closed too, while the error and its frames live on
-    tampered = tmp_path / "bad_version.npz"
-    _tampered_copy(path, tampered, lambda m: m.update(format_version=99))
-    with pytest.raises(DataError) as excinfo:
-        BaseNet.load(tampered)
-    assert excinfo.value.__traceback__ is not None
-    assert _fds_open_on(tampered) == []
-
-
-def _tampered_copy(path, out, mutate):
-    blob = dict(np.load(path))
-    meta = json.loads(bytes(blob["meta"]).decode())
-    mutate(meta)
-    blob["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(out, **blob)
+    # rejected files are closed too, while the error and its frames live on
+    manifest, arrays = read_bundle(path)
+    bad_version = tmp_path / "bad_version"
+    write_bundle(bad_version, {**manifest, "format_version": 99}, arrays)
+    truncated = tmp_path / "truncated"
+    shutil.copy(path, truncated)
+    os.truncate(truncated, 300)
+    for rejected in (bad_version, truncated):
+        with pytest.raises(DataError) as excinfo:
+            XDBoostModel.load_bundle(rejected)
+        assert excinfo.value.__traceback__ is not None
+        assert _fds_open_on(rejected) == []
 
 
 def test_load_rejects_version_and_schema_tampering(tmp_path):
-    schema, X, y = _toy_classification(n=20, seed=27)
-    net = BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=1), seed=29)
-    path = tmp_path / "net.npz"
-    net.save(path)
+    model, _, _ = _trained_model()
+    path = tmp_path / "bundle"
+    model.save_bundle(path)
+    manifest, arrays = read_bundle(path)
 
-    versioned = tmp_path / "bad_version.npz"
-    _tampered_copy(path, versioned, lambda m: m.update(format_version=99))
-    with pytest.raises(DataError, match="format version"):
-        BaseNet.load(versioned)
+    versioned = tmp_path / "bad_version"
+    write_bundle(versioned, {**manifest, "format_version": 99}, arrays)
+    with pytest.raises(DataError, match="format version 99"):
+        XDBoostModel.load_bundle(versioned)
 
-    hashed = tmp_path / "bad_hash.npz"
-    _tampered_copy(path, hashed,
-                   lambda m: m["schema"].update(n_placeholders=5))
+    hashed = tmp_path / "bad_hash"
+    manifest["schema"]["n_placeholders"] = 5
+    write_bundle(hashed, manifest, arrays)
     with pytest.raises(DataError, match="hash"):
-        BaseNet.load(hashed)
+        XDBoostModel.load_bundle(hashed)
