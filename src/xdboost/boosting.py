@@ -18,6 +18,7 @@ import zipfile
 
 import numpy as np
 
+from .atomic import replacing
 from .data import DesignMatrix, FeatureSchema
 from .errors import ConfigError, DataError, TrainingError, UsageError
 from .models import BaseNet, BaseNetConfig
@@ -118,18 +119,10 @@ class XDBoostModel:
                       "adam_t": net.optimizer.t} for net in nets],
         }
         arrays = dict(entry for i, net in enumerate(nets) for entry in _stored_vectors(net, i))
-        tmp = path + ".tmp"
-        try:
-            # a handle, because np.savez appends ".npz" to a path
-            with open(tmp, "wb") as fh:
-                np.savez(fh, manifest=np.frombuffer(json.dumps(manifest).encode(), np.uint8),
-                         **arrays)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        # a handle, because np.savez appends ".npz" to a path
+        with replacing(path, "wb") as fh:
+            np.savez(fh, manifest=np.frombuffer(json.dumps(manifest).encode(), np.uint8),
+                     **arrays)
 
     @classmethod
     def load_bundle(cls, path):

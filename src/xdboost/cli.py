@@ -6,9 +6,11 @@ click log, split it chronologically, optionally carve a sub-training set,
 encode against a schema fitted on that training data only, derive class
 weights, then train the boosted model and its unboosted reference under
 the same seed and evaluate both on the validation and test splits. Results
-are written as one JSON file per run; sweeps additionally emit a plot-ready
-CSV. Exit codes distinguish configuration (2), data (3), training (4) and
-evaluation (5) failures; anything unexpected exits 1.
+are written as one JSON file per run, after the run's model bundle; sweeps
+additionally emit a plot-ready CSV. Every result file is replaced
+atomically (see ``atomic``). Exit codes distinguish configuration (2),
+data (3), training (4) and evaluation (5) failures; anything unexpected
+exits 1.
 """
 
 import argparse
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics, synth
+from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        append_placeholders, create_xdboost, predict_xdboost,
                        train_unboosted, train_xdboost)
@@ -279,7 +282,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
 
 
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -298,8 +301,8 @@ def cmd_train(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     result_path = os.path.join(cfg.output_dir, "train_result.json")
     bundle_path = os.path.join(cfg.output_dir, "model_bundle")
-    _write_json(result_path, result)
     model.save_bundle(bundle_path)
+    _write_json(result_path, result)
     print(f"train: {result['n_train_rows']} train rows, seed {cfg.seed}")
     _print_metrics(result)
     print(f"result written to {result_path}, model bundle to {bundle_path}")
@@ -334,7 +337,7 @@ def cmd_sweep(cfg):
         print(f"sweep {pct:g}%: done ({result['n_train_rows']} train rows)")
 
     csv_path = os.path.join(cfg.output_dir, "sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
+    with replacing(csv_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["percentage", "model", "auc", "logloss"])
         writer.writerows(rows)
@@ -390,8 +393,8 @@ def cmd_coldstart(cfg):
     result["no_cold_start_items"] = False
     result["n_unfiltered_test_rows"] = len(test_log)
     result["n_filtered_test_rows"] = len(filtered)
-    _write_json(result_path, result)
     model.save_bundle(os.path.join(cfg.output_dir, "model_bundle"))
+    _write_json(result_path, result)
     print(f"coldstart: {len(filtered)} of {len(test_log)} test rows kept")
     _print_metrics(result)
     print(f"result written to {result_path}")
@@ -404,15 +407,16 @@ def cmd_predict(bundle_path, input_path, output_path):
     user, item = schema.user_field, schema.item_field
     fields = FieldSpec(user, item, [f for f in schema.cat_fields if f not in (user, item)],
                        list(schema.cont_fields))
-    header, rows, log = read_csv(input_path, fields, scoring=True)
+    header, texts, log = read_csv(input_path, fields, scoring=True)
     X, _, _ = encode(log, schema)
     probs = (predict_xdboost(model, append_placeholders(X, model.n_iterations))
-             if rows else np.zeros(0))
+             if texts else np.zeros(0))
     with open(output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["predicted_ctr"])
-        writer.writerows(row + [repr(p)] for row, p in zip(rows, probs.tolist()))
-    print(f"predict: scored {len(rows)} rows -> {output_path}")
+        csv.writer(fh).writerow(header + ["predicted_ctr"])
+        # each text is its row as csv.writer writes it, so appending the
+        # cell gives the line csv.writer would write for the scored row
+        fh.writelines(f"{text},{p!r}\r\n" for text, p in zip(texts, probs.tolist()))
+    print(f"predict: scored {len(texts)} rows -> {output_path}")
     return 0
 
 

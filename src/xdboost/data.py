@@ -12,9 +12,11 @@ out-of-vocabulary index per field.
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import types
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -155,7 +157,7 @@ class SplitSpec:
 
 
 def read_csv(path, field_spec, scoring=False):
-    """The one click-log CSV parser; returns (header, raw rows, ClickLog).
+    r"""The one click-log CSV parser; returns (header, row texts, ClickLog).
 
     Rows stay in file order; blank lines are skipped and short rows are
     padded with blank cells. The header must name every declared field, and
@@ -164,50 +166,124 @@ def read_csv(path, field_spec, scoring=False):
     blank categorical cell is MISSING_TOKEN and a blank continuous cell is
     missing (NaN). A row with more cells than the header, a non-binary
     label, or a timestamp or continuous value that is not a finite number
-    raises a DataError naming its line.
+    raises a DataError naming the physical line the row starts on.
+
+    A row's text is its cells, padded, as ``csv.writer`` writes them when
+    another cell follows, so ``f"{text},{cell}\r\n"`` is the line
+    ``csv.writer`` writes for the row with that cell appended.
+
+    Plain text takes a fast path: no ``"``, no bare ``\r``, and exactly
+    ``len(header) - 1`` commas on every non-blank line. One ``split`` then
+    cuts every cell, a column is a strided slice, and a row's text is its
+    line. Any other file is parsed by ``csv.reader``. Either way a numeric
+    or label column is first converted whole; a column holding a blank,
+    malformed or non-finite value, or a label other than exactly ``0`` or
+    ``1``, is parsed again cell by cell, which fills blanks and names the
+    first bad cell. Both paths give the same log, texts and errors.
     """
     if not os.path.exists(path):
         raise DataError(f"CSV file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
+        text = fh.read()
     required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
-    missing = [name for name in required if name not in header]
-    if missing:
-        raise DataError(f"missing required columns: {missing}")
-    width = len(header)
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) != width:
-            if len(row) > width:
-                raise DataError(f"line {lineno}: {len(row)} cells, the header has {width}")
-            row += [""] * (width - len(row))
-    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    header, columns, texts, lineno = (_split_plain(text, required)
+                                      or _split_rows(text, required))
 
     def strings(name):
         if name is None:
             return None
-        return np.array([c.strip() or MISSING_TOKEN for c in cells[name]], dtype=object)
+        return np.array([c.strip() or MISSING_TOKEN for c in columns[name]], dtype=object)
 
-    def parsed(name, parse, what):
-        values = [parse(c.strip()) for c in cells[name]]
+    def parsed(name, convert, parse, what, dtype=np.float64):
+        col = columns[name]
+        try:
+            values = np.fromiter(map(convert, col), dtype, count=len(col))
+            if np.isfinite(values).all():
+                return values
+        except (KeyError, ValueError):
+            pass
+        values = [parse(c.strip()) for c in col]
         if None in values:
             i = values.index(None)
-            raise DataError(f"line {i + 2}: {what}: {cells[name][i].strip()!r}")
+            raise DataError(f"line {lineno(i)}: {what}: {col[i].strip()!r}")
         return values
 
-    n = len(rows)
+    n = len(texts)
+    labels = {"0": 0, "1": 1}
     log = ClickLog(
-        timestamp=(parsed("timestamp", _finite, "bad timestamp")
-                   if "timestamp" in cells else np.arange(n)),
+        timestamp=(parsed("timestamp", float, _finite, "bad timestamp")
+                   if "timestamp" in columns else np.arange(n)),
         user_id=strings(field_spec.user_field),
         item_id=strings(field_spec.item_field),
         categorical={name: strings(name) for name in field_spec.categorical},
-        continuous={name: parsed(name, _finite_or_blank, f"bad continuous value in {name!r}")
+        continuous={name: parsed(name, float, _finite_or_blank,
+                                 f"bad continuous value in {name!r}")
                     for name in field_spec.continuous},
-        label=(parsed("label", {"0": 0, "1": 1}.get, "non-binary label")
-               if "label" in cells else np.zeros(n)))
-    return header, rows, log
+        label=(parsed("label", labels.__getitem__, labels.get, "non-binary label", np.int64)
+               if "label" in columns else np.zeros(n)))
+    return header, texts, log
+
+
+def _split_plain(text, required):
+    r"""(header, columns, row texts, lineno) of text that needs no CSV
+    quoting rules, else None; a missing required column raises.
+
+    Such text has no quote, no bare ``\r``, a non-blank header line and
+    the header's comma count on every non-blank line. No line may be longer
+    than csv's field size limit, so that a file ``csv.reader`` refuses is
+    still refused.
+    """
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    header = lines[0].split(",")
+    rows = [line for line in lines[1:] if line]
+    if (not lines[0] or max(map(len, lines)) > csv.field_size_limit()
+            or not set(map(str.count, rows, repeat(","))) <= {len(header) - 1}):
+        return None
+    _require_columns(header, required)
+    cells = ",".join(rows).split(",") if rows else []
+    width = len(header)
+    columns = {name: cells[j::width] for j, name in enumerate(header)}
+
+    def lineno(i):
+        return [k for k, line in enumerate(lines, start=1) if line][i + 1]
+
+    return header, columns, rows, lineno
+
+
+def _split_rows(text, required):
+    """(header, columns, row texts, lineno) of any text, by csv.reader;
+    a missing required column raises before a row that is too long."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, [])
+    rows, starts = [], []
+    start = reader.line_num + 1
+    for row in reader:
+        if row:
+            rows.append(row)
+            starts.append(start)
+        start = reader.line_num + 1
+    _require_columns(header, required)
+    width = len(header)
+    for row, lineno in zip(rows, starts):
+        if len(row) > width:
+            raise DataError(f"line {lineno}: {len(row)} cells, the header has {width}")
+        row += [""] * (width - len(row))
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    # writerow returns what the file's write returns: here the line itself.
+    # The appended blank cell keeps a lone blank cell from being written
+    # as "" (csv.writer's form of a row that is one empty field); the slice
+    # drops it with its comma and the line end.
+    writer = csv.writer(types.SimpleNamespace(write=str))
+    texts = [writer.writerow(row + [""])[:-3] for row in rows]
+    return header, columns, texts, starts.__getitem__
+
+
+def _require_columns(header, required):
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise DataError(f"missing required columns: {missing}")
 
 
 def _finite(text):

@@ -13,7 +13,6 @@ labels are still drawn from the structural model (the novel items have
 their own latent vectors), so they are genuinely scoreable, just unseen.
 """
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 
@@ -158,15 +157,20 @@ def generate_records(config: SynthConfig):
 
 
 def write_csv(log, path):
-    """One CSV with the standard header; floats round-trip exactly."""
+    """One CSV with the standard header; floats round-trip exactly.
+
+    Lines are joined here, not by csv.writer: the generator's tokens
+    (letters, digits and underscores), integer timestamps and labels and
+    ``repr`` floats never need quoting, so the bytes are those csv.writer
+    would write, CRLF line ends included.
+    """
     header = (["timestamp", USER_FIELD, ITEM_FIELD]
               + list(CONTEXT_FIELDS) + list(CONTINUOUS_FIELDS) + ["label"])
-    columns = [log.timestamp.astype(np.int64).tolist(), log.user_id.tolist(),
+    columns = [map(str, log.timestamp.astype(np.int64).tolist()), log.user_id.tolist(),
                log.item_id.tolist()]
     columns += [log.categorical[name].tolist() for name in CONTEXT_FIELDS]
     columns += [map(repr, log.continuous[name].tolist()) for name in CONTINUOUS_FIELDS]
-    columns.append(log.label.tolist())
+    columns.append(map(str, log.label.tolist()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{','.join(row)}\r\n" for row in zip(*columns))

@@ -1,19 +1,24 @@
 """Shared builders for the test suite.
 
 Hand-built schemas and design matrices, a click-log factory, an independent
-forward-pass implementation, a central finite-difference gradient check and
-a reader and writer of model bundle archives for fault injection.
+forward-pass implementation, a central finite-difference gradient check, a
+reader and writer of model bundle archives for fault injection, and a
+csv.reader-only click-log reader with a strategy for awkward CSV files.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
 check is shared between the unit tests and the acceptance gate.
 """
 
+import csv
 import json
+import math
 import time
 
 import numpy as np
+from hypothesis import strategies as st
 
-from xdboost.data import ClickLog, DesignMatrix, FeatureSchema
+from xdboost.data import MISSING_TOKEN, ClickLog, DesignMatrix, FeatureSchema
+from xdboost.errors import DataError
 from xdboost.models import BaseNet, BaseNetConfig
 
 SESSION_START = time.monotonic()
@@ -213,3 +218,152 @@ def write_bundle(path, manifest, arrays):
     raw = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
     with open(path, "wb") as fh:
         np.savez(fh, manifest=np.frombuffer(raw, dtype=np.uint8), **arrays)
+
+
+# ---- CSV reading by csv.reader alone -----------------------------------------------
+
+def csv_reader_oracle(path, field_spec, scoring=False):
+    """``data.read_csv`` done with csv.reader and nothing else: (header,
+    padded rows, ClickLog), or the same DataError.
+
+    The reference the reader's plain-text path is held to. Every cell is
+    parsed one by one; errors name the physical line a row starts on.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows, starts = [], []
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                starts.append(start)
+            start = reader.line_num + 1
+    required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise DataError(f"missing required columns: {missing}")
+    width = len(header)
+    for row, lineno in zip(rows, starts):
+        if len(row) > width:
+            raise DataError(f"line {lineno}: {len(row)} cells, the header has {width}")
+        row += [""] * (width - len(row))
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+
+    def finite(text):
+        try:
+            value = float(text)
+        except ValueError:
+            return None
+        return value if math.isfinite(value) else None
+
+    def strings(name):
+        if name is None:
+            return None
+        return [c.strip() or MISSING_TOKEN for c in cells[name]]
+
+    def parsed(name, parse, what):
+        values = [parse(c.strip()) for c in cells[name]]
+        if None in values:
+            i = values.index(None)
+            raise DataError(f"line {starts[i]}: {what}: {cells[name][i].strip()!r}")
+        return values
+
+    n = len(rows)
+    log = ClickLog(
+        timestamp=(parsed("timestamp", finite, "bad timestamp")
+                   if "timestamp" in cells else np.arange(n)),
+        user_id=strings(field_spec.user_field),
+        item_id=strings(field_spec.item_field),
+        categorical={name: strings(name) for name in field_spec.categorical},
+        continuous={name: parsed(name, lambda c: finite(c) if c else math.nan,
+                                 f"bad continuous value in {name!r}")
+                    for name in field_spec.continuous},
+        label=(parsed("label", {"0": 0, "1": 1}.get, "non-binary label")
+               if "label" in cells else np.zeros(n)))
+    return header, rows, log
+
+
+def csv_writer_line(cells):
+    """The line csv.writer writes for cells, line end included."""
+    class Echo:
+        write = staticmethod(str)
+    return csv.writer(Echo()).writerow(cells)
+
+
+def same_log(a, b):
+    """Whether two logs hold the same columns, numeric ones byte for byte."""
+    def columns(log):
+        return [log.timestamp, log.user_id, log.item_id, log.label,
+                *log.categorical.values(), *log.continuous.values()]
+
+    if list(a.categorical) != list(b.categorical) or list(a.continuous) != list(b.continuous):
+        return False
+    for x, y in zip(columns(a), columns(b)):
+        if x is None or y is None:
+            if x is not y:
+                return False
+        elif x.dtype != y.dtype or x.shape != y.shape:
+            return False
+        elif x.dtype == object:
+            if x.tolist() != y.tolist():
+                return False
+        elif x.tobytes() != y.tobytes():
+            return False
+    return True
+
+
+# Cell values by column kind: the first list is well-formed, the second
+# holds what a reader must fill, reject or quote.
+_CELLS = {
+    "timestamp": (["0", "3", "2.5", "-4e2"],
+                  ["", " 7 ", "nan", "inf", "-inf", "1e999", "noon", "1_0", "\u20037"]),
+    "continuous": (["0.25", "1", "-0.5", "1e-7"],
+                   ["", " ", " 2.5\t", "nan", "-inf", "1e999", "cheap", "\x1c1", "0x1"]),
+    "label": (["0", "1"], [" 1", "2", "", "1.0", "01"]),
+    "token": (["u1", "g2", "i_3"],
+              ["", " ", " u3 ", "a,b", "x\ny", 'q"t', "z\r\nw", "\u00e9", "\x1c", "w\r"]),
+}
+
+
+@st.composite
+def click_csv_texts(draw, columns, continuous=()):
+    """CSV text over a shuffle of columns, sometimes one short or one extra.
+
+    Half the files are tame: well-formed cells, whole rows, no quotes, LF
+    or CRLF line ends and blank lines. The rest add bad and blank cells,
+    cells that need quotes, quoted cells that do not, short and long rows
+    and bare-CR line ends.
+    """
+    tame = draw(st.booleans())
+    header = draw(st.permutations(columns))
+    if draw(st.sampled_from([False] * 6 + [True])):
+        header = header[1:]
+    if draw(st.sampled_from([False] * 4 + [True])):
+        header = header + ["extra"]
+    endings = ["\n", "\r\n"] if tame else ["\n", "\r\n", "\r"]
+
+    def kind(name):
+        if name in ("timestamp", "label"):
+            return name
+        return "continuous" if name in continuous else "token"
+
+    def cell(text):
+        needs = any(c in text for c in ',"\r\n')
+        if needs or (not tame and draw(st.sampled_from([False] * 5 + [True]))):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        cells = []
+        for name in header:
+            good, bad = _CELLS[kind(name)]
+            cells.append(draw(st.sampled_from(good if tame else good * 3 + bad)))
+        if not tame:
+            change = draw(st.sampled_from([0] * 6 + [-2, -1, 1]))
+            cells = cells[:len(cells) + change] if change < 0 else cells + ["x"] * change
+        lines.append(",".join(cell(c) for c in cells))
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")

@@ -3,16 +3,23 @@ commands on small synthetic logs, batch scoring, and exit codes."""
 
 import csv
 import dataclasses
+import hashlib
+import io
 import json
 import os
 import shutil
+import tempfile
+import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import read_bundle, write_bundle
+from conftest import click_csv_texts, csv_reader_oracle, read_bundle, write_bundle
 from xdboost import cli, synth
-from xdboost.data import FeatureSchema, FieldSpec, ingest_csv, records_hash
-from xdboost.errors import ConfigError
+from xdboost.boosting import XDBoostModel, append_placeholders, predict_xdboost
+from xdboost.data import FeatureSchema, FieldSpec, encode, ingest_csv, records_hash
+from xdboost.errors import ConfigError, DataError
 
 FAST_MODEL = {
     "n_iterations": 1,
@@ -198,6 +205,45 @@ def test_train_leaves_a_bundle_directory_alone(tmp_path, capsys):
                      "--output-dir", str(out)]) == 2
     assert "is a directory" in capsys.readouterr().err
     assert os.listdir(out / "model_bundle") == ["manifest.json"]
+    assert not (out / "train_result.json").exists()  # the result follows the bundle
+
+
+def test_an_interrupted_result_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "result.json"
+    cli._write_json(path, {"run": 1})
+    before = path.read_bytes()
+
+    def dump_then_fail(payload, fh, **kwargs):
+        fh.write('{"run": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_json(path, {"run": 2})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["result.json"]
+
+
+# sha256 of result files at seed 11 with every timing read as 0, recorded
+# when each file was still written in place
+RESULT_SHA256 = {
+    "run/train_result.json": "795dcee71f988169bab27d3f934bf294acbbc46c26ad66542d219bfa1b60b0a9",
+    "sw/sweep.csv": "e374f9193d6b59b884c9590570b515c4ae0e179daa9694abd538655a0f9e44ea",
+    "sw/sweep_p5.json": "78ccd9acd0cc08c75806f0fdbddf06e8a58d94caad4968dcc6f370d401e12947",
+    "sw/sweep_summary.json": "471c2818b259c161d0032b9f9f152fa5225817a8f7e4b82a4684d4904b5514ac",
+}
+
+
+def test_result_files_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    config = write_config(tmp_path)
+    assert cli.main(["train", "--config", config, "--output-dir", "run"]) == 0
+    assert cli.main(["sweep", "--config", config, "--output-dir", "sw",
+                     "--percentages", "5,10"]) == 0
+    for name, digest in RESULT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert not [f for f in os.listdir(tmp_path / "sw") if f.endswith(".tmp")]
 
 
 def test_train_is_reproducible(tmp_path):
@@ -446,6 +492,43 @@ def test_predict_rejects_non_finite_values(trained_run, tmp_path):
         assert cli.main(["predict", "--bundle", bundle, "--input", str(path),
                          "--output", str(out)]) == 3
         assert not out.exists()
+
+
+def _csv_writer_predict(model, path):
+    """predict's output as csv.writer writes it from csv.reader's rows."""
+    header, rows, log = csv_reader_oracle(path, synth.field_spec(), scoring=True)
+    X, _, _ = encode(log, dataclasses.replace(model.schema, n_placeholders=0))
+    probs = (predict_xdboost(model, append_placeholders(X, model.n_iterations))
+             if rows else np.zeros(0))
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header + ["predicted_ctr"])
+    writer.writerows(row + [repr(p)] for row, p in zip(rows, probs.tolist()))
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=click_csv_texts(["timestamp", "user", "item", *synth.CONTEXT_FIELDS,
+                             *synth.CONTINUOUS_FIELDS, "label"],
+                            continuous=synth.CONTINUOUS_FIELDS))
+def test_predict_output_equals_csv_writer(trained_run, text):
+    bundle, _ = trained_run
+    model = XDBoostModel.load_bundle(bundle)
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "out.csv")
+        with open(src, "w", newline="") as fh:
+            fh.write(text)
+        try:
+            expected = _csv_writer_predict(model, src)
+        except DataError as exc:
+            with pytest.raises(DataError) as caught:
+                cli.cmd_predict(bundle, src, out)
+            assert str(caught.value) == str(exc)
+            assert not os.path.exists(out)
+            return
+        assert cli.cmd_predict(bundle, src, out) == 0
+        with open(out, newline="") as fh:
+            assert fh.read() == expected
 
 
 def _predict_with(bundle, data, out, capsys):

@@ -4,17 +4,24 @@ Split and weight rules are checked both on hand-sized examples and as
 seeded random property loops.
 """
 
+import csv
 import hashlib
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import log_rows, make_records
+from conftest import (click_csv_texts, csv_reader_oracle, csv_writer_line, log_rows,
+                      make_records, same_log)
 from xdboost.data import (ClickLog, FeatureSchema, FieldSpec, SplitSpec,
                           build_schema, chronological_split, class_weights,
-                          cold_start_filter, encode, ingest_csv,
+                          cold_start_filter, encode, ingest_csv, read_csv,
                           records_hash, sub_training)
 from xdboost.errors import ConfigError, DataError, UsageError
 
@@ -126,13 +133,74 @@ def test_ingest_fills_missing_values(tmp_path):
     path = tmp_path / "log.csv"
     _write_log(path, [[1, "", "i1", "", "", 1]])
     path.write_text(path.read_text() + "\n2,u2,i2,g1\n")  # a blank line, a short row
-    with pytest.raises(DataError, match="line 3: non-binary label: ''"):
+    with pytest.raises(DataError, match="line 4: non-binary label: ''"):
         ingest_csv(path, _SPEC)
     path.write_text(path.read_text().replace("i2,g1", "i2,g1,,0"))
     log = ingest_csv(path, _SPEC)
     assert log.user_id.tolist() == ["__missing__", "u2"]
     assert log.categorical["c0"].tolist() == ["__missing__", "g1"]
     assert np.isnan(log.continuous["x0"]).all()
+
+
+@pytest.mark.parametrize("before", ["1,u1,i1,g0,0.5,1\n\n\n", '1,"u\n1",i1,g0,0.5,1\n\n'],
+                         ids=["plain", "quoted"])
+@pytest.mark.parametrize("row, message", [
+    ("noon,u2,i2,g1,0.5,1", "line 5: bad timestamp: 'noon'"),
+    ("2,u2,i2,g1,nan,0", "line 5: bad continuous value in 'x0': 'nan'"),
+    ("2,u2,i2,g1,0.5,2", "line 5: non-binary label: '2'"),
+    ("2,u2,i2,g1,0.5,1,extra", "line 5: 7 cells, the header has 6"),
+], ids=["timestamp", "continuous", "label", "too-many-cells"])
+def test_ingest_errors_name_the_physical_line_after_blank_lines(tmp_path, before, row, message):
+    """The bad row starts on line 5, after two blank lines, or after a
+    quoted cell spanning two lines and one blank line."""
+    path = tmp_path / "log.csv"
+    path.write_text("timestamp,user,item,c0,x0,label\n" + before + row + "\n")
+    with pytest.raises(DataError, match=re.escape(message)):
+        ingest_csv(path, _SPEC)
+
+
+def test_a_cell_past_the_csv_field_limit_is_refused(tmp_path):
+    """A line too long for csv.reader leaves the plain-text path, so the
+    file is refused as csv.reader refuses it."""
+    path = tmp_path / "log.csv"
+    _write_log(path, [[1, "u" * (csv.field_size_limit() + 1), "i1", "g0", 0.5, 1]])
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        ingest_csv(path, _SPEC)
+
+
+def _outcome(read, path, scoring):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return read(path, _SPEC, scoring)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=click_csv_texts(["timestamp", "user", "item", "c0", "x0", "label"],
+                            continuous=("x0",)),
+       scoring=st.booleans())
+@example(text="timestamp,user,item,c0,x0,label\n1,u1,i1\n2,u2,i2,g2,0.5,1,x,y,z\n",
+         scoring=False)
+@example(text="timestamp,user,item,c0,x0,label\r\n\r\n1,u1,i1,g1,0.5,1\r\n"
+              "2,u2,i2,g2,,1\r\n\r\n3,u3,i3,g3,1e999,0", scoring=False)
+def test_read_csv_equals_the_csv_reader_oracle(text, scoring):
+    """Same header, log columns and row texts as csv.reader alone gives,
+    or the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        got = _outcome(read_csv, path, scoring)
+        want = _outcome(csv_reader_oracle, path, scoring)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert isinstance(got[2], ClickLog), got
+    (header, texts, log), (want_header, rows, want_log) = got, want
+    assert header == want_header
+    assert [f"{text},p\r\n" for text in texts] == [csv_writer_line(row + ["p"]) for row in rows]
+    assert same_log(log, want_log)
 
 
 # ---- chronological split ----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Synthetic click-log generator: determinism, meta bookkeeping, cold-start
 planting and CSV round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,13 @@ def test_csv_roundtrip_reproduces_the_records(tmp_path):
     loaded = ingest_csv(path, synth.field_spec())
     assert log_rows(loaded) == log_rows(records)
     assert records_hash(loaded) == records_hash(records)
+
+
+def test_write_csv_bytes_are_pinned(tmp_path):
+    """The bytes csv.writer wrote for a small log with planted items."""
+    records, _ = synth.generate_records(synth.SynthConfig(
+        n_rows=300, vocab_size=8, cold_start_fraction=0.3, seed=5))
+    path = tmp_path / "data.csv"
+    synth.write_csv(records, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "6bc3773139cbe6b51d717b67672a0a875073783ffa4fbd3a29af1e78ef2898b0")
