@@ -410,13 +410,13 @@ def cmd_predict(bundle_path, input_path, output_path):
     header, texts, log = read_csv(input_path, fields, scoring=True)
     X, _, _ = encode(log, schema)
     probs = (predict_xdboost(model, append_placeholders(X, model.n_iterations))
-             if texts else np.zeros(0))
+             if len(log) else np.zeros(0))
     with open(output_path, "w", newline="") as fh:
         csv.writer(fh).writerow(header + ["predicted_ctr"])
         # each text is its row as csv.writer writes it, so appending the
         # cell gives the line csv.writer would write for the scored row
         fh.writelines(f"{text},{p!r}\r\n" for text, p in zip(texts, probs.tolist()))
-    print(f"predict: scored {len(texts)} rows -> {output_path}")
+    print(f"predict: scored {len(log)} rows -> {output_path}")
     return 0
 
 

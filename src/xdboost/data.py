@@ -12,7 +12,6 @@ out-of-vocabulary index per field.
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -168,26 +167,29 @@ def read_csv(path, field_spec, scoring=False):
     label, or a timestamp or continuous value that is not a finite number
     raises a DataError naming the physical line the row starts on.
 
-    A row's text is its cells, padded, as ``csv.writer`` writes them when
-    another cell follows, so ``f"{text},{cell}\r\n"`` is the line
-    ``csv.writer`` writes for the row with that cell appended.
+    The row texts are an iterable to be read once. A row's text is its
+    cells, padded, as ``csv.writer`` writes them when another cell follows,
+    so ``f"{text},{cell}\r\n"`` is the line ``csv.writer`` writes for the
+    row with that cell appended.
 
-    Plain text takes a fast path: no ``"``, no bare ``\r``, and exactly
-    ``len(header) - 1`` commas on every non-blank line. One ``split`` then
-    cuts every cell, a column is a strided slice, and a row's text is its
-    line. Any other file is parsed by ``csv.reader``. Either way a numeric
-    or label column is first converted whole; a column holding a blank,
-    malformed or non-finite value, or a label other than exactly ``0`` or
-    ``1``, is parsed again cell by cell, which fills blanks and names the
-    first bad cell. Both paths give the same log, texts and errors.
+    The file is first read as one string. Plain text takes a fast path: no
+    ``"``, no NUL, no bare ``\r``, and exactly ``len(header) - 1`` commas
+    on every non-blank line. One ``split`` then cuts every cell, a column
+    is a strided slice, and a row's text is its line. Any other file is
+    dropped as a string and read again as a stream by ``csv.reader``,
+    which writes a row's text only when it is read and finds a row's line
+    only for an error message. Either way a numeric or label column is
+    first converted whole; a column holding a blank, malformed or
+    non-finite value, or a label other than exactly ``0`` or ``1``, is
+    parsed again cell by cell, which fills blanks and names the first bad
+    cell. Both paths give the same log, texts and errors.
     """
     if not os.path.exists(path):
         raise DataError(f"CSV file not found: {path}")
-    with open(path, newline="") as fh:
-        text = fh.read()
     required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
-    header, columns, texts, lineno = (_split_plain(text, required)
-                                      or _split_rows(text, required))
+    with open(path, newline="") as fh:
+        plain = _split_plain(fh.read(), required)
+    header, columns, n, texts, lineno = plain or _split_rows(path, required)
 
     def strings(name):
         if name is None:
@@ -208,7 +210,6 @@ def read_csv(path, field_spec, scoring=False):
             raise DataError(f"line {lineno(i)}: {what}: {col[i].strip()!r}")
         return values
 
-    n = len(texts)
     labels = {"0": 0, "1": 1}
     log = ClickLog(
         timestamp=(parsed("timestamp", float, _finite, "bad timestamp")
@@ -225,15 +226,16 @@ def read_csv(path, field_spec, scoring=False):
 
 
 def _split_plain(text, required):
-    r"""(header, columns, row texts, lineno) of text that needs no CSV
-    quoting rules, else None; a missing required column raises.
+    r"""(header, columns, row count, row texts, lineno) of text that needs
+    no CSV quoting rules, else None; a missing required column raises.
 
-    Such text has no quote, no bare ``\r``, a non-blank header line and
-    the header's comma count on every non-blank line. No line may be longer
-    than csv's field size limit, so that a file ``csv.reader`` refuses is
-    still refused.
+    Such text has no quote, no NUL (which ``csv.reader`` refuses before
+    Python 3.11), no bare ``\r``, a non-blank header line and the header's
+    comma count on every non-blank line. No line may be longer than csv's
+    field size limit, so that a file ``csv.reader`` refuses is still
+    refused.
     """
-    if '"' in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
         return None
     lines = text.replace("\r\n", "\n").split("\n")
     header = lines[0].split(",")
@@ -249,35 +251,47 @@ def _split_plain(text, required):
     def lineno(i):
         return [k for k, line in enumerate(lines, start=1) if line][i + 1]
 
-    return header, columns, rows, lineno
+    return header, columns, len(rows), rows, lineno
 
 
-def _split_rows(text, required):
-    """(header, columns, row texts, lineno) of any text, by csv.reader;
-    a missing required column raises before a row that is too long."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, [])
-    rows, starts = [], []
-    start = reader.line_num + 1
-    for row in reader:
-        if row:
-            rows.append(row)
-            starts.append(start)
-        start = reader.line_num + 1
+def _split_rows(path, required):
+    """(header, columns, row count, row texts, lineno) of any CSV file, read
+    as a stream by csv.reader; a missing required column raises before a
+    row that is too long. The texts are a generator, so a caller that drops
+    them never pays for them."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
     _require_columns(header, required)
+
+    def lineno(i):
+        # read again up to the row, counting the lines a quoted cell spans
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader, [])
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if i == 0:
+                        return start
+                    i -= 1
+                start = reader.line_num + 1
+
     width = len(header)
-    for row, lineno in zip(rows, starts):
-        if len(row) > width:
-            raise DataError(f"line {lineno}: {len(row)} cells, the header has {width}")
-        row += [""] * (width - len(row))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            if len(row) > width:
+                raise DataError(f"line {lineno(i)}: {len(row)} cells, the header has {width}")
+            row += [""] * (width - len(row))
     columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
     # writerow returns what the file's write returns: here the line itself.
     # The appended blank cell keeps a lone blank cell from being written
     # as "" (csv.writer's form of a row that is one empty field); the slice
     # drops it with its comma and the line end.
     writer = csv.writer(types.SimpleNamespace(write=str))
-    texts = [writer.writerow(row + [""])[:-3] for row in rows]
-    return header, columns, texts, starts.__getitem__
+    texts = (writer.writerow(row + [""])[:-3] for row in rows)
+    return header, columns, len(rows), texts, lineno
 
 
 def _require_columns(header, required):

@@ -322,7 +322,7 @@ _CELLS = {
                    ["", " ", " 2.5\t", "nan", "-inf", "1e999", "cheap", "\x1c1", "0x1"]),
     "label": (["0", "1"], [" 1", "2", "", "1.0", "01"]),
     "token": (["u1", "g2", "i_3"],
-              ["", " ", " u3 ", "a,b", "x\ny", 'q"t', "z\r\nw", "\u00e9", "\x1c", "w\r"]),
+              ["", " ", " u3 ", "a,b", "x\ny", 'q"t', "z\r\nw", "\u00e9", "\x1c", "w\r", "n\0l"]),
 }
 
 

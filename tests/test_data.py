@@ -184,6 +184,8 @@ def _outcome(read, path, scoring):
          scoring=False)
 @example(text="timestamp,user,item,c0,x0,label\r\n\r\n1,u1,i1,g1,0.5,1\r\n"
               "2,u2,i2,g2,,1\r\n\r\n3,u3,i3,g3,1e999,0", scoring=False)
+@example(text="timestamp,user,item,c0,x0,label\n1,u\0,i1,g1,0.5,1\n2,u2,i2,g2,x,0\n",
+         scoring=False)
 def test_read_csv_equals_the_csv_reader_oracle(text, scoring):
     """Same header, log columns and row texts as csv.reader alone gives,
     or the same error."""
