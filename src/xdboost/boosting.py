@@ -238,6 +238,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     The optional observer is called with one dict per notable event
     (classifier_fit, residual_fit, placeholder_write) so tests and
     diagnostics can watch the column discipline without touching the loop.
+    A residual_fit event's ``classifier`` is the classifier's fit state
+    and FitHistory; iteration 0's can start train_unboosted.
     """
     y_train, y_val, class_weights = _training_inputs(
         model.n_iterations, X_train, y_train, X_val, y_val, class_weights)
@@ -259,7 +261,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         if residual.size and not np.isfinite(residual).all():
             raise TrainingError(f"iteration {i}: non-finite residuals from the classifier")
         _notify(observer, event="residual_fit", iteration=i,
-                targets=residual.copy(), placeholders=train_block.copy())
+                targets=residual.copy(), placeholders=train_block.copy(),
+                classifier=(model.classifier.fit_state(), fit_hist))
         reg_val = None
         if X_val is not None:
             reg_val = (X_val, y_val - model.classifier.predict_matrix(X_val))
@@ -317,7 +320,7 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
 
 def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
                     X_train, y_train, X_val=None, y_val=None, class_weights=None,
-                    seed=0, cold_restart=False):
+                    seed=0, cold_restart=False, start=None):
     """Reference classifier: same seed, same fit schedule, zero placeholders.
 
     Builds the classifier exactly as create_xdboost would (same derived
@@ -327,7 +330,9 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
     same all-zero columns, so the two trajectories coincide; with a real
     error_lr the gap between this net and the boosted one is the lift.
     Returns (net, per-iteration fit log). The input matrices are not
-    modified.
+    modified. Given ``start``, the ``classifier`` of train_xdboost's first
+    residual_fit event on the same inputs, the first fit (the boosted
+    one's, bit for bit) is not run again but resumed from it.
     """
     _check_knobs(n_iterations)
     ph_schema = schema.with_placeholders(n_iterations)
@@ -342,8 +347,12 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
         for stage in ("fit", "refit"):
             if cold_restart:
                 net = _reset_net(net)
-            hist = _fit_stage(net, X_train, y_train, class_weights, val,
-                              i, f"classifier {stage}")
+            if start is not None and (i, stage) == (0, "fit"):
+                net.load_fit_state(start[0])
+                hist = start[1]
+            else:
+                hist = _fit_stage(net, X_train, y_train, class_weights, val,
+                                  i, f"classifier {stage}")
             entry[f"classifier_{stage}"] = hist.to_dict()
         log.append(entry)
     return net, log

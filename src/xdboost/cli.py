@@ -235,9 +235,11 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
     t0 = time.perf_counter()
     model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
                            seed=cfg.seed, cold_restart=cfg.cold_restart)
+    fits = []  # the classifier's (fit state, history) before each residual fit
     train_xdboost(model, append_placeholders(X_train, n), y_train,
                   append_placeholders(X_val, n) if have_val else None,
-                  y_val if have_val else None, class_weights=weights)
+                  y_val if have_val else None, class_weights=weights,
+                  observer=lambda e: e["event"] == "residual_fit" and fits.append(e["classifier"]))
     timings["train_boosted"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -245,7 +247,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         schema, cfg.net, n, append_placeholders(X_train, n), y_train,
         append_placeholders(X_val, n) if have_val else None,
         y_val if have_val else None, class_weights=weights,
-        seed=cfg.seed, cold_restart=cfg.cold_restart)
+        seed=cfg.seed, cold_restart=cfg.cold_restart, start=fits[0])
     timings["train_baseline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

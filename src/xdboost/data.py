@@ -17,7 +17,8 @@ import math
 import os
 import types
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .errors import ConfigError, DataError, UsageError
 MISSING_TOKEN = "__missing__"
 
 FIELD_TYPES = ("user", "item", "categorical", "continuous")
+
+HASH_CHUNK_ROWS = 1 << 14  # rows per sha256 update in records_hash
 
 
 @dataclass(eq=False)
@@ -473,19 +476,32 @@ def records_hash(log):
     Lets experiment runs prove they evaluated on the same rows even when
     their schemas (and therefore encoded matrices) differ. Each row hashes
     as the JSON list [timestamp, user, item, sorted categorical pairs,
-    sorted continuous pairs (null when missing), label].
+    sorted continuous pairs (null when missing), label], the text of
+    ``json.dumps``; each column is turned into JSON in one pass.
     """
-    cat = [(name, col.tolist()) for name, col in sorted(log.categorical.items())]
-    cont = [(name, [None if math.isnan(v) else v for v in col.tolist()])
-            for name, col in sorted(log.continuous.items())]
-    users, items = (repeat(None) if col is None else col.tolist()
-                    for col in (log.user_id, log.item_id))
+    def strings(col):
+        return repeat("null") if col is None else map(encode_basestring_ascii, col.tolist())
+
+    def floats(col, nan):
+        text = list(map(float.__repr__, col.tolist()))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            text[i] = {"inf": "Infinity", "-inf": "-Infinity"}.get(text[i], nan)
+        return text
+
+    cat, cont = sorted(log.categorical), sorted(log.continuous)
+    pairs = [", ".join(f"[{encode_basestring_ascii(name)}, \0]" for name in names)
+             for names in (cat, cont)]
+    # escaped JSON holds no NUL, so NUL marks where a row's values go
+    between = [*map(repeat, "[\0, \0, \0, [{}], [{}], \0]".format(*pairs).split("\0"))]
     h = hashlib.sha256()
-    rows = zip(log.timestamp.tolist(), users, items, log.label.tolist())
-    for i, (ts, user, item, label) in enumerate(rows):
-        payload = [ts, user, item, [[name, col[i]] for name, col in cat],
-                   [[name, col[i]] for name, col in cont], label]
-        h.update(json.dumps(payload).encode())
+    for lo in range(0, len(log), HASH_CHUNK_ROWS):
+        part = log[lo:lo + HASH_CHUNK_ROWS]
+        values = [floats(part.timestamp, "NaN"), strings(part.user_id),
+                  strings(part.item_id), *(strings(part.categorical[name]) for name in cat),
+                  *(floats(part.continuous[name], "null") for name in cont),
+                  map(int.__repr__, part.label.tolist())]
+        texts = [*chain.from_iterable(zip(between, values)), between[-1]]
+        h.update("".join(chain.from_iterable(zip(*texts))).encode())
     return h.hexdigest()
 
 

@@ -27,6 +27,9 @@ prepares its validation batches once and, unless batches are shuffled,
 its training batches once too, and reuses them every epoch; prediction
 prepares each batch as it goes. The prepared form changes no bit of any
 output: every reduction adds in the order the per-table form did.
+Elementwise ops give the same bits in any layout, so they run on
+(rows, fields * k) operands, not as numpy broadcasts with a k-long,
+several times slower, innermost loop.
 
 All gradients are hand-derived; the tests check them against central
 finite differences.
@@ -224,8 +227,8 @@ class BaseNet:
         (n, n_cat), k = cat.shape, self.config.embedding_dim
         idx = np.empty(n * n_cat * (k + 1), dtype=np.int64)
         split = n * n_cat * k
-        np.add((self._emb_starts + k * cat)[:, :, None], np.arange(k),
-               out=idx[:split].reshape(n, n_cat, k))
+        first = np.repeat(self._emb_starts + k * cat, k, axis=1)
+        np.add(first, np.tile(np.arange(k), n_cat), out=idx[:split].reshape(n, n_cat * k))
         np.add(self._lin_starts[:, None], cat.T, out=idx[split:].reshape(n_cat, n))
         return cont, idx
 
@@ -246,7 +249,8 @@ class BaseNet:
         if self.n_cont:
             V = np.empty((n, self.n_fields, k))
             V[:, :n_cat] = emb
-            np.multiply(cont[:, :, None], self.cont_proj, out=V[:, n_cat:])
+            np.multiply(np.repeat(cont, k, axis=1).reshape(n, self.n_cont, k), self.cont_proj,
+                        out=V[:, n_cat:])
         else:
             V = emb
 
@@ -287,10 +291,10 @@ class BaseNet:
             dh, dw[...], db[...] = layer.backward(layer_cache, dh)
 
         # dh is a fresh array, so the pairwise term's gradient is added in place
+        pairwise = np.tile(total, self.n_fields) - V.reshape(n, self.n_fields * k)
+        pairwise *= dlogit[:, None]
+        dh += pairwise
         dV = dh.reshape(n, self.n_fields, k)
-        pairwise = total[:, None, :] - V
-        pairwise *= dlogit[:, None, None]
-        dV += pairwise
 
         # The categorical tables lead the layout, embeddings first, so one
         # scatter into the buckets the forward pass gathered from fills
@@ -426,6 +430,14 @@ class BaseNet:
         if best_state is not None:
             self._restore(best_state)
         return history
+
+    def fit_state(self):
+        """Copies of all a later fit starts from: arena, Adam state, shuffle RNG."""
+        return *self._snapshot(), self._shuffle_rng.bit_generator.state
+
+    def load_fit_state(self, state):
+        self._restore(state)
+        self._shuffle_rng.bit_generator.state = state[2]
 
     def _snapshot(self):
         return self.flat.copy(), self.optimizer.state_copy()

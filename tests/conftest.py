@@ -2,14 +2,18 @@
 
 Hand-built schemas and design matrices, a click-log factory, an independent
 forward-pass implementation, a central finite-difference gradient check, a
-reader and writer of model bundle archives for fault injection, and a
-csv.reader-only click-log reader with a strategy for awkward CSV files.
+reader and writer of model bundle archives for fault injection, a
+csv.reader-only click-log reader with a strategy for awkward CSV files,
+the per-row ``json.dumps`` form of ``records_hash``, and the forward and
+backward passes in the broadcast form they had before they were made
+broadcast-free.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
 check is shared between the unit tests and the acceptance gate.
 """
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -17,6 +21,7 @@ import time
 import numpy as np
 from hypothesis import strategies as st
 
+from xdboost import kernels, nn
 from xdboost.data import MISSING_TOKEN, ClickLog, DesignMatrix, FeatureSchema
 from xdboost.errors import DataError
 from xdboost.models import BaseNet, BaseNetConfig
@@ -367,3 +372,73 @@ def click_csv_texts(draw, columns, continuous=()):
         lines.append(",".join(cell(c) for c in cells))
     text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
     return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def records_hash_oracle(log):
+    """records_hash as one json.dumps per row, the form it had while the
+    log was a list of rows."""
+    cat = [(name, col.tolist()) for name, col in sorted(log.categorical.items())]
+    cont = [(name, [None if math.isnan(v) else v for v in col.tolist()])
+            for name, col in sorted(log.continuous.items())]
+    n = len(log)
+    users, items = ([None] * n if col is None else col.tolist()
+                    for col in (log.user_id, log.item_id))
+    h = hashlib.sha256()
+    for i, (ts, user, item, label) in enumerate(zip(log.timestamp.tolist(), users, items,
+                                                    log.label.tolist())):
+        payload = [ts, user, item, [[name, col[i]] for name, col in cat],
+                   [[name, col[i]] for name, col in cont], label]
+        h.update(json.dumps(payload).encode())
+    return h.hexdigest()
+
+
+def broadcast_forward(net, batch):
+    """BaseNet._forward as it was with k-wide broadcasts: the continuous
+    fields scaled by ``cont[:, :, None]``. Returns (outputs, V, total)."""
+    cont, idx = batch
+    n, k, n_cat = cont.shape[0], net.config.embedding_dim, net.n_cat
+    split = n * n_cat * k
+    gathered = net.flat[idx]
+    emb = gathered[:split].reshape(n, n_cat, k)
+    if net.n_cont:
+        V = np.empty((n, net.n_fields, k))
+        V[:, :n_cat] = emb
+        np.multiply(cont[:, :, None], net.cont_proj, out=V[:, n_cat:])
+    else:
+        V = emb
+    total = np.einsum("nfk->nk", V) if k > 1 else V.sum(axis=1)
+    fm = 0.5 * ((total * total).sum(axis=1) - (V * V).sum(axis=(1, 2)))
+    linear = np.full(n, net.bias[0])
+    for w in gathered[split:].reshape(n_cat, n):
+        linear += w
+    if net.n_cont:
+        linear += cont @ net.lin_cont
+    h = V.reshape(n, net.n_fields * k)
+    for layer in net.layers:
+        h, _ = layer.forward(h)
+    return nn.activation_apply(net.config.head, h[:, 0] + fm + linear), V, total
+
+
+def broadcast_backward(net, cache, dlogit):
+    """BaseNet._backward as it was with the pairwise term's gradient
+    broadcast as ``total[:, None, :] - V``."""
+    V, total, caches, (cont, idx) = cache
+    n, k = V.shape[0], net.config.embedding_dim
+    grad = np.zeros_like(net.flat)
+    _, _, (dcont_proj, dlin_cont, dbias), dlayers = net._group(grad)
+    dh = dlogit[:, None]
+    for layer, layer_cache, (dw, db) in zip(reversed(net.layers), reversed(caches),
+                                            reversed(dlayers)):
+        dh, dw[...], db[...] = layer.backward(layer_cache, dh)
+    dV = dh.reshape(n, net.n_fields, k)
+    pairwise = total[:, None, :] - V
+    pairwise *= dlogit[:, None, None]
+    dV += pairwise
+    kernels.scatter_add_scalars(
+        grad[:net._n_cat_params], idx,
+        np.concatenate([dV[:, :net.n_cat, :].ravel(), np.tile(dlogit, net.n_cat)]))
+    if net.n_cont:
+        dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, net.n_cat:, :], cont)
+        dlin_cont[...] = cont.T @ dlogit
+    dbias[0] = dlogit.sum()
+    return grad

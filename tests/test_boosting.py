@@ -1,7 +1,9 @@
 """Boosting loop contracts: seed derivation, placeholder column discipline,
-the error-learning-rate collapse to the unboosted reference, determinism
-and bundle persistence, including a save that fails part-way."""
+the error-learning-rate collapse to the unboosted reference, a reference
+forked from the boosted model's first fit, determinism and bundle
+persistence, including a save that fails part-way."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -13,7 +15,7 @@ from xdboost.boosting import (XDBoostModel, append_placeholders, classifier_seed
                               regressor_seed, train_unboosted, train_xdboost)
 from xdboost.data import class_weights
 from xdboost.errors import ConfigError, DataError, UsageError
-from xdboost.models import BaseNetConfig
+from xdboost.models import BaseNet, BaseNetConfig
 
 NET = BaseNetConfig(embedding_dim=2, hidden_layers=(4,), learning_rate=1e-2,
                     epochs=3, patience=2, batch_size=64)
@@ -246,6 +248,44 @@ def test_zero_error_lr_collapses_to_the_unboosted_reference():
     plain = reference.predict_matrix(X_test)
     assert np.max(np.abs(boosted - plain)) <= 1e-12
     assert len(log) == 2
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+@pytest.mark.parametrize("shuffle, cold_restart", [(False, False), (True, False),
+                                                   (False, True), (True, True)])
+@pytest.mark.parametrize("n_iterations", [1, 3])
+def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, shuffle,
+                                                    cold_restart, with_val):
+    """Resumed from the boosted classifier's state after its first fit, the
+    reference runs one fit fewer and ends with the arena, Adam state,
+    shuffle RNG state and training log of one that runs every fit."""
+    config = dataclasses.replace(NET, shuffle=shuffle)
+    schema, X_train, y_train, X_val, y_val = _training_setup(n_iterations=n_iterations)
+    if not with_val:
+        X_val = y_val = None
+    copy = lambda X: None if X is None else X.copy()
+    weights = class_weights(y_train)
+    model = create_xdboost(schema, config, n_iterations, error_lr=0.5, seed=41,
+                           cold_restart=cold_restart)
+    fitted = []
+    train_xdboost(model, X_train.copy(), y_train, copy(X_val), y_val, class_weights=weights,
+                  observer=lambda e: fitted.append(e["classifier"])
+                  if e["event"] == "residual_fit" else None)
+    assert len(fitted) == n_iterations
+
+    fit, fits = BaseNet.fit, []
+    monkeypatch.setattr(BaseNet, "fit", lambda net, *a, **kw: fits.append(net) or fit(net, *a, **kw))
+    (scratch, scratch_log), (forked, forked_log) = (
+        train_unboosted(schema, config, n_iterations, X_train, y_train, X_val, y_val,
+                        class_weights=weights, seed=41, cold_restart=cold_restart, start=start)
+        for start in (None, fitted[0]))
+    assert len(fits) == 2 * n_iterations + 2 * n_iterations - 1
+    assert json.dumps(forked_log) == json.dumps(scratch_log)
+    for a, b in ((forked.flat, scratch.flat), (forked.optimizer.m, scratch.optimizer.m),
+                 (forked.optimizer.v, scratch.optimizer.v)):
+        assert a.tobytes() == b.tobytes()
+    assert forked.optimizer.t == scratch.optimizer.t > 0
+    assert forked._shuffle_rng.bit_generator.state == scratch._shuffle_rng.bit_generator.state
 
 
 def test_unboosted_reference_never_mutates_its_inputs():

@@ -11,6 +11,7 @@ import math
 import os
 import re
 import tempfile
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (click_csv_texts, csv_reader_oracle, csv_writer_line, log_rows,
-                      make_records, same_log)
+                      make_records, records_hash_oracle, same_log)
+from xdboost import data
 from xdboost.data import (ClickLog, FeatureSchema, FieldSpec, SplitSpec,
                           build_schema, chronological_split, class_weights,
                           cold_start_filter, encode, ingest_csv, read_csv,
@@ -519,3 +521,39 @@ def test_records_hash_digests_one_json_list_per_row():
     no_item = ClickLog([1.0], ["u1"], None, {}, {}, [1])
     assert records_hash(no_item) == hashlib.sha256(b'[1.0, "u1", null, [], [], 1]').hexdigest()
 
+
+
+# Tokens and field names JSON must escape, or that the row template could
+# mistake for its own syntax.
+AWKWARD_TEXT = st.text(max_size=5) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "%s", "%", "[]", ", "])
+ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16])
+
+
+@st.composite
+def click_logs(draw):
+    n = draw(st.integers(0, 9))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    def fields(values, max_size):
+        names = draw(st.lists(AWKWARD_TEXT, max_size=max_size, unique=True))
+        return {name: column(values) for name in names}
+
+    user, item = (None if draw(st.booleans()) else column(AWKWARD_TEXT) for _ in range(2))
+    return ClickLog(column(ANY_FLOAT), user, item, fields(AWKWARD_TEXT, 3), fields(ANY_FLOAT, 2),
+                    column(st.integers(-2 ** 63, 2 ** 63 - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=click_logs(), chunk_rows=st.integers(1, 4))
+@example(log=ClickLog([], None, None, {}, {}, []), chunk_rows=1)
+@example(log=ClickLog([1.0, math.nan], ["u", "v"], None, {}, {}, [0, 1]), chunk_rows=1)
+@example(log=ClickLog([-math.inf], None, ["i"], {"c": ["\"\\\x01\u00e9"]},
+                      {"x": [math.nan], "y": [math.inf]}, [1]), chunk_rows=4)
+def test_records_hash_equals_one_json_dumps_per_row(log, chunk_rows):
+    """Any rows, hashed in chunks of any size, give the digest of one
+    json.dumps list per row."""
+    with patch.object(data, "HASH_CHUNK_ROWS", chunk_rows):
+        assert records_hash(log) == records_hash_oracle(log)

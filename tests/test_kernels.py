@@ -1,12 +1,12 @@
 """The numpy kernels: the one categorical scatter must add in index order,
 bit for bit, and the forward and backward passes built on prepared batches
-must equal the per-field formulations they replaced."""
+must equal the per-field and broadcast formulations they replaced."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_matrix, make_schema
+from conftest import broadcast_backward, broadcast_forward, make_matrix, make_schema
 from xdboost import kernels, nn
 from xdboost.models import BaseNet, BaseNetConfig
 
@@ -137,6 +137,41 @@ def test_backward_equals_the_per_field_scatter(vocab_sizes, n_rows, k, hidden, s
     dlogit = scale * rng.standard_normal(n_rows)
     got = net._backward(cache, dlogit)
     assert got.tobytes() == _per_field_backward(net, X.cat, cache, dlogit).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(vocab_sizes=st.sampled_from([(), (1,), (3, 2, 1)]), n_cont=st.integers(0, 3),
+       n_rows=st.sampled_from([1, 1, 2, 7, 40]), k=st.sampled_from([1, 2, 3, 8, 9]),
+       hidden=st.sampled_from([(), (5,)]), head=st.sampled_from(["sigmoid", "tanh"]),
+       seed=st.integers(0, 2 ** 32 - 1), zero_share=st.sampled_from([0.0, 0.3]))
+@example(vocab_sizes=(3, 2, 1), n_cont=0, n_rows=1, k=9, hidden=(), head="sigmoid", seed=3,
+         zero_share=0.3)
+@example(vocab_sizes=(), n_cont=2, n_rows=1, k=8, hidden=(5,), head="tanh", seed=4,
+         zero_share=0.3)
+def test_passes_equal_the_broadcast_lines(vocab_sizes, n_cont, n_rows, k, hidden, head,
+                                          seed, zero_share):
+    """The forward outputs and the backward gradient vector equal the k-wide
+    broadcast forms byte for byte; a share of the parameters, continuous
+    inputs and logit gradients is -0.0, whose sign a product keeps."""
+    if not vocab_sizes and not n_cont:
+        n_cont = 1
+    schema = make_schema(vocab_sizes, n_cont=n_cont)
+    config = BaseNetConfig(embedding_dim=k, hidden_layers=hidden, head=head,
+                           loss="weighted_bce" if head == "sigmoid" else "mae")
+    net = BaseNet(schema, config, seed=seed)
+    rng = np.random.default_rng(seed)
+    net.flat[...] = rng.standard_normal(net.flat.size) * 10.0 ** rng.integers(-8, 1, net.flat.size)
+    net.flat[rng.random(net.flat.size) < zero_share] = -0.0
+    X = make_matrix(rng, schema, n_rows)
+    X.cont[rng.random(X.cont.shape) < zero_share] = -0.0
+    batch = net._batch(X.cat, X.cont)
+    out, cache = net._forward(batch, want_cache=True)
+    for got, expected in zip((out, *cache[:2]), broadcast_forward(net, batch)):
+        assert got.tobytes() == expected.tobytes()
+    dlogit = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 9, n_rows)
+    dlogit[rng.random(n_rows) < zero_share] = -0.0
+    expected = broadcast_backward(net, cache, dlogit)
+    assert net._backward(cache, dlogit).tobytes() == expected.tobytes()
 
 
 def test_adam_update_rejects_non_contiguous_params():
