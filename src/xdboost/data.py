@@ -28,7 +28,7 @@ MISSING_TOKEN = "__missing__"
 
 FIELD_TYPES = ("user", "item", "categorical", "continuous")
 
-HASH_CHUNK_ROWS = 1024  # rows per sha256 update in records_hash
+HASH_CHUNK_ROWS = 256  # rows per sha256 update in records_hash
 
 
 @dataclass(eq=False)

@@ -28,8 +28,8 @@ its training batches once too, and reuses them every epoch; prediction
 prepares each batch as it goes. The prepared form changes no bit of any
 output: every reduction adds in the order the per-table form did.
 Elementwise ops give the same bits in any layout, so they run on
-(rows, fields * k) operands, not as numpy broadcasts with a k-long,
-several times slower, innermost loop.
+(rows, fields * k) operands, not as broadcasts whose innermost loop is
+only k long, which numpy runs several times slower.
 
 All gradients are hand-derived; the tests check them against central
 finite differences.
@@ -227,8 +227,8 @@ class BaseNet:
         (n, n_cat), k = cat.shape, self.config.embedding_dim
         idx = np.empty(n * n_cat * (k + 1), dtype=np.int64)
         split = n * n_cat * k
-        first = np.repeat(self._emb_starts + k * cat, k, axis=1)
-        np.add(first, np.tile(np.arange(k), n_cat), out=idx[:split].reshape(n, n_cat * k))
+        starts = np.repeat(self._emb_starts + k * cat, k, axis=1)
+        np.add(starts, np.tile(np.arange(k), n_cat), out=idx[:split].reshape(n, n_cat * k))
         np.add(self._lin_starts[:, None], cat.T, out=idx[split:].reshape(n_cat, n))
         return cont, idx
 
