@@ -274,12 +274,13 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
     assert len(fitted) == n_iterations
 
     fit, fits = BaseNet.fit, []
-    monkeypatch.setattr(BaseNet, "fit", lambda net, *a, **kw: fits.append(net) or fit(net, *a, **kw))
+    monkeypatch.setattr(BaseNet, "fit",
+                        lambda net, *a, **kw: fits.append(net) or fit(net, *a, **kw))
     (scratch, scratch_log), (forked, forked_log) = (
         train_unboosted(schema, config, n_iterations, X_train, y_train, X_val, y_val,
                         class_weights=weights, seed=41, cold_restart=cold_restart, start=start)
         for start in (None, fitted[0]))
-    assert len(fits) == 2 * n_iterations + 2 * n_iterations - 1
+    assert len(fits) == 2 * n_iterations + (2 * n_iterations - 1)  # scratch, then forked
     assert json.dumps(forked_log) == json.dumps(scratch_log)
     for a, b in ((forked.flat, scratch.flat), (forked.optimizer.m, scratch.optimizer.m),
                  (forked.optimizer.v, scratch.optimizer.v)):

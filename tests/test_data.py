@@ -522,7 +522,6 @@ def test_records_hash_digests_one_json_list_per_row():
     assert records_hash(no_item) == hashlib.sha256(b'[1.0, "u1", null, [], [], 1]').hexdigest()
 
 
-
 # Tokens and field names JSON must escape, or that the row template could
 # mistake for its own syntax.
 AWKWARD_TEXT = st.text(max_size=5) | st.sampled_from(
