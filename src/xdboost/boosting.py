@@ -183,11 +183,6 @@ def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,
                         seed=seed, cold_restart=cold_restart)
 
 
-def _notify(observer, **event):
-    if observer is not None:
-        observer(event)
-
-
 def _check_boosting_matrix(X, n_iterations, name, require_zero):
     if X.n_placeholders != n_iterations:
         raise DataError(
@@ -238,7 +233,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     The optional observer is called with one dict per notable event
     (classifier_fit, residual_fit, placeholder_write) so tests and
     diagnostics can watch the column discipline without touching the loop.
-    A residual_fit event's ``classifier`` is the classifier's fit state
+    Event payloads, copies included, are built only when an observer is
+    given. A residual_fit event's ``classifier`` is the classifier's fit state
     and FitHistory; iteration 0's can start train_unboosted.
     """
     y_train, y_val, class_weights = _training_inputs(
@@ -252,7 +248,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     for i in range(model.n_iterations):
         if model.cold_restart:
             model.classifier = _reset_net(model.classifier)
-        _notify(observer, event="classifier_fit", iteration=i, stage="fit")
+        if observer is not None:
+            observer({"event": "classifier_fit", "iteration": i, "stage": "fit"})
         fit_hist = _fit_stage(model.classifier, X_train, y_train, class_weights,
                               cls_val, i, "classifier fit")
 
@@ -260,9 +257,10 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         residual = y_train - predicted
         if residual.size and not np.isfinite(residual).all():
             raise TrainingError(f"iteration {i}: non-finite residuals from the classifier")
-        _notify(observer, event="residual_fit", iteration=i,
-                targets=residual.copy(), placeholders=train_block.copy(),
-                classifier=(model.classifier.fit_state(), fit_hist))
+        if observer is not None:
+            observer({"event": "residual_fit", "iteration": i, "targets": residual.copy(),
+                      "placeholders": train_block.copy(),
+                      "classifier": (model.classifier.fit_state(), fit_hist)})
         reg_val = None
         if X_val is not None:
             reg_val = (X_val, y_val - model.classifier.predict_matrix(X_val))
@@ -271,17 +269,20 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
 
         written = model.error_lr * model.regressors[i].predict_matrix(X_train)
         train_block[:, i] = written
-        _notify(observer, event="placeholder_write", phase="train",
-                iteration=i, column=i, values=written.copy())
+        if observer is not None:
+            observer({"event": "placeholder_write", "phase": "train", "iteration": i,
+                      "column": i, "values": written.copy()})
         if X_val is not None:
             val_written = model.error_lr * model.regressors[i].predict_matrix(X_val)
             val_block[:, i] = val_written
-            _notify(observer, event="placeholder_write", phase="val",
-                    iteration=i, column=i, values=val_written.copy())
+            if observer is not None:
+                observer({"event": "placeholder_write", "phase": "val", "iteration": i,
+                          "column": i, "values": val_written.copy()})
 
         if model.cold_restart:
             model.classifier = _reset_net(model.classifier)
-        _notify(observer, event="classifier_fit", iteration=i, stage="refit")
+        if observer is not None:
+            observer({"event": "classifier_fit", "iteration": i, "stage": "refit"})
         refit_hist = _fit_stage(model.classifier, X_train, y_train, class_weights,
                                 cls_val, i, "classifier refit")
 
@@ -313,8 +314,9 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     for i, regressor in enumerate(model.regressors):
         written = model.error_lr * regressor.predict_matrix(X)
         block[:, i] = written
-        _notify(observer, event="placeholder_write", phase="predict",
-                iteration=i, column=i, values=written.copy())
+        if observer is not None:
+            observer({"event": "placeholder_write", "phase": "predict", "iteration": i,
+                      "column": i, "values": written.copy()})
     return model.classifier.predict_matrix(X)
 
 

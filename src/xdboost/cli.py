@@ -22,7 +22,9 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,47 +44,47 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_PERCENTAGES = (1, 5, 10, 20, 40, 60, 72)
 
-_TOP_KEYS = {"seed", "dataset", "fields", "synthetic", "split",
-             "sub_training_percent", "sub_training_percentages",
-             "normalize_continuous", "model", "output_dir"}
-_MODEL_KEYS = {"n_iterations", "error_lr", "cold_restart", "net"}
-_MANAGED_NET_KEYS = ("head", "loss", "seed")
+# The settings the JSON layout nests under "model"; every other field of
+# ExperimentConfig is a top-level key.
+_MODEL_FIELDS = ("n_iterations", "error_lr", "cold_restart", "net")
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one run needs; the result file embeds it verbatim."""
+    """Everything one run needs; the result file embeds it verbatim. The
+    sweep budgets default to those of DEFAULT_PERCENTAGES the split holds."""
 
     seed: int
     dataset: str | None = None
     fields: dict | None = None
     synthetic: synth.SynthConfig | None = None
-    split: SplitSpec = None
+    split: SplitSpec = field(default_factory=SplitSpec)
     sub_training_percent: float | None = None
-    sub_training_percentages: tuple = DEFAULT_PERCENTAGES
+    sub_training_percentages: tuple[float, ...] | None = None
     normalize_continuous: bool = True
     n_iterations: int = DEFAULT_N_ITERATIONS
     error_lr: float = DEFAULT_ERROR_LR
     cold_restart: bool = False
-    net: BaseNetConfig = None
+    net: BaseNetConfig = field(default_factory=BaseNetConfig)
     output_dir: str = "runs"
 
+    def __post_init__(self):
+        self.error_lr = float(self.error_lr)  # the model keeps a float; JSON 1 snapshots as 1.0
+        if self.sub_training_percentages is None:
+            self.sub_training_percentages = tuple(p for p in DEFAULT_PERCENTAGES
+                                                  if self.split.holds_sub_training(p))
+        for p in self.sub_training_percentages:
+            self.split.check_sub_training_percent(p)
+        if self.sub_training_percent is not None:
+            self.split.check_sub_training_percent(self.sub_training_percent)
+
     def snapshot(self):
-        net = {k: v for k, v in self.net.to_dict().items()
-               if k not in _MANAGED_NET_KEYS}
-        return {
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "fields": self.fields,
-            "synthetic": self.synthetic.to_dict() if self.synthetic else None,
-            "split": dataclasses.asdict(self.split),
-            "sub_training_percent": self.sub_training_percent,
-            "sub_training_percentages": list(self.sub_training_percentages),
-            "normalize_continuous": self.normalize_continuous,
-            "model": {"n_iterations": self.n_iterations, "error_lr": self.error_lr,
-                      "cold_restart": self.cold_restart, "net": net},
-            "output_dir": self.output_dir,
-        }
+        """The config in the JSON layout load_config reads, without the
+        managed net head."""
+        snap = dataclasses.asdict(self)
+        snap["model"] = {name: snap.pop(name) for name in _MODEL_FIELDS}
+        del snap["model"]["net"]["head"]
+        return snap
 
 
 def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None,
@@ -90,82 +92,83 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
     """Read the JSON config file (when given) and fold in CLI overrides.
 
     The accepted shape is exactly what ExperimentConfig.snapshot emits, so
-    a result file's embedded config can be re-run as-is.
+    a result file's embedded config can be re-run as-is. A setting left
+    out takes its dataclass's default.
     """
     raw = {}
     if path is not None:
         raw = _read_json(path, "config file")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    if seed is not None:
-        raw["seed"] = seed
-    if output_dir is not None:
-        raw["output_dir"] = output_dir
-    if sub_training_percent is not None:
-        raw["sub_training_percent"] = sub_training_percent
-    if percentages is not None:
-        raw["sub_training_percentages"] = percentages
-    if synthetic and raw.get("synthetic") is None:
-        raw["synthetic"] = {}
-    if "seed" not in raw or raw["seed"] is None:
+    overrides = {"seed": seed, "output_dir": output_dir, "sub_training_percentages": percentages,
+                 "sub_training_percent": sub_training_percent}
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    if raw.get("seed") is None:
         raise ConfigError("a seed is required for reproducibility "
                           "(set \"seed\" in the config or pass --seed)")
+    if synthetic and raw.get("synthetic") is None:
+        raw["synthetic"] = {}
+    if isinstance(raw.get("synthetic"), dict):
+        # the generator's seed follows the master seed unless set
+        raw["synthetic"] = {"seed": _value(int, raw["seed"], "seed"), **raw["synthetic"]}
+    if isinstance(raw.get("fields"), str):
+        raw["fields"] = _read_json(raw["fields"], "field declaration file")
 
-    fields = raw.get("fields")
-    if isinstance(fields, str):
-        fields = _read_json(fields, "field declaration file")
-    if fields is not None and not isinstance(fields, dict):
-        raise ConfigError("fields must be a mapping of column name to type")
+    model = raw.pop("model", {})
+    if isinstance(model, dict) and isinstance(model.get("net"), dict) and "head" in model["net"]:
+        raise ConfigError("net setting 'head' is managed automatically")
+    annotations = _annotations(ExperimentConfig)
+    return ExperimentConfig(
+        **_settings({k: t for k, t in annotations.items() if k not in _MODEL_FIELDS}, raw, ""),
+        **_settings({k: annotations[k] for k in _MODEL_FIELDS}, model, "model"))
 
-    synth_cfg = None
-    synth_raw = raw.get("synthetic")
-    if synth_raw is not None:
-        if not isinstance(synth_raw, dict):
-            raise ConfigError("synthetic must be a JSON object of generator settings")
-        synth_raw = dict(synth_raw)
-        synth_raw.setdefault("seed", raw["seed"])
-        synth_cfg = _checked("synthetic settings", lambda: synth.SynthConfig(**synth_raw))
 
-    split = _checked("split settings", lambda: SplitSpec(**raw.get("split") or {}))
+# Python types of config fields and the JSON values each accepts: an int
+# field takes an integer but not a bool, a float field any number.
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string"),
+               dict: ((dict,), "a JSON object")}
 
-    model_raw = raw.get("model") or {}
-    if not isinstance(model_raw, dict):
-        raise ConfigError("model must be a JSON object of model settings")
-    unknown = set(model_raw) - _MODEL_KEYS
+
+def _annotations(cls):
+    return {f.name: f.type for f in dataclasses.fields(cls)}
+
+
+def _settings(annotations, raw, block):
+    """Keyword arguments for the fields ``annotations`` (name: type) from
+    the JSON object ``raw``, the config block named ``block``.
+
+    Unknown keys are refused first, then each value must have its field's
+    JSON type; either is a ConfigError naming the key.
+    """
+    if type(raw) is not dict:
+        raise ConfigError(f"{block} must be a JSON object, got {json.dumps(raw)}")
+    unknown = sorted(set(raw) - set(annotations))
     if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    net_raw = model_raw.get("net") or {}
-    managed = [k for k in _MANAGED_NET_KEYS if k in net_raw]
-    if managed:
-        raise ConfigError(f"net settings {managed} are managed automatically")
-    net = _checked("net settings", lambda: BaseNetConfig(**net_raw))
+        raise ConfigError(f"unknown {block + ' ' if block else ''}config keys: {unknown}")
+    return {k: _value(annotations[k], v, f"{block}.{k}" if block else k)
+            for k, v in raw.items()}
 
-    pcts = _checked("sub-training percentages", lambda: tuple(raw.get(
-        "sub_training_percentages",
-        [p for p in DEFAULT_PERCENTAGES if split.holds_sub_training(p)])))
-    sub_percent = raw.get("sub_training_percent")
-    for p in pcts + ((sub_percent,) if sub_percent is not None else ()):
-        _checked("sub-training percentage", lambda: split.check_sub_training_percent(p))
 
-    return _checked("config value", lambda: ExperimentConfig(
-        seed=int(raw["seed"]),
-        dataset=raw.get("dataset"),
-        fields=fields,
-        synthetic=synth_cfg,
-        split=split,
-        sub_training_percent=sub_percent,
-        sub_training_percentages=pcts,
-        normalize_continuous=bool(raw.get("normalize_continuous", True)),
-        n_iterations=int(model_raw.get("n_iterations", DEFAULT_N_ITERATIONS)),
-        error_lr=float(model_raw.get("error_lr", DEFAULT_ERROR_LR)),
-        cold_restart=bool(model_raw.get("cold_restart", False)),
-        net=net,
-        output_dir=raw.get("output_dir", "runs"),
-    ))
+def _value(tp, value, key):
+    """The JSON value at config key ``key`` as a value of annotated type
+    ``tp``: a dataclass is built from its block, ``tuple[X, ...]`` from a
+    list, and ``X | None`` also takes null."""
+    if isinstance(tp, types.UnionType):
+        if value is None:
+            return None
+        tp = next(t for t in typing.get_args(tp) if t is not type(None))
+    if dataclasses.is_dataclass(tp):
+        return tp(**_settings(_annotations(tp), value, key))
+    if typing.get_origin(tp) is tuple:
+        if type(value) is not list:
+            raise ConfigError(f"{key} must be a list, got {json.dumps(value)}")
+        item = typing.get_args(tp)[0]
+        return tuple(_value(item, v, f"{key}[{i}]") for i, v in enumerate(value))
+    accepted, name = _JSON_TYPES[tp]
+    if type(value) not in accepted:
+        raise ConfigError(f"{key} must be {name}, got {json.dumps(value)}")
+    return value
 
 
 def _read_json(path, what):
@@ -178,15 +181,6 @@ def _read_json(path, what):
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
-def _checked(what, build):
-    """build(), with the TypeError or ValueError of a wrongly typed
-    setting raised as a ConfigError."""
-    try:
-        return build()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def load_records(cfg):
@@ -485,21 +479,16 @@ def build_parser():
     return parser
 
 
+EXPERIMENT_COMMANDS = {"train": cmd_train, "sweep": cmd_sweep, "coldstart": cmd_coldstart}
+
+
 def _dispatch(args):
-    if args.command == "train":
+    if args.command in EXPERIMENT_COMMANDS:
         cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir,
-                          sub_training_percent=args.sub_training_percent,
+                          sub_training_percent=getattr(args, "sub_training_percent", None),
+                          percentages=getattr(args, "percentages", None),
                           synthetic=args.synthetic)
-        return cmd_train(cfg)
-    if args.command == "sweep":
-        cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir,
-                          percentages=args.percentages, synthetic=args.synthetic)
-        return cmd_sweep(cfg)
-    if args.command == "coldstart":
-        cfg = load_config(args.config, seed=args.seed, output_dir=args.output_dir,
-                          sub_training_percent=args.sub_training_percent,
-                          synthetic=args.synthetic)
-        return cmd_coldstart(cfg)
+        return EXPERIMENT_COMMANDS[args.command](cfg)
     if args.command == "predict":
         return cmd_predict(args.bundle, args.input, args.output)
     if args.command == "synth-gen":

@@ -6,7 +6,7 @@ class XDBoostError(Exception):
 
 
 class ConfigError(XDBoostError):
-    """Invalid configuration: bad hyperparameter ranges, head/loss mismatch."""
+    """Invalid configuration: an unknown or wrongly typed setting, a bad range."""
 
 
 class DataError(XDBoostError):

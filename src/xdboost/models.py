@@ -45,7 +45,8 @@ from . import kernels, nn
 from .data import DesignMatrix, FeatureSchema
 from .errors import ConfigError, DataError, TrainingError
 
-HEAD_LOSS_PAIRS = {"sigmoid": "weighted_bce", "tanh": "mae"}
+# The classifier's head and the error regressors'; the loss follows the head.
+HEADS = ("sigmoid", "tanh")
 
 
 @dataclass
@@ -53,9 +54,8 @@ class BaseNetConfig:
     """Hyperparameters shared by the classifier and the error regressors."""
 
     embedding_dim: int = 64
-    hidden_layers: tuple = (128, 128, 128)
+    hidden_layers: tuple[int, ...] = (128, 128, 128)
     head: str = "sigmoid"
-    loss: str = "weighted_bce"
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
@@ -64,29 +64,23 @@ class BaseNetConfig:
     patience: int = 3
     batch_size: int = 1024
     shuffle: bool = False
-    seed: int = 0
 
     def __post_init__(self):
-        self.hidden_layers = tuple(int(h) for h in self.hidden_layers)
+        self.hidden_layers = tuple(self.hidden_layers)
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be positive")
         if any(h < 1 for h in self.hidden_layers):
             raise ConfigError("hidden layer sizes must be positive")
-        if self.head not in HEAD_LOSS_PAIRS:
+        if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
-        if HEAD_LOSS_PAIRS[self.head] != self.loss:
-            raise ConfigError(
-                f"head {self.head!r} requires loss {HEAD_LOSS_PAIRS[self.head]!r}, got {self.loss!r}")
         if self.epochs < 0 or self.patience < 0 or self.batch_size < 1:
             raise ConfigError("epochs/patience must be >= 0 and batch_size >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
 
     def as_classifier(self):
-        return dataclasses.replace(self, head="sigmoid", loss="weighted_bce")
+        return dataclasses.replace(self, head="sigmoid")
 
     def as_regressor(self):
-        return dataclasses.replace(self, head="tanh", loss="mae")
+        return dataclasses.replace(self, head="tanh")
 
     def to_dict(self):
         d = dataclasses.asdict(self)
@@ -95,7 +89,10 @@ class BaseNetConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        """The inverse of to_dict. Older bundles also store ``loss`` and
+        ``seed`` in each config; both are ignored, since the loss follows
+        the head and each net's seed is stored beside its config."""
+        return cls(**{k: v for k, v in d.items() if k not in ("loss", "seed")})
 
 
 @dataclass
@@ -130,7 +127,7 @@ class BaseNet:
     """One network instance bound to a feature schema.
 
     Every parameter tensor is a view into the vector ``flat``, laid out in
-    params() order: per-field embedding tables, per-field first-order
+    one fixed order: per-field embedding tables, per-field first-order
     weights, continuous projections, first-order continuous weights, the
     global bias, then each MLP layer's weights and bias. Gradients come as
     one vector in the same layout, and the optimizer's ``m`` and ``v``
@@ -143,13 +140,13 @@ class BaseNet:
     and its training batches once when ``config.shuffle`` is off.
     """
 
-    def __init__(self, schema: FeatureSchema, config: BaseNetConfig, seed=None):
+    def __init__(self, schema: FeatureSchema, config: BaseNetConfig, seed=0):
         if not schema.cat_fields and not schema.cont_fields and not schema.n_placeholders:
             raise ConfigError("schema declares no fields")
         self.schema = schema
         self.config = config
-        self.seed = config.seed if seed is None else seed
-        if self.seed < 0:
+        self.seed = seed
+        if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
 
         k = config.embedding_dim
@@ -183,10 +180,6 @@ class BaseNet:
         self.optimizer = nn.Adam(self.flat, config.learning_rate,
                                  config.beta1, config.beta2, config.epsilon)
         self._shuffle_rng = np.random.default_rng(np.random.SeedSequence([self.seed, 1]))
-
-    def params(self):
-        """Per-tensor views of ``flat``, in layout order."""
-        return _carve(self.flat, self._shapes)
 
     def _group(self, buffer):
         """Views of a layout-shaped vector grouped by role: (embedding tables,
@@ -310,24 +303,14 @@ class BaseNet:
         return grad
 
     def _dlogit(self, out, targets, class_weights):
-        if self.config.loss == "weighted_bce":
+        if self.config.head == "sigmoid":
             return nn.bce_dlogit(out, targets, class_weights)
         return nn.mae_dlogit_tanh(out, targets)
 
     def batch_loss(self, out, targets, class_weights=None):
-        if self.config.loss == "weighted_bce":
+        if self.config.head == "sigmoid":
             return nn.weighted_bce_loss(out, targets, class_weights)
         return nn.mae_loss(out, targets)
-
-    def loss_and_gradients(self, X, targets, class_weights=None):
-        """Forward + backward over one batch; returns (loss, per-tensor
-        gradients in params() order)."""
-        self._check_matrix(X)
-        targets = np.asarray(targets, dtype=np.float64)
-        out, cache = self._forward(self._batch(X.cat, X.cont), want_cache=True)
-        loss = self.batch_loss(out, targets, class_weights)
-        grad = self._backward(cache, self._dlogit(out, targets, class_weights))
-        return loss, _carve(grad, self._shapes)
 
     # ---- prediction ---------------------------------------------------------
 
@@ -349,7 +332,7 @@ class BaseNet:
     # ---- training -----------------------------------------------------------
 
     def _check_targets(self, targets):
-        if self.config.loss == "weighted_bce":
+        if self.config.head == "sigmoid":
             if targets.size and not np.isin(targets, (0.0, 1.0)).all():
                 raise DataError("classification targets must be binary")
         else:

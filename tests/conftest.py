@@ -1,7 +1,8 @@
 """Shared builders for the test suite.
 
-Hand-built schemas and design matrices, a click-log factory, an independent
-forward-pass implementation, a central finite-difference gradient check, a
+Hand-built schemas and design matrices, a click-log factory, per-tensor
+views of a net's parameters and gradients, an independent forward-pass
+implementation, a central finite-difference gradient check, a
 reader and writer of model bundle archives for fault injection, a
 csv.reader-only click-log reader with a strategy for awkward CSV files,
 the per-row ``json.dumps`` form of ``records_hash``, and the forward and
@@ -24,9 +25,25 @@ from hypothesis import strategies as st
 from xdboost import kernels, nn
 from xdboost.data import MISSING_TOKEN, ClickLog, DesignMatrix, FeatureSchema
 from xdboost.errors import DataError
-from xdboost.models import BaseNet, BaseNetConfig
+from xdboost.models import BaseNet, BaseNetConfig, _carve
 
 SESSION_START = time.monotonic()
+
+
+def params(net):
+    """Per-tensor views of the net's arena, in layout order."""
+    return _carve(net.flat, net._shapes)
+
+
+def loss_and_gradients(net, X, targets, class_weights=None):
+    """Forward and backward pass over X as one batch: (loss, per-tensor
+    gradients in layout order)."""
+    net._check_matrix(X)
+    targets = np.asarray(targets, dtype=np.float64)
+    out, cache = net._forward(net._batch(X.cat, X.cont), want_cache=True)
+    loss = net.batch_loss(out, targets, class_weights)
+    grad = net._backward(cache, net._dlogit(out, targets, class_weights))
+    return loss, _carve(grad, net._shapes)
 
 
 def make_schema(vocab_sizes=(3, 2), n_cont=1, n_placeholders=0, normalize=False):
@@ -147,10 +164,8 @@ def random_net_case(rng, head):
         n_cat = 1
     vocab_sizes = [int(rng.integers(1, 5)) for _ in range(n_cat)]
     hidden = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(0, 3))))
-    config = BaseNetConfig(
-        embedding_dim=int(rng.integers(1, 5)), hidden_layers=hidden,
-        head=head, loss="weighted_bce" if head == "sigmoid" else "mae",
-        batch_size=64)
+    config = BaseNetConfig(embedding_dim=int(rng.integers(1, 5)), hidden_layers=hidden,
+                           head=head, batch_size=64)
     schema = make_schema(vocab_sizes, n_cont, n_ph)
     net = BaseNet(schema, config, seed=int(rng.integers(0, 2 ** 31)))
     n_rows = int(rng.integers(1, 8))
@@ -189,9 +204,9 @@ def fd_gradcheck(net, X, targets, weights, rng, step=1e-5, coord_cap=24):
     (all of them when the tensor is small); the error is
     |fd - analytic| / max(1, |fd|, |analytic|).
     """
-    _, grads = net.loss_and_gradients(X, targets, weights)
+    _, grads = loss_and_gradients(net, X, targets, weights)
     worst = 0.0
-    for p, g in zip(net.params(), grads):
+    for p, g in zip(params(net), grads):
         flat_p = p.reshape(-1)
         flat_g = np.asarray(g).reshape(-1)
         if p.size <= coord_cap:

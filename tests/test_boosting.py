@@ -80,7 +80,6 @@ def test_create_builds_one_regressor_per_iteration():
     assert len(model.regressors) == 3
     assert model.classifier.config.head == "sigmoid"
     assert all(r.config.head == "tanh" for r in model.regressors)
-    assert all(r.config.loss == "mae" for r in model.regressors)
     assert model.schema.n_placeholders == 3
     assert model.trained is False
     # sub-nets get distinct derived seeds
@@ -159,6 +158,20 @@ def test_event_order_interleaves_fit_residual_write_refit():
                       e["event"] if e["event"] != "classifier_fit" else e["stage"]))
     assert kinds == ["fit", "residual_fit", "placeholder_write", "placeholder_write",
                      "refit"] * 2
+
+
+def test_an_unobserved_loop_builds_no_event_payloads(monkeypatch):
+    """Without an observer, no residual_fit event takes the classifier's
+    fit state."""
+    schema, X_train, y_train, X_val, y_val = _training_setup()
+    model = create_xdboost(schema, NET, n_iterations=2, seed=9)
+
+    def refuse(net):
+        raise AssertionError("fit_state taken with nobody listening")
+
+    monkeypatch.setattr(BaseNet, "fit_state", refuse)
+    train_xdboost(model, X_train, y_train, X_val, y_val)
+    assert model.trained
 
 
 def test_predict_replays_the_training_writes():
@@ -341,6 +354,24 @@ def test_bundle_roundtrip_reproduces_predictions(tmp_path):
     assert loaded.n_iterations == 2
     assert loaded.error_lr == model.error_lr
     assert np.array_equal(predict_xdboost(loaded, X_test), expected)
+
+
+def test_a_bundle_in_the_older_format_predicts_the_same(tmp_path):
+    """Bundles once stored each net's loss and a placeholder seed of 0 in
+    its config; such a bundle loads with both ignored."""
+    model, schema = _trained_model(27)
+    X_test = append_placeholders(make_matrix(np.random.default_rng(7), schema, 20), 2)
+    bundle = tmp_path / "bundle"
+    model.save_bundle(bundle)
+    manifest, arrays = read_bundle(bundle)
+    assert all(not {"loss", "seed"} & set(net["config"]) for net in manifest["nets"])
+    for net in manifest["nets"]:
+        loss = "weighted_bce" if net["config"]["head"] == "sigmoid" else "mae"
+        net["config"].update(loss=loss, seed=0)
+    write_bundle(bundle, manifest, arrays)
+    loaded = XDBoostModel.load_bundle(bundle)
+    assert [net.seed for net in loaded.regressors] == [net.seed for net in model.regressors]
+    assert predict_xdboost(loaded, X_test).tobytes() == predict_xdboost(model, X_test).tobytes()
 
 
 def test_load_bundle_rejects_missing_or_tampered_manifests(tmp_path):

@@ -120,19 +120,42 @@ def _bad_fields_file(tmp_path):
     return {"dataset": "data.csv", "fields": str(fields)}
 
 
-@pytest.mark.parametrize("overrides", [
-    _bad_fields_file,
-    lambda tmp_path: {"model": {"net": {"hidden_layers": "ab"}}},
-    lambda tmp_path: {"sub_training_percent": "10"},
-    lambda tmp_path: {"model": {**FAST_MODEL, "n_iterations": "two"}},
-    lambda tmp_path: {"model": 5},
-    lambda tmp_path: {"sub_training_percentages": 5},
+def _net(**settings):
+    return {"model": {**FAST_MODEL, "net": {**FAST_MODEL["net"], **settings}}}
+
+
+@pytest.mark.parametrize("overrides, named", [
+    (_bad_fields_file, "field declaration file"),
+    (lambda tmp_path: _net(hidden_layers="ab"), "model.net.hidden_layers"),
+    (lambda tmp_path: {"sub_training_percent": "10"}, "sub_training_percent"),
+    (lambda tmp_path: {"model": {**FAST_MODEL, "n_iterations": "two"}}, "model.n_iterations"),
+    (lambda tmp_path: {"model": 5}, "model"),
+    (lambda tmp_path: {"sub_training_percentages": 5}, "sub_training_percentages"),
+    (lambda tmp_path: _net(shuffle="false"), "model.net.shuffle"),
+    (lambda tmp_path: {"model": {**FAST_MODEL, "cold_restart": "no"}}, "model.cold_restart"),
+    (lambda tmp_path: {"seed": 1.9}, "seed"),
+    (lambda tmp_path: {"model": {**FAST_MODEL, "n_iterations": 2.7}}, "model.n_iterations"),
+    (lambda tmp_path: _net(epochs=2.5), "model.net.epochs"),
+    (lambda tmp_path: _net(batch_size=64.0), "model.net.batch_size"),
+    (lambda tmp_path: _net(embedding_dim=2.0), "model.net.embedding_dim"),
+    (lambda tmp_path: {"synthetic": {"n_rows": 300.5}}, "synthetic.n_rows"),
+    (lambda tmp_path: _net(hidden_layers=["4"]), "model.net.hidden_layers"),
+    (lambda tmp_path: {"normalize_continuous": "false"}, "normalize_continuous"),
+    (lambda tmp_path: _net(loss="mae"), "loss"),
+    (lambda tmp_path: _net(seed=0), "seed"),
 ], ids=["fields-file-not-json", "hidden-layers-not-numbers", "percent-as-string",
-        "iterations-not-a-number", "model-not-an-object", "percentages-not-a-list"])
-def test_malformed_config_inputs_exit_2(tmp_path, capsys, overrides):
+        "iterations-not-a-number", "model-not-an-object", "percentages-not-a-list",
+        "shuffle-as-string", "cold-restart-as-string", "seed-not-an-integer",
+        "iterations-not-an-integer", "epochs-not-an-integer", "batch-size-as-float",
+        "embedding-dim-as-float", "synthetic-rows-not-an-integer", "hidden-layers-of-strings",
+        "normalize-as-string", "net-loss", "net-seed"])
+def test_malformed_config_inputs_exit_2(tmp_path, capsys, monkeypatch, overrides, named):
+    """Each is refused naming its key, before any data is read."""
+    monkeypatch.setattr(cli, "load_records", None)
     config = write_config(tmp_path, **overrides(tmp_path))
     assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_load_config_applies_overrides_and_synthetic_default():
@@ -150,6 +173,34 @@ def test_config_snapshot_roundtrips_through_load(tmp_path):
     path.write_text(json.dumps(first.snapshot()))
     second = cli.load_config(str(path))
     assert second.snapshot() == first.snapshot()
+
+
+
+def test_the_readme_config_example_loads(tmp_path, monkeypatch):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    example = readme.split("with a `config.json` like:\n\n```json\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("data")
+    with open("data/fields.json", "w") as fh:
+        json.dump(synth.field_mapping(), fh)
+    with open("config.json", "w") as fh:
+        fh.write(example)
+    cfg = cli.load_config("config.json")
+    raw, snap = json.loads(example), json.loads(json.dumps(cfg.snapshot()))
+    assert cfg.fields == synth.field_mapping()
+    assert (cfg.seed, cfg.dataset, cfg.sub_training_percent) == (
+        raw["seed"], raw["dataset"], raw["sub_training_percent"])
+    assert (cfg.n_iterations, cfg.error_lr) == (
+        raw["model"]["n_iterations"], raw["model"]["error_lr"])
+    assert raw["model"]["net"].items() <= snap["model"]["net"].items()
+
+
+def test_a_config_of_defaults_runs():
+    """ExperimentConfig needs only a seed; every other setting has a usable default."""
+    log, _ = synth.generate_records(synth.SynthConfig(n_rows=300, vocab_size=6, seed=1))
+    result, model = cli.run_experiment(cli.ExperimentConfig(seed=1), log, synth.field_spec(), 10)
+    assert model.trained and result["metrics"]["boosted"]["test"]["n_instances"] == 60
 
 
 # ---- synth-gen --------------------------------------------------------------------

@@ -85,8 +85,7 @@ def test_forward_equals_the_per_field_gather(vocab_sizes, n_cont, n_placeholders
     if not vocab_sizes and not n_cont + n_placeholders:
         n_cont = 1
     schema = make_schema(vocab_sizes, n_cont=n_cont, n_placeholders=n_placeholders)
-    config = BaseNetConfig(embedding_dim=k, hidden_layers=hidden, head=head,
-                           loss="weighted_bce" if head == "sigmoid" else "mae")
+    config = BaseNetConfig(embedding_dim=k, hidden_layers=hidden, head=head)
     net = BaseNet(schema, config, seed=seed)
     rng = np.random.default_rng(seed)
     net.flat[...] = rng.standard_normal(net.flat.size) * 10.0 ** rng.integers(-8, 1, net.flat.size)
@@ -156,8 +155,7 @@ def test_passes_equal_the_broadcast_lines(vocab_sizes, n_cont, n_rows, k, hidden
     if not vocab_sizes and not n_cont:
         n_cont = 1
     schema = make_schema(vocab_sizes, n_cont=n_cont)
-    config = BaseNetConfig(embedding_dim=k, hidden_layers=hidden, head=head,
-                           loss="weighted_bce" if head == "sigmoid" else "mae")
+    config = BaseNetConfig(embedding_dim=k, hidden_layers=hidden, head=head)
     net = BaseNet(schema, config, seed=seed)
     rng = np.random.default_rng(seed)
     net.flat[...] = rng.standard_normal(net.flat.size) * 10.0 ** rng.integers(-8, 1, net.flat.size)

@@ -13,8 +13,10 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import (fd_gradcheck, make_matrix, make_schema, oracle_forward,
-                      random_net_case, read_bundle, well_conditioned, write_bundle)
+from conftest import (fd_gradcheck, loss_and_gradients, make_matrix, make_schema,
+                      oracle_forward, params, random_net_case, read_bundle,
+                      well_conditioned, write_bundle)
+from xdboost import nn
 from xdboost.boosting import (XDBoostModel, append_placeholders, create_xdboost,
                               predict_xdboost, train_xdboost)
 from xdboost.data import DesignMatrix
@@ -95,24 +97,25 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         BaseNetConfig(hidden_layers=(8, 0))
     with pytest.raises(ConfigError):
-        BaseNetConfig(head="linear", loss="mae")
-    with pytest.raises(ConfigError):
-        BaseNetConfig(head="sigmoid", loss="mae")
-    with pytest.raises(ConfigError):
-        BaseNetConfig(head="tanh", loss="weighted_bce")
+        BaseNetConfig(head="linear")
     with pytest.raises(ConfigError):
         BaseNetConfig(batch_size=0)
     with pytest.raises(ConfigError):
         BaseNetConfig(epochs=-1)
     with pytest.raises(ConfigError):
-        BaseNetConfig(seed=-1)
+        BaseNet(make_schema((2,), 0), BaseNetConfig(), seed=-1)
 
 
 def test_config_head_switching_updates_the_loss():
-    base = BaseNetConfig(head="sigmoid", loss="weighted_bce")
-    reg = base.as_regressor()
-    assert (reg.head, reg.loss) == ("tanh", "mae")
-    assert (reg.as_classifier().head, reg.as_classifier().loss) == ("sigmoid", "weighted_bce")
+    """The loss follows the head: weighted cross-entropy under the sigmoid
+    head, mean absolute error under the tanh head."""
+    reg = BaseNetConfig().as_regressor()
+    assert (reg.head, reg.as_classifier().head) == ("tanh", "sigmoid")
+    schema, weights = make_schema((2,), 0), {0: 1.0, 1: 3.0}
+    out, targets = np.array([0.25, 0.5, 0.75]), np.array([0.0, 1.0, 1.0])
+    assert BaseNet(schema, reg).batch_loss(out, targets) == nn.mae_loss(out, targets)
+    assert (BaseNet(schema, reg.as_classifier()).batch_loss(out, targets, weights)
+            == nn.weighted_bce_loss(out, targets, weights))
 
 
 def test_config_dict_roundtrip():
@@ -120,6 +123,9 @@ def test_config_dict_roundtrip():
     clone = BaseNetConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert clone == config
     assert isinstance(clone.hidden_layers, tuple)
+    assert len(config.to_dict()) == 11
+    # the two keys older bundles stored in each config are ignored
+    assert BaseNetConfig.from_dict({**config.to_dict(), "loss": "mae", "seed": 5}) == config
 
 
 def test_empty_hidden_stack_is_allowed():
@@ -144,10 +150,10 @@ def test_same_seed_builds_identical_parameters():
     a = BaseNet(schema, config, seed=42)
     b = BaseNet(schema, config, seed=42)
     c = BaseNet(schema, config, seed=43)
-    for pa, pb in zip(a.params(), b.params()):
+    for pa, pb in zip(params(a), params(b)):
         assert np.array_equal(pa, pb)
     assert any(not np.array_equal(pa, pc)
-               for pa, pc in zip(a.params(), c.params()))
+               for pa, pc in zip(params(a), params(c)))
 
 
 def test_structure_follows_the_schema():
@@ -164,13 +170,13 @@ def test_structure_follows_the_schema():
 def test_every_tensor_is_a_view_into_one_arena():
     schema = make_schema((4, 2), 1, n_placeholders=2)
     net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(6, 4)))
-    params = net.params()
+    tensors = params(net)
     # two embedding and two first-order tables, cont_proj, lin_cont, bias,
     # and a weight and a bias for each of the three dense layers
-    assert len(params) == 2 + 2 + 3 + 2 * 3
+    assert len(tensors) == 2 + 2 + 3 + 2 * 3
     assert net.flat.ndim == 1 and net.flat.flags.c_contiguous
     start, offset = net.flat.__array_interface__["data"][0], 0
-    for p in params:  # back to back, in params() order
+    for p in tensors:  # back to back, in layout order
         assert np.shares_memory(p, net.flat)
         assert p.__array_interface__["data"][0] == start + offset * net.flat.itemsize
         offset += p.size
@@ -186,7 +192,7 @@ def test_every_tensor_is_a_view_into_one_arena():
 def test_zero_parameters_give_exactly_half():
     schema = make_schema((3, 2), 1)
     net = BaseNet(schema, BaseNetConfig(embedding_dim=4, hidden_layers=(8,)))
-    for p in net.params():
+    for p in params(net):
         p[...] = 0.0
     X = make_matrix(np.random.default_rng(1), schema, 10)
     assert np.all(net.predict_matrix(X) == 0.5)
@@ -209,7 +215,7 @@ def test_head_output_ranges():
     X = make_matrix(rng, schema, 200)
     clf = BaseNet(schema, BaseNetConfig(embedding_dim=4, hidden_layers=(8,)), seed=1)
     reg = BaseNet(schema, BaseNetConfig(embedding_dim=4, hidden_layers=(8,),
-                                        head="tanh", loss="mae"), seed=1)
+                                        head="tanh"), seed=1)
     p = clf.predict_matrix(X)
     t = reg.predict_matrix(X)
     assert np.all((p > 0.0) & (p < 1.0))
@@ -222,13 +228,13 @@ def test_predict_is_pure_and_handles_empty_input():
     net = BaseNet(schema, BaseNetConfig(embedding_dim=2, hidden_layers=(4,)))
     X = make_matrix(rng, schema, 12)
     cat_before, cont_before = X.cat.copy(), X.cont.copy()
-    params_before = [p.copy() for p in net.params()]
+    params_before = [p.copy() for p in params(net)]
     first = net.predict_matrix(X)
     second = net.predict_matrix(X)
     assert np.array_equal(first, second)
     assert np.array_equal(X.cat, cat_before)
     assert np.array_equal(X.cont, cont_before)
-    for p, before in zip(net.params(), params_before):
+    for p, before in zip(params(net), params_before):
         assert np.array_equal(p, before)
     empty = make_matrix(rng, schema, 0)
     assert net.predict_matrix(empty).shape == (0,)
@@ -271,7 +277,7 @@ def test_constant_loss_gives_zero_gradients():
     net = BaseNet(schema, BaseNetConfig(embedding_dim=2, hidden_layers=()), seed=3)
     net.bias[0] = 30.0  # probability saturates above 1 - 1e-7
     X = make_matrix(np.random.default_rng(4), schema, 6)
-    _, grads = net.loss_and_gradients(X, np.ones(6))
+    _, grads = loss_and_gradients(net, X, np.ones(6))
     for g in grads:
         assert np.all(np.asarray(g) == 0.0)
 
@@ -291,12 +297,12 @@ def _toy_classification(n=200, seed=5):
 def test_fit_zero_epochs_is_a_no_op():
     schema, X, y = _toy_classification()
     net = BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=0))
-    before = [p.copy() for p in net.params()]
+    before = [p.copy() for p in params(net)]
     history = net.fit(X, y)
     assert history.epochs_run == 0
     assert history.best_epoch == -1
     assert history.train_losses == []
-    for p, b in zip(net.params(), before):
+    for p, b in zip(params(net), before):
         assert np.array_equal(p, b)
 
 
@@ -327,7 +333,7 @@ def test_fit_regressor_descends_on_constant_zero_targets():
     X = make_matrix(rng, schema, 80)
     targets = np.zeros(80)
     net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(4,),
-                                        head="tanh", loss="mae",
+                                        head="tanh",
                                         learning_rate=1e-2, epochs=15,
                                         batch_size=32), seed=9)
     initial = net.eval_loss(X, targets)
@@ -343,7 +349,7 @@ def test_fit_validates_targets():
     with pytest.raises(DataError):
         clf.fit(X, y[:-1])
     reg = BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=1,
-                                        head="tanh", loss="mae"))
+                                        head="tanh"))
     with pytest.raises(DataError):
         reg.fit(X, np.full(X.n_rows, 1.5))
 
@@ -364,11 +370,11 @@ def test_fit_that_never_improves_validation_is_rolled_back():
                                         learning_rate=5.0, epochs=3, patience=5,
                                         batch_size=64), seed=13)
     initial = net.eval_loss(val_X, val_y)
-    before = [p.copy() for p in net.params()]
+    before = [p.copy() for p in params(net)]
     history = net.fit(X, y, val=(val_X, val_y))
     assert history.initial_val_loss == initial
     assert history.best_epoch == -1
-    for p, b in zip(net.params(), before):
+    for p, b in zip(params(net), before):
         assert np.array_equal(p, b)
 
 
