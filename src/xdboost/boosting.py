@@ -57,7 +57,8 @@ def append_placeholders(X: DesignMatrix, n):
     return DesignMatrix(X.cat, cont, n)
 
 
-def _check_knobs(n_iterations, error_lr=0.0):
+def _check_knobs(n_iterations=1, error_lr=0.0):
+    """The one home of the boosting knobs' rule; either may be checked alone."""
     if n_iterations < 1:
         raise ConfigError(f"boosting needs at least one iteration, got {n_iterations}")
     if not 0.0 <= error_lr <= 1.0:
@@ -235,7 +236,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     diagnostics can watch the column discipline without touching the loop.
     Event payloads, copies included, are built only when an observer is
     given. A residual_fit event's ``classifier`` is the classifier's fit state
-    and FitHistory; iteration 0's can start train_unboosted.
+    and the FitHistory of each of its fits so far; iteration 0's can start
+    train_unboosted.
     """
     y_train, y_val, class_weights = _training_inputs(
         model.n_iterations, X_train, y_train, X_val, y_val, class_weights)
@@ -245,6 +247,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     cls_val = (X_val, y_val) if X_val is not None else None
 
     model.training_log = []
+    classifier_fits = []
     for i in range(model.n_iterations):
         if model.cold_restart:
             model.classifier = _reset_net(model.classifier)
@@ -252,6 +255,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
             observer({"event": "classifier_fit", "iteration": i, "stage": "fit"})
         fit_hist = _fit_stage(model.classifier, X_train, y_train, class_weights,
                               cls_val, i, "classifier fit")
+        classifier_fits.append(fit_hist)
 
         predicted = model.classifier.predict_matrix(X_train)
         residual = y_train - predicted
@@ -260,7 +264,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         if observer is not None:
             observer({"event": "residual_fit", "iteration": i, "targets": residual.copy(),
                       "placeholders": train_block.copy(),
-                      "classifier": (model.classifier.fit_state(), fit_hist)})
+                      "classifier": (model.classifier.fit_state(), list(classifier_fits))})
         reg_val = None
         if X_val is not None:
             reg_val = (X_val, y_val - model.classifier.predict_matrix(X_val))
@@ -285,6 +289,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
             observer({"event": "classifier_fit", "iteration": i, "stage": "refit"})
         refit_hist = _fit_stage(model.classifier, X_train, y_train, class_weights,
                                 cls_val, i, "classifier refit")
+        classifier_fits.append(refit_hist)
 
         model.training_log.append({
             "iteration": i,
@@ -332,9 +337,14 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
     same all-zero columns, so the two trajectories coincide; with a real
     error_lr the gap between this net and the boosted one is the lift.
     Returns (net, per-iteration fit log). The input matrices are not
-    modified. Given ``start``, the ``classifier`` of train_xdboost's first
-    residual_fit event on the same inputs, the first fit (the boosted
-    one's, bit for bit) is not run again but resumed from it.
+    modified.
+
+    ``start`` is a checkpoint (fit state, FitHistory of each fit) of the
+    first m fits of this schedule on the same inputs; the net resumes from
+    it and runs only the fits after them, so a checkpoint of every fit
+    runs none. The ``classifier`` of train_xdboost's first residual_fit
+    event is the checkpoint of the first fit, which the two nets share bit
+    for bit.
     """
     _check_knobs(n_iterations)
     ph_schema = schema.with_placeholders(n_iterations)
@@ -343,18 +353,28 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
     val = (X_val, y_val) if X_val is not None else None
 
     net = BaseNet(ph_schema, config.as_classifier(), seed=classifier_seed(seed))
-    log = []
-    for i in range(n_iterations):
-        entry = {"iteration": i}
-        for stage in ("fit", "refit"):
-            if cold_restart:
-                net = _reset_net(net)
-            if start is not None and (i, stage) == (0, "fit"):
-                net.load_fit_state(start[0])
-                hist = start[1]
-            else:
-                hist = _fit_stage(net, X_train, y_train, class_weights, val,
-                                  i, f"classifier {stage}")
-            entry[f"classifier_{stage}"] = hist.to_dict()
-        log.append(entry)
+    hists = []
+    if start is not None:
+        state, hists = start[0], list(start[1])
+        _check_checkpoint(net, state, len(hists), n_iterations)
+        net.load_fit_state(state)
+    for fit in range(len(hists), 2 * n_iterations):
+        if cold_restart:
+            net = _reset_net(net)
+        hists.append(_fit_stage(net, X_train, y_train, class_weights, val, fit // 2,
+                                "classifier " + ("refit" if fit % 2 else "fit")))
+    log = [{"iteration": i, "classifier_fit": hists[2 * i].to_dict(),
+            "classifier_refit": hists[2 * i + 1].to_dict()} for i in range(n_iterations)]
     return net, log
+
+
+def _check_checkpoint(net, state, n_fits, n_iterations):
+    """A checkpoint of n_fits fits must fit the schedule and net's layout."""
+    if n_fits > 2 * n_iterations:
+        raise UsageError(f"the checkpoint holds {n_fits} fits; "
+                         f"{n_iterations} iterations run {2 * n_iterations}")
+    flat, (_, m, v), _ = state
+    for name, vector in (("arena", flat), ("Adam m", m), ("Adam v", v)):
+        if len(vector) != len(net.flat):
+            raise UsageError(f"the checkpoint's {name} has {len(vector)} entries, "
+                             f"the net's arena {len(net.flat)}")

@@ -5,7 +5,9 @@ Every experiment command follows the same pipeline: ingest (or generate) a
 click log, split it chronologically, optionally carve a sub-training set,
 encode against a schema fitted on that training data only, derive class
 weights, then train the boosted model and its unboosted reference under
-the same seed and evaluate both on the validation and test splits. Results
+the same seed and evaluate both on the validation and test splits. The
+reference's fits after the first, which it shares with the boosted
+classifier, run in a forked child while the boosting loop goes on. Results
 are written as one JSON file per run, after the run's model bundle; sweeps
 additionally emit a plot-ready CSV. Every result file is replaced
 atomically (see ``atomic``). Exit codes distinguish configuration (2),
@@ -19,6 +21,8 @@ import dataclasses
 import json
 import logging
 import os
+import pickle
+import signal
 import sys
 import time
 import traceback
@@ -31,14 +35,14 @@ import numpy as np
 from . import metrics, synth
 from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
-                       append_placeholders, create_xdboost, predict_xdboost,
-                       train_unboosted, train_xdboost)
+                       _check_knobs, append_placeholders, create_xdboost,
+                       predict_xdboost, train_unboosted, train_xdboost)
 from .data import (FieldSpec, SplitSpec, build_schema_and_encode,
                    chronological_split, class_weights, cold_start_filter, encode,
                    ingest_csv, read_csv, records_hash, sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
-from .models import BaseNetConfig
+from .models import BaseNetConfig, FitHistory
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +74,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.error_lr = float(self.error_lr)  # the model keeps a float; JSON 1 snapshots as 1.0
+        for key in ("n_iterations", "error_lr"):
+            try:
+                _check_knobs(**{key: getattr(self, key)})
+            except ConfigError as exc:
+                raise ConfigError(f"model.{key}: {exc}") from None
         if self.sub_training_percentages is None:
             self.sub_training_percentages = tuple(p for p in DEFAULT_PERCENTAGES
                                                   if self.split.holds_sub_training(p))
@@ -226,22 +235,39 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
     n = cfg.n_iterations
     have_val = X_val.n_rows > 0
 
+    def train_reference(start):
+        return train_unboosted(
+            schema, cfg.net, n, append_placeholders(X_train, n), y_train,
+            append_placeholders(X_val, n) if have_val else None,
+            y_val if have_val else None, class_weights=weights,
+            seed=cfg.seed, cold_restart=cfg.cold_restart, start=start)
+
+    children = []
+
+    def fork_reference(event):
+        # After the first fit, which the two classifiers share, the
+        # reference's fits share nothing with the loop's, so a child runs
+        # them while the loop goes on.
+        if event["event"] == "residual_fit" and not children:
+            children.append(_Child(lambda: _checkpoint(*train_reference(event["classifier"]))))
+
     t0 = time.perf_counter()
     model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
                            seed=cfg.seed, cold_restart=cfg.cold_restart)
-    fits = []  # the classifier's (fit state, history) before each residual fit
-    train_xdboost(model, append_placeholders(X_train, n), y_train,
-                  append_placeholders(X_val, n) if have_val else None,
-                  y_val if have_val else None, class_weights=weights,
-                  observer=lambda e: e["event"] == "residual_fit" and fits.append(e["classifier"]))
-    timings["train_boosted"] = time.perf_counter() - t0
+    try:
+        train_xdboost(model, append_placeholders(X_train, n), y_train,
+                      append_placeholders(X_val, n) if have_val else None,
+                      y_val if have_val else None, class_weights=weights,
+                      observer=fork_reference)
+        timings["train_boosted"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    reference, reference_log = train_unboosted(
-        schema, cfg.net, n, append_placeholders(X_train, n), y_train,
-        append_placeholders(X_val, n) if have_val else None,
-        y_val if have_val else None, class_weights=weights,
-        seed=cfg.seed, cold_restart=cfg.cold_restart, start=fits[0])
+        t0 = time.perf_counter()
+        checkpoint = children[0].result()
+    finally:
+        for child in children:
+            child.close()
+    # resumes at the end of the schedule: rebuilds the net, runs no fit
+    reference, reference_log = train_reference(checkpoint)
     timings["train_baseline"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -275,6 +301,96 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         "baseline_training_log": reference_log,
     }
     return result, model
+
+
+def _checkpoint(net, log):
+    """train_unboosted's ``start`` after every fit of the run that gave
+    (net, log)."""
+    return net.fit_state(), [FitHistory(**entry[f"classifier_{stage}"])
+                             for entry in log for stage in ("fit", "refit")]
+
+
+class _Child:
+    """``job()`` run in a forked child beside the caller; ``result`` reads
+    its pickled outcome back through a pipe. Where os.fork does not exist,
+    ``result`` runs the job in-process instead.
+
+    ``result`` returns what the job returned or raises what it raised, with
+    its class and message (an exception that cannot be pickled comes back
+    as a TrainingError naming its class); a child that dies or sends
+    nothing is a TrainingError naming its exit status. ``close`` kills and
+    reaps a child whose result was never read.
+
+    On Python 3.12 and later os.fork warns when the process runs other
+    threads. OpenBLAS stops its thread pool before a fork, so a process
+    whose only other threads are OpenBLAS's sees no warning; a caller
+    with threads of its own will.
+    """
+
+    def __init__(self, job):
+        self._job, self._pid, self._fd = job, None, None
+        if not hasattr(os, "fork"):
+            return
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.close(read_fd)
+            _send_and_exit(job, write_fd)
+        os.close(write_fd)
+        self._pid, self._fd = pid, read_fd
+
+    def result(self):
+        if self._pid is None:
+            return self._job()
+        # read to EOF before waiting, or a child blocked on a full pipe never exits
+        with os.fdopen(self._fd, "rb") as fh:
+            self._fd = None
+            data = fh.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code or not data:
+            raise TrainingError(f"the reference's training process exited with status "
+                                f"{code} without a result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+def _send_and_exit(job, write_fd):
+    """In a forked child: pickle (True, job()) or (False, its exception) to
+    write_fd and exit at once, so none of the parent's cleanup runs here."""
+    status = 1
+    try:
+        try:
+            outcome = (True, job())
+        except BaseException as exc:  # raised again in the parent
+            outcome = (False, _portable(exc))
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _portable(exc):
+    """exc, or a TrainingError naming its class where exc would not come
+    through a pickle round trip."""
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        return TrainingError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 def _write_json(path, payload):

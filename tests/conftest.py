@@ -5,9 +5,10 @@ views of a net's parameters and gradients, an independent forward-pass
 implementation, a central finite-difference gradient check, a
 reader and writer of model bundle archives for fault injection, a
 csv.reader-only click-log reader with a strategy for awkward CSV files,
-the per-row ``json.dumps`` form of ``records_hash``, and the forward and
+the per-row ``json.dumps`` form of ``records_hash``, the forward and
 backward passes in the broadcast form they had before they were made
-broadcast-free.
+broadcast-free, and a guard that fails any test leaving a child process
+unreaped.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
 check is shared between the unit tests and the acceptance gate.
@@ -17,9 +18,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import time
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from xdboost import kernels, nn
@@ -28,6 +31,18 @@ from xdboost.errors import DataError
 from xdboost.models import BaseNet, BaseNetConfig, _carve
 
 SESSION_START = time.monotonic()
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left child process {pid} unreaped" if pid
+                else "the test left a child process running")
 
 
 def params(net):

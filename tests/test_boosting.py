@@ -15,7 +15,7 @@ from xdboost.boosting import (XDBoostModel, append_placeholders, classifier_seed
                               regressor_seed, train_unboosted, train_xdboost)
 from xdboost.data import class_weights
 from xdboost.errors import ConfigError, DataError, UsageError
-from xdboost.models import BaseNet, BaseNetConfig
+from xdboost.models import BaseNet, BaseNetConfig, FitHistory
 
 NET = BaseNetConfig(embedding_dim=2, hidden_layers=(4,), learning_rate=1e-2,
                     epochs=3, patience=2, batch_size=64)
@@ -300,6 +300,45 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
         assert a.tobytes() == b.tobytes()
     assert forked.optimizer.t == scratch.optimizer.t > 0
     assert forked._shuffle_rng.bit_generator.state == scratch._shuffle_rng.bit_generator.state
+
+
+def test_a_checkpoint_of_every_fit_rebuilds_the_reference_without_fitting(monkeypatch):
+    schema, X_train, y_train, X_val, y_val = _training_setup()
+    done, log = train_unboosted(schema, NET, 2, X_train, y_train, X_val, y_val, seed=43)
+    state = done.fit_state()
+    hists = [FitHistory(**entry[f"classifier_{stage}"])
+             for entry in log for stage in ("fit", "refit")]
+    monkeypatch.setattr(BaseNet, "fit", lambda *a, **kw: pytest.fail("a fit ran"))
+    again, again_log = train_unboosted(schema, NET, 2, X_train, y_train, X_val, y_val,
+                                       seed=43, start=(state, hists))
+    assert again_log == log
+    assert again.flat.tobytes() == done.flat.tobytes()
+    assert again.optimizer.t == done.optimizer.t
+
+
+@pytest.mark.parametrize("case, message", [
+    ("histories", "holds 5 fits; 2 iterations run 4"), ("arena", "arena has 1 entries"),
+    ("adam_m", "Adam m has"), ("adam_v", "Adam v has")])
+def test_a_checkpoint_that_cannot_belong_to_the_call_is_refused(case, message):
+    """Too many fits for the schedule, or a vector of another length than
+    the net's arena, would otherwise give a silently wrong reference."""
+    schema, X_train, y_train, X_val, y_val = _training_setup()
+    model = create_xdboost(schema, NET, n_iterations=2, seed=45)
+    first = []
+    train_xdboost(model, X_train.copy(), y_train, X_val.copy(), y_val,
+                  observer=lambda e: e["event"] == "residual_fit" and first.append(e))
+    (flat, (t, m, v), rng_state), hists = first[0]["classifier"]
+    if case == "histories":
+        hists = hists * 5
+    elif case == "arena":
+        flat = flat[:1]
+    elif case == "adam_m":
+        m = np.append(m, 0.0)
+    else:
+        v = v[:-1]
+    with pytest.raises(UsageError, match=message):
+        train_unboosted(schema, NET, 2, X_train, y_train, X_val, y_val, seed=45,
+                        start=((flat, (t, m, v), rng_state), hists))
 
 
 def test_unboosted_reference_never_mutates_its_inputs():

@@ -8,7 +8,9 @@ import io
 import json
 import os
 import shutil
+import signal
 import tempfile
+import time
 import types
 
 import numpy as np
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import click_csv_texts, csv_reader_oracle, read_bundle, write_bundle
-from xdboost import cli, synth
+from xdboost import cli, data, synth
 from xdboost.boosting import XDBoostModel, append_placeholders, predict_xdboost
 from xdboost.data import FeatureSchema, FieldSpec, encode, ingest_csv, records_hash
-from xdboost.errors import ConfigError, DataError
+from xdboost.errors import ConfigError, DataError, EvaluationError, TrainingError
+from xdboost.models import BaseNet
 
 FAST_MODEL = {
     "n_iterations": 1,
@@ -297,6 +300,30 @@ def test_result_files_keep_their_bytes(tmp_path, monkeypatch):
     assert not [f for f in os.listdir(tmp_path / "sw") if f.endswith(".tmp")]
 
 
+def _result_files(root):
+    return {path.relative_to(root): path.read_bytes() for path in sorted(root.rglob("*"))
+            if path.suffix in (".json", ".csv")}
+
+
+def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch):
+    """Where os.fork does not exist the reference trains in-process, to the
+    same bytes."""
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    config = write_config(tmp_path)
+    for name in ("forked", "in_process"):
+        with monkeypatch.context() as patch:
+            if name == "in_process":
+                patch.delattr(os, "fork")
+            (tmp_path / name).mkdir()
+            patch.chdir(tmp_path / name)  # the results embed the output directory
+            assert cli.main(["train", "--config", config, "--output-dir", "run"]) == 0
+            assert cli.main(["sweep", "--config", config, "--output-dir", "sw",
+                             "--percentages", "5,10"]) == 0
+    forked = _result_files(tmp_path / "forked")
+    assert len(forked) == 5
+    assert forked == _result_files(tmp_path / "in_process")
+
+
 def test_train_is_reproducible(tmp_path):
     config = write_config(tmp_path)
     blobs = []
@@ -391,6 +418,126 @@ def test_sweep_where_every_run_fails_exits_nonzero(tmp_path):
     assert summary["test_set_hash"] is None
     assert [f["percentage"] for f in summary["failures"]] == [0.5]
     assert summary["failures"][0]["type"] == "DataError"
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("knob, value", [("n_iterations", 0), ("error_lr", 1.5)])
+def test_bad_boosting_knobs_exit_2_before_any_data_is_read(tmp_path, capsys, monkeypatch,
+                                                            command, knob, value):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data was read")
+
+    monkeypatch.setattr(synth, "generate_records", refuse)
+    monkeypatch.setattr(data, "read_csv", refuse)
+    model = {**FAST_MODEL, knob: value}
+    for source in ({}, {"synthetic": None, "dataset": "data.csv",
+                        "fields": synth.field_mapping()}):
+        config = write_config(tmp_path, model=model, **source)
+        assert cli.main([command, "--config", config, "--output-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: model.{knob}: ") and err.count("\n") == 1
+
+
+# ---- the reference's child process ------------------------------------------------
+
+def _patch_fit(monkeypatch, before):
+    """Make BaseNet.fit call ``before(net, X, in_child)`` first; in_child is
+    whether the call runs in a process forked after the patch."""
+    parent, fit = os.getpid(), BaseNet.fit
+
+    def patched(net, X, *args, **kwargs):
+        before(net, X, os.getpid() != parent)
+        return fit(net, X, *args, **kwargs)
+
+    monkeypatch.setattr(BaseNet, "fit", patched)
+
+
+def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monkeypatch):
+    """Only the reference's refit fails: the one classifier fit on zeroed
+    placeholders after the first, which the two classifiers share."""
+    zeroed_fits = []
+
+    def fail_the_reference_refit(net, X, in_child):
+        if net.config.head == "sigmoid" and not X.placeholder_block().any():
+            zeroed_fits.append(in_child)
+            if len(zeroed_fits) == 2:
+                raise TrainingError("non-finite training loss at epoch 0, batch row 0")
+
+    _patch_fit(monkeypatch, fail_the_reference_refit)
+    config = write_config(tmp_path)
+    errors, forks = [], []
+    fork = os.fork
+    for name in ("forked", "in_process"):
+        zeroed_fits.clear()
+        with monkeypatch.context() as patch:
+            if name == "forked":
+                patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+            else:
+                patch.delattr(os, "fork")
+            assert cli.main(["train", "--config", config,
+                             "--output-dir", str(tmp_path / name)]) == 4
+        errors.append(capsys.readouterr().err)
+    assert forks == [1]
+    assert errors[0] == errors[1] == (
+        "error: iteration 0, stage 'classifier refit': "
+        "non-finite training loss at epoch 0, batch row 0\n")
+
+
+@pytest.mark.parametrize("reference", ["hangs", "fails"])
+def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatch, reference):
+    def fail_both_sides(net, X, in_child):
+        if in_child:
+            if reference == "hangs":
+                time.sleep(60)
+            raise TrainingError("reference side")
+        if net.config.head == "tanh":
+            raise TrainingError("boosted side")
+
+    _patch_fit(monkeypatch, fail_both_sides)
+    t0 = time.monotonic()
+    assert cli.main(["train", "--config", write_config(tmp_path),
+                     "--output-dir", str(tmp_path / "run")]) == 4
+    assert time.monotonic() - t0 < 30
+    assert capsys.readouterr().err == (
+        "error: iteration 0, stage 'residual fit': boosted side\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise(exc):
+    raise exc
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+@pytest.mark.parametrize("job, error, message", [
+    (lambda: _raise(EvaluationError("single-class labels")), EvaluationError,
+     "^single-class labels$"),
+    (lambda: _raise(KeyError("k")), KeyError, "^'k'$"),
+    (lambda: _raise(_Unpicklable(1, 2)), TrainingError, "^_Unpicklable: 1 2$"),
+    (lambda: os._exit(3), TrainingError, "exited with status 3 without a result"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), TrainingError, "exited with status -9"),
+], ids=["package-error", "other-error", "unpicklable-error", "exit", "killed"])
+def test_a_child_s_failure_is_raised_in_the_parent(job, error, message):
+    child = cli._Child(job)
+    try:
+        with pytest.raises(error, match=message):
+            child.result()
+    finally:
+        child.close()
+
+
+def test_a_child_s_result_larger_than_a_pipe_arrives_whole():
+    big = np.random.default_rng(0).random(1 << 17)  # 1 MiB, past any pipe buffer
+    child = cli._Child(lambda: ("ok", big))
+    try:
+        tag, got = child.result()
+    finally:
+        child.close()
+    assert tag == "ok" and got.tobytes() == big.tobytes()
 
 
 # ---- coldstart --------------------------------------------------------------------
