@@ -7,7 +7,8 @@ encode against a schema fitted on that training data only, derive class
 weights, then train the boosted model and its unboosted reference under
 the same seed and evaluate both on the validation and test splits. The
 reference's fits after the first, which it shares with the boosted
-classifier, run in a forked child while the boosting loop goes on. Results
+classifier, run in a forked child while the boosting loop goes on, given a
+second CPU to run on. Results
 are written as one JSON file per run, after the run's model bundle; sweeps
 additionally emit a plot-ready CSV. Every result file is replaced
 atomically (see ``atomic``). Exit codes distinguish configuration (2),
@@ -247,9 +248,11 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
     def fork_reference(event):
         # After the first fit, which the two classifiers share, the
         # reference's fits share nothing with the loop's, so a child runs
-        # them while the loop goes on.
+        # them while the loop goes on; on one CPU they would only take
+        # turns, so they run after the loop instead.
         if event["event"] == "residual_fit" and not children:
-            children.append(_Child(lambda: _checkpoint(*train_reference(event["classifier"]))))
+            children.append(_Child(lambda: _checkpoint(*train_reference(event["classifier"])),
+                                   fork=_cpus() > 1))
 
     t0 = time.perf_counter()
     model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
@@ -310,16 +313,25 @@ def _checkpoint(net, log):
                              for entry in log for stage in ("fit", "refit")]
 
 
+def _cpus():
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Child:
     """``job()`` run in a forked child beside the caller; ``result`` reads
-    its pickled outcome back through a pipe. Where os.fork does not exist,
-    ``result`` runs the job in-process instead.
+    its pickled outcome back through a pipe. With ``fork`` false, where
+    os.fork does not exist, or where the pipe or the fork fails, ``result``
+    runs the job in-process instead.
 
     ``result`` returns what the job returned or raises what it raised, with
-    its class and message (an exception that cannot be pickled comes back
-    as a TrainingError naming its class); a child that dies or sends
-    nothing is a TrainingError naming its exit status. ``close`` kills and
-    reaps a child whose result was never read.
+    its class and message and the child's traceback as its cause (an
+    exception that cannot be pickled comes back as a RuntimeError naming
+    its class); a child that dies or sends nothing is a TrainingError
+    naming its exit status. ``close`` kills and reaps a child whose result
+    was never read.
 
     On Python 3.12 and later os.fork warns when the process runs other
     threads. OpenBLAS stops its thread pool before a fork, so a process
@@ -327,12 +339,18 @@ class _Child:
     with threads of its own will.
     """
 
-    def __init__(self, job):
+    def __init__(self, job, fork=True):
         self._job, self._pid, self._fd = job, None, None
-        if not hasattr(os, "fork"):
+        if not (fork and hasattr(os, "fork")):
             return
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        fds = ()
+        try:
+            fds = read_fd, write_fd = os.pipe()
+            pid = os.fork()
+        except OSError:  # e.g. a process limit: run the job in-process
+            for fd in fds:
+                os.close(fd)
+            return
         if pid == 0:
             os.close(read_fd)
             _send_and_exit(job, write_fd)
@@ -352,9 +370,9 @@ class _Child:
         if code or not data:
             raise TrainingError(f"the reference's training process exited with status "
                                 f"{code} without a result")
-        ok, value = pickle.loads(data)
+        ok, value, child_traceback = pickle.loads(data)
         if not ok:
-            raise value
+            raise value from _ChildTraceback(child_traceback)
         return value
 
     def close(self):
@@ -367,15 +385,24 @@ class _Child:
             self._fd = None
 
 
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in the child, as text; the
+    cause of the exception ``_Child.result`` raises again."""
+
+    def __str__(self):
+        return f"raised in the forked child:\n{self.args[0]}"
+
+
 def _send_and_exit(job, write_fd):
-    """In a forked child: pickle (True, job()) or (False, its exception) to
-    write_fd and exit at once, so none of the parent's cleanup runs here."""
+    """In a forked child: pickle (True, job(), None) or (False, its
+    exception, its formatted traceback) to write_fd and exit at once, so
+    none of the parent's cleanup runs here."""
     status = 1
     try:
         try:
-            outcome = (True, job())
+            outcome = (True, job(), None)
         except BaseException as exc:  # raised again in the parent
-            outcome = (False, _portable(exc))
+            outcome = (False, _portable(exc), traceback.format_exc())
         with os.fdopen(write_fd, "wb") as fh:
             pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -384,12 +411,13 @@ def _send_and_exit(job, write_fd):
 
 
 def _portable(exc):
-    """exc, or a TrainingError naming its class where exc would not come
-    through a pickle round trip."""
+    """exc, or a RuntimeError naming its class where exc would not come
+    through a pickle round trip. Not an XDBoostError, so the run fails as
+    it would had exc been raised in-process: exit 1, a sweep aborted."""
     try:
         pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
     except Exception:
-        return TrainingError(f"{type(exc).__name__}: {exc}")
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
     return exc
 
 

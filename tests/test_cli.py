@@ -3,6 +3,7 @@ commands on small synthetic logs, batch scoring, and exit codes."""
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -305,15 +306,38 @@ def _result_files(root):
             if path.suffix in (".json", ".csv")}
 
 
-def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch):
-    """Where os.fork does not exist the reference trains in-process, to the
-    same bytes."""
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The reference forks only with a second CPU to run on."""
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+
+
+def _failing_fork():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _forbidden_fork():
+    pytest.fail("forked with one CPU")
+
+
+def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus):
+    """Where os.fork does not exist or fails, or with one CPU, the reference
+    trains in-process, to the same bytes, and a failed fork leaks no pipe."""
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     config = write_config(tmp_path)
-    for name in ("forked", "in_process"):
+    pipe, close = os.pipe, os.close
+    pipes, closed = [], []
+    for name in ("forked", "in_process", "fork_fails", "one_cpu"):
         with monkeypatch.context() as patch:
             if name == "in_process":
                 patch.delattr(os, "fork")
+            elif name == "fork_fails":
+                patch.setattr(os, "fork", _failing_fork)
+                patch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+                patch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+            elif name == "one_cpu":
+                patch.setattr(cli, "_cpus", lambda: 1)
+                patch.setattr(os, "fork", _forbidden_fork)
             (tmp_path / name).mkdir()
             patch.chdir(tmp_path / name)  # the results embed the output directory
             assert cli.main(["train", "--config", config, "--output-dir", "run"]) == 0
@@ -322,6 +346,10 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch):
     forked = _result_files(tmp_path / "forked")
     assert len(forked) == 5
     assert forked == _result_files(tmp_path / "in_process")
+    assert forked == _result_files(tmp_path / "fork_fails")
+    assert forked == _result_files(tmp_path / "one_cpu")
+    assert len(pipes) == 3  # one per experiment
+    assert {fd for fds in pipes for fd in fds} <= set(closed)
 
 
 def test_train_is_reproducible(tmp_path):
@@ -440,6 +468,15 @@ def test_bad_boosting_knobs_exit_2_before_any_data_is_read(tmp_path, capsys, mon
 
 # ---- the reference's child process ------------------------------------------------
 
+def _raise(exc):
+    raise exc
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
 def _patch_fit(monkeypatch, before):
     """Make BaseNet.fit call ``before(net, X, in_child)`` first; in_child is
     whether the call runs in a process forked after the patch."""
@@ -452,18 +489,27 @@ def _patch_fit(monkeypatch, before):
     monkeypatch.setattr(BaseNet, "fit", patched)
 
 
-def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monkeypatch):
-    """Only the reference's refit fails: the one classifier fit on zeroed
-    placeholders after the first, which the two classifiers share."""
+def _fail_the_reference_refit(exc):
+    """A ``before`` for _patch_fit that raises exc in the reference's refit:
+    the one classifier fit on zeroed placeholders after the first, which the
+    two classifiers share."""
     zeroed_fits = []
 
     def fail_the_reference_refit(net, X, in_child):
         if net.config.head == "sigmoid" and not X.placeholder_block().any():
             zeroed_fits.append(in_child)
             if len(zeroed_fits) == 2:
-                raise TrainingError("non-finite training loss at epoch 0, batch row 0")
+                raise exc
 
-    _patch_fit(monkeypatch, fail_the_reference_refit)
+    return fail_the_reference_refit, zeroed_fits
+
+
+def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monkeypatch,
+                                                           two_cpus):
+    """Only the reference's refit fails."""
+    before, zeroed_fits = _fail_the_reference_refit(
+        TrainingError("non-finite training loss at epoch 0, batch row 0"))
+    _patch_fit(monkeypatch, before)
     config = write_config(tmp_path)
     errors, forks = [], []
     fork = os.fork
@@ -483,8 +529,35 @@ def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monk
         "non-finite training loss at epoch 0, batch row 0\n")
 
 
+@pytest.mark.parametrize("exc, last_line", [
+    (KeyError("k"), "KeyError: 'k'"),
+    (_Unpicklable(1, 2), "RuntimeError: _Unpicklable: 1 2"),
+], ids=["other-error", "unpicklable-error"])
+def test_an_unexpected_reference_failure_exits_1_forked_or_not(tmp_path, capsys, monkeypatch,
+                                                                two_cpus, exc, last_line):
+    """A failure that is not the package's aborts train and sweep with exit 1
+    and a traceback that reaches the frame which raised, forked or not."""
+    before, zeroed_fits = _fail_the_reference_refit(exc)
+    _patch_fit(monkeypatch, before)
+    config = write_config(tmp_path)
+    for name in ("forked", "in_process"):
+        with monkeypatch.context() as patch:
+            if name == "in_process":
+                patch.delattr(os, "fork")
+            for command in ("train", "sweep"):
+                zeroed_fits.clear()
+                assert cli.main([command, "--config", config, "--output-dir",
+                                 str(tmp_path / name / command)]) == 1
+                err = capsys.readouterr().err
+                assert "fail_the_reference_refit" in err
+                assert err.rstrip().rsplit("\n", 1)[-1].endswith(
+                    last_line if name == "forked" else f"{type(exc).__name__}: {exc}")
+            assert not (tmp_path / name / "sweep" / "sweep_summary.json").exists()
+
+
 @pytest.mark.parametrize("reference", ["hangs", "fails"])
-def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatch, reference):
+def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatch, two_cpus,
+                                                     reference):
     def fail_both_sides(net, X, in_child):
         if in_child:
             if reference == "hangs":
@@ -504,30 +577,27 @@ def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatc
         os.waitpid(-1, os.WNOHANG)
 
 
-def _raise(exc):
-    raise exc
-
-
-class _Unpicklable(Exception):
-    def __init__(self, a, b):
-        super().__init__(f"{a} {b}")
-
-
 @pytest.mark.parametrize("job, error, message", [
     (lambda: _raise(EvaluationError("single-class labels")), EvaluationError,
      "^single-class labels$"),
     (lambda: _raise(KeyError("k")), KeyError, "^'k'$"),
-    (lambda: _raise(_Unpicklable(1, 2)), TrainingError, "^_Unpicklable: 1 2$"),
+    (lambda: _raise(_Unpicklable(1, 2)), RuntimeError, "^_Unpicklable: 1 2$"),
     (lambda: os._exit(3), TrainingError, "exited with status 3 without a result"),
     (lambda: os.kill(os.getpid(), signal.SIGKILL), TrainingError, "exited with status -9"),
 ], ids=["package-error", "other-error", "unpicklable-error", "exit", "killed"])
 def test_a_child_s_failure_is_raised_in_the_parent(job, error, message):
     child = cli._Child(job)
     try:
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as raised:
             child.result()
     finally:
         child.close()
+    cause = raised.value.__cause__
+    if message.startswith("^"):  # the job raised: its traceback is the cause
+        assert isinstance(cause, cli._ChildTraceback)
+        assert "in _raise\n" in str(cause) and str(cause).startswith("raised in the forked child:\nTraceback")
+    else:
+        assert cause is None
 
 
 def test_a_child_s_result_larger_than_a_pipe_arrives_whole():
