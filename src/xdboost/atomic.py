@@ -7,17 +7,20 @@ behind.
 """
 
 import os
+import secrets
 from contextlib import contextmanager
 
 
 @contextmanager
 def replacing(path, mode="w", **open_kwargs):
-    """Open ``<path>.tmp`` for writing; when the block completes, flush and
-    fsync it and rename it over path. If the block raises, path keeps its
-    old content and the temporary file is removed."""
-    tmp = os.fspath(path) + ".tmp"
+    """Open a new ``<path>.<random>.tmp``, this call's own, with the mode a
+    plain open gives; when the block completes, flush and fsync it and
+    rename it over path. If the block raises, path keeps its old content
+    and the temporary file is removed."""
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, mode.replace("w", "x"), **open_kwargs)  # "x" fails if tmp exists
     try:
-        with open(tmp, mode, **open_kwargs) as fh:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

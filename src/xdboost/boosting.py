@@ -21,7 +21,7 @@ import numpy as np
 from .atomic import replacing
 from .data import DesignMatrix, FeatureSchema
 from .errors import ConfigError, DataError, TrainingError, UsageError
-from .models import BaseNet, BaseNetConfig
+from .models import BaseNet, BaseNetConfig, FitHistory
 
 BUNDLE_FORMAT_VERSION = 2
 
@@ -207,9 +207,16 @@ def _training_inputs(n_iterations, X_train, y_train, X_val, y_val, class_weights
     return np.asarray(y_train, dtype=np.float64), y_val, class_weights
 
 
-def _reset_net(net):
-    """Fresh parameters and optimizer for the same schema/config/seed."""
-    return BaseNet(net.schema, net.config, seed=net.seed)
+def _classifier_fit(net, fit, X, y, class_weights, val, cold_restart, observer=None):
+    """Fit number ``fit`` of the classifier's 2n-fit schedule (iteration
+    fit // 2, the refit when fit is odd), from a fresh net of the same seed
+    under cold_restart. Returns (the fitted net, its FitHistory)."""
+    iteration, stage = fit // 2, "refit" if fit % 2 else "fit"
+    if cold_restart:
+        net = BaseNet(net.schema, net.config, seed=net.seed)
+    if observer is not None:
+        observer({"event": "classifier_fit", "iteration": iteration, "stage": stage})
+    return net, _fit_stage(net, X, y, class_weights, val, iteration, "classifier " + stage)
 
 
 def _fit_stage(net, X, y, class_weights, val, iteration, stage):
@@ -235,9 +242,10 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     (classifier_fit, residual_fit, placeholder_write) so tests and
     diagnostics can watch the column discipline without touching the loop.
     Event payloads, copies included, are built only when an observer is
-    given. A residual_fit event's ``classifier`` is the classifier's fit state
-    and the FitHistory of each of its fits so far; iteration 0's can start
-    train_unboosted.
+    given. A residual_fit event carries the live ``classifier`` and the
+    FitHistory of the fit just run; iteration 0's fit state and that
+    history, taken during the event, are the checkpoint train_unboosted
+    starts from.
     """
     y_train, y_val, class_weights = _training_inputs(
         model.n_iterations, X_train, y_train, X_val, y_val, class_weights)
@@ -247,15 +255,10 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     cls_val = (X_val, y_val) if X_val is not None else None
 
     model.training_log = []
-    classifier_fits = []
     for i in range(model.n_iterations):
-        if model.cold_restart:
-            model.classifier = _reset_net(model.classifier)
-        if observer is not None:
-            observer({"event": "classifier_fit", "iteration": i, "stage": "fit"})
-        fit_hist = _fit_stage(model.classifier, X_train, y_train, class_weights,
-                              cls_val, i, "classifier fit")
-        classifier_fits.append(fit_hist)
+        model.classifier, fit_hist = _classifier_fit(
+            model.classifier, 2 * i, X_train, y_train, class_weights, cls_val,
+            model.cold_restart, observer)
 
         predicted = model.classifier.predict_matrix(X_train)
         residual = y_train - predicted
@@ -264,7 +267,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         if observer is not None:
             observer({"event": "residual_fit", "iteration": i, "targets": residual.copy(),
                       "placeholders": train_block.copy(),
-                      "classifier": (model.classifier.fit_state(), list(classifier_fits))})
+                      "classifier": model.classifier, "classifier_history": fit_hist})
         reg_val = None
         if X_val is not None:
             reg_val = (X_val, y_val - model.classifier.predict_matrix(X_val))
@@ -283,13 +286,9 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
                 observer({"event": "placeholder_write", "phase": "val", "iteration": i,
                           "column": i, "values": val_written.copy()})
 
-        if model.cold_restart:
-            model.classifier = _reset_net(model.classifier)
-        if observer is not None:
-            observer({"event": "classifier_fit", "iteration": i, "stage": "refit"})
-        refit_hist = _fit_stage(model.classifier, X_train, y_train, class_weights,
-                                cls_val, i, "classifier refit")
-        classifier_fits.append(refit_hist)
+        model.classifier, refit_hist = _classifier_fit(
+            model.classifier, 2 * i + 1, X_train, y_train, class_weights, cls_val,
+            model.cold_restart, observer)
 
         model.training_log.append({
             "iteration": i,
@@ -342,9 +341,9 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
     ``start`` is a checkpoint (fit state, FitHistory of each fit) of the
     first m fits of this schedule on the same inputs; the net resumes from
     it and runs only the fits after them, so a checkpoint of every fit
-    runs none. The ``classifier`` of train_xdboost's first residual_fit
-    event is the checkpoint of the first fit, which the two nets share bit
-    for bit.
+    (``_checkpoint``) runs none. The checkpoint of the first fit, which
+    the two nets share bit for bit, comes from train_xdboost's first
+    residual_fit event.
     """
     _check_knobs(n_iterations)
     ph_schema = schema.with_placeholders(n_iterations)
@@ -359,13 +358,19 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
         _check_checkpoint(net, state, len(hists), n_iterations)
         net.load_fit_state(state)
     for fit in range(len(hists), 2 * n_iterations):
-        if cold_restart:
-            net = _reset_net(net)
-        hists.append(_fit_stage(net, X_train, y_train, class_weights, val, fit // 2,
-                                "classifier " + ("refit" if fit % 2 else "fit")))
+        net, hist = _classifier_fit(net, fit, X_train, y_train, class_weights, val,
+                                    cold_restart)
+        hists.append(hist)
     log = [{"iteration": i, "classifier_fit": hists[2 * i].to_dict(),
             "classifier_refit": hists[2 * i + 1].to_dict()} for i in range(n_iterations)]
     return net, log
+
+
+def _checkpoint(net, log):
+    """train_unboosted's ``start`` after every fit of the run that gave
+    (net, log)."""
+    return net.fit_state(), [FitHistory(**entry[f"classifier_{stage}"])
+                             for entry in log for stage in ("fit", "refit")]
 
 
 def _check_checkpoint(net, state, n_fits, n_iterations):

@@ -7,11 +7,11 @@ encode against a schema fitted on that training data only, derive class
 weights, then train the boosted model and its unboosted reference under
 the same seed and evaluate both on the validation and test splits. The
 reference's fits after the first, which it shares with the boosted
-classifier, run in a forked child while the boosting loop goes on, given a
-second CPU to run on. Results
-are written as one JSON file per run, after the run's model bundle; sweeps
-additionally emit a plot-ready CSV. Every result file is replaced
-atomically (see ``atomic``). Exit codes distinguish configuration (2),
+classifier, run in a forked child (see ``child``) while the boosting loop
+goes on, given a second CPU to run on. Results are written as one JSON
+file per run, after the run's model bundle; sweeps additionally emit a
+plot-ready CSV. Every output file is replaced atomically (see
+``atomic``). Exit codes distinguish configuration (2),
 data (3), training (4) and evaluation (5) failures; anything unexpected
 exits 1.
 """
@@ -22,8 +22,6 @@ import dataclasses
 import json
 import logging
 import os
-import pickle
-import signal
 import sys
 import time
 import traceback
@@ -36,14 +34,15 @@ import numpy as np
 from . import metrics, synth
 from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
-                       _check_knobs, append_placeholders, create_xdboost,
+                       _check_knobs, _checkpoint, append_placeholders, create_xdboost,
                        predict_xdboost, train_unboosted, train_xdboost)
+from .child import _Child, _cpus
 from .data import (FieldSpec, SplitSpec, build_schema_and_encode,
                    chronological_split, class_weights, cold_start_filter, encode,
                    ingest_csv, read_csv, records_hash, sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
-from .models import BaseNetConfig, FitHistory
+from .models import BaseNetConfig
 
 logger = logging.getLogger(__name__)
 
@@ -250,8 +249,9 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         # reference's fits share nothing with the loop's, so a child runs
         # them while the loop goes on; on one CPU they would only take
         # turns, so they run after the loop instead.
-        if event["event"] == "residual_fit" and not children:
-            children.append(_Child(lambda: _checkpoint(*train_reference(event["classifier"])),
+        if event["event"] == "residual_fit" and event["iteration"] == 0:
+            start = event["classifier"].fit_state(), [event["classifier_history"]]
+            children.append(_Child(lambda: _checkpoint(*train_reference(start)),
                                    fork=_cpus() > 1))
 
     t0 = time.perf_counter()
@@ -304,121 +304,6 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         "baseline_training_log": reference_log,
     }
     return result, model
-
-
-def _checkpoint(net, log):
-    """train_unboosted's ``start`` after every fit of the run that gave
-    (net, log)."""
-    return net.fit_state(), [FitHistory(**entry[f"classifier_{stage}"])
-                             for entry in log for stage in ("fit", "refit")]
-
-
-def _cpus():
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Child:
-    """``job()`` run in a forked child beside the caller; ``result`` reads
-    its pickled outcome back through a pipe. With ``fork`` false, where
-    os.fork does not exist, or where the pipe or the fork fails, ``result``
-    runs the job in-process instead.
-
-    ``result`` returns what the job returned or raises what it raised, with
-    its class and message and the child's traceback as its cause (an
-    exception that cannot be pickled comes back as a RuntimeError naming
-    its class); a child that dies or sends nothing is a TrainingError
-    naming its exit status. ``close`` kills and reaps a child whose result
-    was never read.
-
-    On Python 3.12 and later os.fork warns when the process runs other
-    threads. OpenBLAS stops its thread pool before a fork, so a process
-    whose only other threads are OpenBLAS's sees no warning; a caller
-    with threads of its own will.
-    """
-
-    def __init__(self, job, fork=True):
-        self._job, self._pid, self._fd = job, None, None
-        if not (fork and hasattr(os, "fork")):
-            return
-        fds = ()
-        try:
-            fds = read_fd, write_fd = os.pipe()
-            pid = os.fork()
-        except OSError:  # e.g. a process limit: run the job in-process
-            for fd in fds:
-                os.close(fd)
-            return
-        if pid == 0:
-            os.close(read_fd)
-            _send_and_exit(job, write_fd)
-        os.close(write_fd)
-        self._pid, self._fd = pid, read_fd
-
-    def result(self):
-        if self._pid is None:
-            return self._job()
-        # read to EOF before waiting, or a child blocked on a full pipe never exits
-        with os.fdopen(self._fd, "rb") as fh:
-            self._fd = None
-            data = fh.read()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code or not data:
-            raise TrainingError(f"the reference's training process exited with status "
-                                f"{code} without a result")
-        ok, value, child_traceback = pickle.loads(data)
-        if not ok:
-            raise value from _ChildTraceback(child_traceback)
-        return value
-
-    def close(self):
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-
-class _ChildTraceback(Exception):
-    """The traceback of an exception raised in the child, as text; the
-    cause of the exception ``_Child.result`` raises again."""
-
-    def __str__(self):
-        return f"raised in the forked child:\n{self.args[0]}"
-
-
-def _send_and_exit(job, write_fd):
-    """In a forked child: pickle (True, job(), None) or (False, its
-    exception, its formatted traceback) to write_fd and exit at once, so
-    none of the parent's cleanup runs here."""
-    status = 1
-    try:
-        try:
-            outcome = (True, job(), None)
-        except BaseException as exc:  # raised again in the parent
-            outcome = (False, _portable(exc), traceback.format_exc())
-        with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _portable(exc):
-    """exc, or a RuntimeError naming its class where exc would not come
-    through a pickle round trip. Not an XDBoostError, so the run fails as
-    it would had exc been raised in-process: exit 1, a sweep aborted."""
-    try:
-        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
 
 
 def _write_json(path, payload):
@@ -551,7 +436,7 @@ def cmd_predict(bundle_path, input_path, output_path):
     X, _, _ = encode(log, schema)
     probs = (predict_xdboost(model, append_placeholders(X, model.n_iterations))
              if len(log) else np.zeros(0))
-    with open(output_path, "w", newline="") as fh:
+    with replacing(output_path, newline="") as fh:
         csv.writer(fh).writerow(header + ["predicted_ctr"])
         # each text is its row as csv.writer writes it, so appending the
         # cell gives the line csv.writer would write for the scored row

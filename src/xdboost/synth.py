@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import replacing
 from .data import ClickLog, FieldSpec
 from .errors import ConfigError
 
@@ -157,7 +158,7 @@ def generate_records(config: SynthConfig):
 
 
 def write_csv(log, path):
-    """One CSV with the standard header; floats round-trip exactly.
+    """One CSV with the standard header, replaced atomically; floats round-trip exactly.
 
     Lines are joined here, not by csv.writer: the generator's tokens
     (letters, digits and underscores), integer timestamps and labels and
@@ -171,6 +172,6 @@ def write_csv(log, path):
     columns += [log.categorical[name].tolist() for name in CONTEXT_FIELDS]
     columns += [map(repr, log.continuous[name].tolist()) for name in CONTINUOUS_FIELDS]
     columns.append(map(str, log.label.tolist()))
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(f"{','.join(row)}\r\n" for row in zip(*columns))

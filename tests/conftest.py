@@ -7,8 +7,8 @@ reader and writer of model bundle archives for fault injection, a
 csv.reader-only click-log reader with a strategy for awkward CSV files,
 the per-row ``json.dumps`` form of ``records_hash``, the forward and
 backward passes in the broadcast form they had before they were made
-broadcast-free, and a guard that fails any test leaving a child process
-unreaped.
+broadcast-free, an exception that does not survive a pickle round trip,
+and a guard that fails any test leaving a child process unreaped.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
 check is shared between the unit tests and the acceptance gate.
@@ -43,6 +43,11 @@ def no_child_left():
         return
     pytest.fail(f"the test left child process {pid} unreaped" if pid
                 else "the test left a child process running")
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
 
 
 def params(net):

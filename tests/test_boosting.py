@@ -282,7 +282,8 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
                            cold_restart=cold_restart)
     fitted = []
     train_xdboost(model, X_train.copy(), y_train, copy(X_val), y_val, class_weights=weights,
-                  observer=lambda e: fitted.append(e["classifier"])
+                  observer=lambda e: fitted.append(
+                      (e["classifier"].fit_state(), [e["classifier_history"]]))
                   if e["event"] == "residual_fit" else None)
     assert len(fitted) == n_iterations
 
@@ -326,8 +327,9 @@ def test_a_checkpoint_that_cannot_belong_to_the_call_is_refused(case, message):
     model = create_xdboost(schema, NET, n_iterations=2, seed=45)
     first = []
     train_xdboost(model, X_train.copy(), y_train, X_val.copy(), y_val,
-                  observer=lambda e: e["event"] == "residual_fit" and first.append(e))
-    (flat, (t, m, v), rng_state), hists = first[0]["classifier"]
+                  observer=lambda e: e["event"] == "residual_fit" and first.append(
+                      (e["classifier"].fit_state(), [e["classifier_history"]])))
+    (flat, (t, m, v), rng_state), hists = first[0]
     if case == "histories":
         hists = hists * 5
     elif case == "arena":

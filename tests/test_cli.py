@@ -9,7 +9,6 @@ import io
 import json
 import os
 import shutil
-import signal
 import tempfile
 import time
 import types
@@ -18,11 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import click_csv_texts, csv_reader_oracle, read_bundle, write_bundle
+from conftest import (_Unpicklable, click_csv_texts, csv_reader_oracle, read_bundle,
+                      write_bundle)
 from xdboost import cli, data, synth
 from xdboost.boosting import XDBoostModel, append_placeholders, predict_xdboost
-from xdboost.data import FeatureSchema, FieldSpec, encode, ingest_csv, records_hash
-from xdboost.errors import ConfigError, DataError, EvaluationError, TrainingError
+from xdboost.data import (FeatureSchema, FieldSpec, chronological_split, encode, ingest_csv,
+                          records_hash)
+from xdboost.errors import ConfigError, DataError, TrainingError
+from xdboost.metrics import evaluate
 from xdboost.models import BaseNet
 
 FAST_MODEL = {
@@ -352,6 +354,46 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     assert {fd for fds in pipes for fd in fds} <= set(closed)
 
 
+@pytest.mark.parametrize("n_iterations", [1, 3])
+@pytest.mark.parametrize("forked, fit_states", [(True, 1), (False, 2)],
+                         ids=["forked", "in_process"])
+def test_an_experiment_takes_one_fit_state_in_the_parent(tmp_path, monkeypatch, two_cpus,
+                                                         n_iterations, forked, fit_states):
+    """The parent copies the classifier's fit state once, at the fork point
+    after the first fit; in-process, the reference's final checkpoint is
+    the second. A child's calls land in the child's copy of the list."""
+    fit_state, taken = BaseNet.fit_state, []
+    monkeypatch.setattr(BaseNet, "fit_state", lambda net: taken.append(net) or fit_state(net))
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    config = write_config(tmp_path, model={**FAST_MODEL, "n_iterations": n_iterations})
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert len(taken) == fit_states
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+def test_the_parent_s_last_reference_scores_the_reported_baseline(tmp_path, monkeypatch,
+                                                                  two_cpus, forked):
+    """The benchmark scores the net the parent's last train_unboosted call
+    returns, wrapped through the cli module as here; that net must give the
+    result's baseline metrics bit for bit."""
+    train, returned = cli.train_unboosted, []
+    monkeypatch.setattr(cli, "train_unboosted",
+                        lambda *a, **kw: returned.append(train(*a, **kw)) or returned[-1])
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    cfg = cli.load_config(write_config(tmp_path), output_dir=str(tmp_path))
+    log, field_spec, _ = cli.load_records(cfg)
+    result, model = cli.run_experiment(cfg, log, field_spec, None)
+    reference = returned[-1][0]
+    _, val_log, test_log = chronological_split(log, cfg.split)
+    schema = dataclasses.replace(model.schema, n_placeholders=0)
+    for name, rows in (("val", val_log), ("test", test_log)):
+        X, y, _ = encode(rows, schema)
+        probs = reference.predict_matrix(append_placeholders(X, model.n_iterations))
+        assert evaluate(probs, y).to_dict() == result["metrics"]["baseline"][name]
+
+
 def test_train_is_reproducible(tmp_path):
     config = write_config(tmp_path)
     blobs = []
@@ -468,15 +510,6 @@ def test_bad_boosting_knobs_exit_2_before_any_data_is_read(tmp_path, capsys, mon
 
 # ---- the reference's child process ------------------------------------------------
 
-def _raise(exc):
-    raise exc
-
-
-class _Unpicklable(Exception):
-    def __init__(self, a, b):
-        super().__init__(f"{a} {b}")
-
-
 def _patch_fit(monkeypatch, before):
     """Make BaseNet.fit call ``before(net, X, in_child)`` first; in_child is
     whether the call runs in a process forked after the patch."""
@@ -577,39 +610,6 @@ def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatc
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("job, error, message", [
-    (lambda: _raise(EvaluationError("single-class labels")), EvaluationError,
-     "^single-class labels$"),
-    (lambda: _raise(KeyError("k")), KeyError, "^'k'$"),
-    (lambda: _raise(_Unpicklable(1, 2)), RuntimeError, "^_Unpicklable: 1 2$"),
-    (lambda: os._exit(3), TrainingError, "exited with status 3 without a result"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), TrainingError, "exited with status -9"),
-], ids=["package-error", "other-error", "unpicklable-error", "exit", "killed"])
-def test_a_child_s_failure_is_raised_in_the_parent(job, error, message):
-    child = cli._Child(job)
-    try:
-        with pytest.raises(error, match=message) as raised:
-            child.result()
-    finally:
-        child.close()
-    cause = raised.value.__cause__
-    if message.startswith("^"):  # the job raised: its traceback is the cause
-        assert isinstance(cause, cli._ChildTraceback)
-        assert "in _raise\n" in str(cause) and str(cause).startswith("raised in the forked child:\nTraceback")
-    else:
-        assert cause is None
-
-
-def test_a_child_s_result_larger_than_a_pipe_arrives_whole():
-    big = np.random.default_rng(0).random(1 << 17)  # 1 MiB, past any pipe buffer
-    child = cli._Child(lambda: ("ok", big))
-    try:
-        tag, got = child.result()
-    finally:
-        child.close()
-    assert tag == "ok" and got.tobytes() == big.tobytes()
-
-
 # ---- coldstart --------------------------------------------------------------------
 
 def test_coldstart_evaluates_only_novel_items(tmp_path):
@@ -674,6 +674,25 @@ def test_predict_scores_every_row(trained_run, tmp_path):
     cli.main(["predict", "--bundle", bundle, "--input", data,
               "--output", str(again)])
     assert out_path.read_bytes() == again.read_bytes()
+
+
+class _Unprintable(float):
+    def __repr__(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_predict_that_fails_partway_keeps_the_previous_output(trained_run, tmp_path,
+                                                               monkeypatch):
+    bundle, data = trained_run
+    out_path = tmp_path / "scored.csv"
+    out_path.write_bytes(b"previous\r\n")
+    # the 30th probability cannot be written, after 29 rows were
+    probs = np.array([0.5] * 29 + [_Unprintable(0.5)] + [0.5] * 10, dtype=object)
+    monkeypatch.setattr(cli, "predict_xdboost", lambda model, X: probs)
+    with pytest.raises(OSError, match="No space left"):
+        cli.cmd_predict(bundle, data, str(out_path))
+    assert out_path.read_bytes() == b"previous\r\n"
+    assert os.listdir(tmp_path) == ["scored.csv"]
 
 
 def test_predict_handles_an_empty_input(trained_run, tmp_path):

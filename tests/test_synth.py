@@ -2,6 +2,7 @@
 planting and CSV round-trips."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -113,3 +114,14 @@ def test_write_csv_bytes_are_pinned(tmp_path):
     synth.write_csv(records, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == "6bc3773139cbe6b51d717b67672a0a875073783ffa4fbd3a29af1e78ef2898b0")
+
+
+def test_write_csv_that_fails_partway_keeps_the_previous_file(tmp_path):
+    records, _ = synth.generate_records(synth.SynthConfig(n_rows=300, seed=4))
+    records.user_id[200] = None  # a row the writer cannot join
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"previous\r\n")
+    with pytest.raises(TypeError):
+        synth.write_csv(records, path)
+    assert path.read_bytes() == b"previous\r\n"
+    assert os.listdir(tmp_path) == ["data.csv"]
