@@ -184,23 +184,23 @@ def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,
                         seed=seed, cold_restart=cold_restart)
 
 
-def _check_boosting_matrix(X, n_iterations, name, require_zero):
+def _check_boosting_matrix(X, n_iterations, name):
     if X.n_placeholders != n_iterations:
         raise DataError(
             f"{name} has {X.n_placeholders} placeholder columns, expected {n_iterations} "
             "(append_placeholders first)")
-    if require_zero and X.n_rows and np.any(X.placeholder_block()):
+    if X.n_rows and np.any(X.placeholder_block()):
         raise DataError(f"{name} placeholder columns must start zeroed")
 
 
 def _training_inputs(n_iterations, X_train, y_train, X_val, y_val, class_weights):
     """Check the training matrices; returns float64 y_train and y_val (None
     without validation rows) and the class weights as a dict."""
-    _check_boosting_matrix(X_train, n_iterations, "X_train", require_zero=True)
+    _check_boosting_matrix(X_train, n_iterations, "X_train")
     if (X_val is None) != (y_val is None):
         raise UsageError("X_val and y_val must be given together")
     if X_val is not None:
-        _check_boosting_matrix(X_val, n_iterations, "X_val", require_zero=True)
+        _check_boosting_matrix(X_val, n_iterations, "X_val")
         y_val = np.asarray(y_val, dtype=np.float64)
     if hasattr(class_weights, "as_dict"):
         class_weights = class_weights.as_dict()
@@ -307,13 +307,13 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
 
     Regressor i fills placeholder column i (scaled by the error learning
     rate) in index order, exactly mirroring the training-time writes; the
-    classifier then scores the completed matrix. The writes go to a copy,
-    so X_test is left as it was.
+    classifier then scores the completed matrix. The writes go to a copy
+    of the continuous block, so X_test is left as it was.
     """
     if not model.trained:
         raise UsageError("model has not been trained")
-    _check_boosting_matrix(X_test, model.n_iterations, "X_test", require_zero=True)
-    X = X_test.copy()
+    _check_boosting_matrix(X_test, model.n_iterations, "X_test")
+    X = DesignMatrix(X_test.cat, X_test.cont.copy(), X_test.n_placeholders)
     block = X.placeholder_block()
     for i, regressor in enumerate(model.regressors):
         written = model.error_lr * regressor.predict_matrix(X)
@@ -324,19 +324,18 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     return model.classifier.predict_matrix(X)
 
 
-def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
-                    X_train, y_train, X_val=None, y_val=None, class_weights=None,
-                    seed=0, cold_restart=False, start=None):
-    """Reference classifier: same seed, same fit schedule, zero placeholders.
+def train_unboosted(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
+                    class_weights=None, start=None):
+    """Reference classifier for model: same seed, same fit schedule, zero placeholders.
 
-    Builds the classifier exactly as create_xdboost would (same derived
-    seed, same schema with n_iterations placeholder columns) and runs the
-    same two fit calls per iteration, but never writes anything into the
-    placeholder block. With error_lr = 0 the boosted classifier sees the
-    same all-zero columns, so the two trajectories coincide; with a real
-    error_lr the gap between this net and the boosted one is the lift.
-    Returns (net, per-iteration fit log). The input matrices are not
-    modified.
+    Builds a fresh net from model.classifier's schema, config and seed, as
+    a cold restart does, and runs model's fit schedule (two fit calls per
+    iteration, with model's cold_restart), but never writes anything into
+    the placeholder block. With error_lr = 0 the boosted classifier sees
+    the same all-zero columns, so the two trajectories coincide; with a
+    real error_lr the gap between this net and the boosted one is the
+    lift. Returns (net, per-iteration fit log). The model, trained or not,
+    is only read, and the input matrices are not modified.
 
     ``start`` is a checkpoint (fit state, FitHistory of each fit) of the
     first m fits of this schedule on the same inputs; the net resumes from
@@ -345,13 +344,13 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
     the two nets share bit for bit, comes from train_xdboost's first
     residual_fit event.
     """
-    _check_knobs(n_iterations)
-    ph_schema = schema.with_placeholders(n_iterations)
+    n_iterations = model.n_iterations
     y_train, y_val, class_weights = _training_inputs(
         n_iterations, X_train, y_train, X_val, y_val, class_weights)
     val = (X_val, y_val) if X_val is not None else None
 
-    net = BaseNet(ph_schema, config.as_classifier(), seed=classifier_seed(seed))
+    net = model.classifier
+    net = BaseNet(net.schema, net.config, seed=net.seed)
     hists = []
     if start is not None:
         state, hists = start[0], list(start[1])
@@ -359,7 +358,7 @@ def train_unboosted(schema: FeatureSchema, config: BaseNetConfig, n_iterations,
         net.load_fit_state(state)
     for fit in range(len(hists), 2 * n_iterations):
         net, hist = _classifier_fit(net, fit, X_train, y_train, class_weights, val,
-                                    cold_restart)
+                                    model.cold_restart)
         hists.append(hist)
     log = [{"iteration": i, "classifier_fit": hists[2 * i].to_dict(),
             "classifier_refit": hists[2 * i + 1].to_dict()} for i in range(n_iterations)]

@@ -1,9 +1,11 @@
 """A job run in a forked child process beside its caller.
 
 ``_Child`` forks, runs a job in the child and reads the job's pickled
-outcome back through a pipe; where it cannot fork, it runs the job
-in-process when the outcome is asked for. The experiment harness runs the
-unboosted reference's fits this way while the boosting loop goes on.
+outcome back through a pipe; where it cannot fork, or where the process
+may run on one CPU only, so that the two would only take turns, it runs
+the job in-process when the outcome is asked for. The experiment harness
+runs the unboosted reference's fits this way while the boosting loop
+goes on.
 
 On Python 3.12 and later os.fork warns when the process runs other
 threads. OpenBLAS stops its thread pool before a fork, so a process
@@ -28,9 +30,9 @@ def _cpus():
 
 class _Child:
     """``job()`` run in a forked child beside the caller; ``result`` reads
-    its pickled outcome back through a pipe. With ``fork`` false, where
-    os.fork does not exist, or where the pipe or the fork fails, ``result``
-    runs the job in-process instead.
+    its pickled outcome back through a pipe. Where ``_cpus`` reports one
+    CPU, where os.fork does not exist, or where the pipe or the fork
+    fails, ``result`` runs the job in-process instead.
 
     ``result`` returns what the job returned or raises what it raised, with
     its class and message and the child's traceback as its cause (an
@@ -40,9 +42,9 @@ class _Child:
     was never read.
     """
 
-    def __init__(self, job, fork=True):
+    def __init__(self, job):
         self._job, self._pid, self._fd = job, None, None
-        if not (fork and hasattr(os, "fork")):
+        if not (hasattr(os, "fork") and _cpus() > 1):
             return
         fds = ()
         try:

@@ -36,7 +36,7 @@ from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        _check_knobs, _checkpoint, append_placeholders, create_xdboost,
                        predict_xdboost, train_unboosted, train_xdboost)
-from .child import _Child, _cpus
+from .child import _Child
 from .data import (FieldSpec, SplitSpec, build_schema_and_encode,
                    chronological_split, class_weights, cold_start_filter, encode,
                    ingest_csv, read_csv, records_hash, sub_training)
@@ -233,35 +233,32 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
     timings["encode"] = time.perf_counter() - t0
 
     n = cfg.n_iterations
-    have_val = X_val.n_rows > 0
+
+    def inputs():
+        """Fresh (X_train, y_train, X_val, y_val) with zeroed placeholder
+        columns, for one model; no validation pair without validation rows."""
+        val = (append_placeholders(X_val, n), y_val) if X_val.n_rows else (None, None)
+        return append_placeholders(X_train, n), y_train, *val
+
+    t0 = time.perf_counter()
+    model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
+                           seed=cfg.seed, cold_restart=cfg.cold_restart)
 
     def train_reference(start):
-        return train_unboosted(
-            schema, cfg.net, n, append_placeholders(X_train, n), y_train,
-            append_placeholders(X_val, n) if have_val else None,
-            y_val if have_val else None, class_weights=weights,
-            seed=cfg.seed, cold_restart=cfg.cold_restart, start=start)
+        return train_unboosted(model, *inputs(), class_weights=weights, start=start)
 
     children = []
 
     def fork_reference(event):
         # After the first fit, which the two classifiers share, the
         # reference's fits share nothing with the loop's, so a child runs
-        # them while the loop goes on; on one CPU they would only take
-        # turns, so they run after the loop instead.
+        # them while the loop goes on.
         if event["event"] == "residual_fit" and event["iteration"] == 0:
             start = event["classifier"].fit_state(), [event["classifier_history"]]
-            children.append(_Child(lambda: _checkpoint(*train_reference(start)),
-                                   fork=_cpus() > 1))
+            children.append(_Child(lambda: _checkpoint(*train_reference(start))))
 
-    t0 = time.perf_counter()
-    model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
-                           seed=cfg.seed, cold_restart=cfg.cold_restart)
     try:
-        train_xdboost(model, append_placeholders(X_train, n), y_train,
-                      append_placeholders(X_val, n) if have_val else None,
-                      y_val if have_val else None, class_weights=weights,
-                      observer=fork_reference)
+        train_xdboost(model, *inputs(), class_weights=weights, observer=fork_reference)
         timings["train_boosted"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -341,6 +338,7 @@ def cmd_sweep(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = []
     failures = []
+    kinds = set()  # the classes of the failures, to raise when every run fails
     results = []
     test_set_hash = None  # the test split is the same for every budget
     for pct in cfg.sub_training_percentages:
@@ -351,6 +349,7 @@ def cmd_sweep(cfg):
             logger.warning("sweep run at %s%% failed: %s", pct, exc)
             failures.append({"percentage": pct, "type": type(exc).__name__,
                              "error": str(exc)})
+            kinds.add(type(exc))
             continue
         test_set_hash = result["test_set_hash"]
         result["data_source"] = source
@@ -378,19 +377,9 @@ def cmd_sweep(cfg):
     print(f"sweep: {len(results)} runs ok, {len(failures)} failed; "
           f"aggregated CSV at {csv_path}")
     if not results:
-        raise failures_to_error(failures)
+        error = kinds.pop() if len(kinds) == 1 else TrainingError
+        raise error(f"every sweep run failed: {failures}")
     return 0
-
-
-def failures_to_error(failures):
-    kinds = {f["type"] for f in failures}
-    message = f"every sweep run failed: {failures}"
-    for name, exc_type in (("ConfigError", ConfigError), ("DataError", DataError),
-                           ("TrainingError", TrainingError),
-                           ("EvaluationError", EvaluationError)):
-        if kinds == {name}:
-            return exc_type(message)
-    return TrainingError(message)
 
 
 def cmd_coldstart(cfg):
@@ -499,12 +488,14 @@ def build_parser():
     p_pred.add_argument("--output", required=True, help="where to write scored CSV")
 
     p_gen = sub.add_parser("synth-gen", help="write a synthetic click log")
+    synth_defaults = synth.SynthConfig()
     p_gen.add_argument("--output-dir", required=True)
-    p_gen.add_argument("--rows", type=int, default=20000)
-    p_gen.add_argument("--vocab-size", type=int, default=50)
-    p_gen.add_argument("--cold-start-fraction", type=float, default=0.0)
-    p_gen.add_argument("--test-fraction", type=float, default=0.20)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--rows", type=int, default=synth_defaults.n_rows)
+    p_gen.add_argument("--vocab-size", type=int, default=synth_defaults.vocab_size)
+    p_gen.add_argument("--cold-start-fraction", type=float,
+                       default=synth_defaults.cold_start_fraction)
+    p_gen.add_argument("--test-fraction", type=float, default=synth_defaults.test_fraction)
+    p_gen.add_argument("--seed", type=int, default=synth_defaults.seed)
     return parser
 
 

@@ -126,7 +126,7 @@ def generate_records(config: SynthConfig):
         va = item_vectors if a == 1 else latents[a][tokens[:, a]]
         vb = item_vectors if b == 1 else latents[b][tokens[:, b]]
         score += config.interaction_scale * (va * vb).sum(axis=1)
-    score += segment_bias[tokens[:, 5]]
+    score += segment_bias[tokens[:, 2 + CONTEXT_FIELDS.index(SEGMENT_FIELD)]]
     score += (cont_values - 0.5) @ cont_weights
 
     probs = 1.0 / (1.0 + np.exp(-score))

@@ -134,10 +134,10 @@ def test_criterion_04_zero_error_lr_reproduces_the_reference(capsys):
     model = create_xdboost(schema, net, n, error_lr=0.0, seed=99)
     train_xdboost(model, append_placeholders(X_train, n), y_train,
                   append_placeholders(X_val, n), y_val, class_weights=weights)
-    reference, _ = train_unboosted(schema, net, n,
+    reference, _ = train_unboosted(model,
                                    append_placeholders(X_train, n), y_train,
                                    append_placeholders(X_val, n), y_val,
-                                   class_weights=weights, seed=99)
+                                   class_weights=weights)
     Xp = append_placeholders(X_test, n)
     diff = np.max(np.abs(predict_xdboost(model, Xp) - reference.predict_matrix(Xp)))
     assert X_test.n_rows == 400

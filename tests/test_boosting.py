@@ -98,8 +98,7 @@ def test_create_validates_the_knobs():
     # one rule, one message, wherever the iteration count comes in
     messages = set()
     for build in (lambda: create_xdboost(schema, NET, n_iterations=0),
-                  lambda: XDBoostModel(schema, 0, 0.5, None, []),
-                  lambda: train_unboosted(schema, NET, 0, None, None)):
+                  lambda: XDBoostModel(schema, 0, 0.5, None, [])):
         with pytest.raises(ConfigError) as excinfo:
             build()
         messages.add(str(excinfo.value))
@@ -252,9 +251,7 @@ def test_zero_error_lr_collapses_to_the_unboosted_reference():
     model = create_xdboost(schema, NET, n_iterations=2, error_lr=0.0, seed=19)
     train_xdboost(model, X_train.copy(), y_train, X_val.copy(), y_val)
 
-    reference, log = train_unboosted(make_schema((5, 4), 1), NET, 2,
-                                     X_train.copy(), y_train, X_val.copy(), y_val,
-                                     seed=19)
+    reference, log = train_unboosted(model, X_train.copy(), y_train, X_val.copy(), y_val)
     rng = np.random.default_rng(4)
     X_test = append_placeholders(make_matrix(rng, schema, 60), 2)
     boosted = predict_xdboost(model, X_test)
@@ -291,8 +288,8 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
     monkeypatch.setattr(BaseNet, "fit",
                         lambda net, *a, **kw: fits.append(net) or fit(net, *a, **kw))
     (scratch, scratch_log), (forked, forked_log) = (
-        train_unboosted(schema, config, n_iterations, X_train, y_train, X_val, y_val,
-                        class_weights=weights, seed=41, cold_restart=cold_restart, start=start)
+        train_unboosted(model, X_train, y_train, X_val, y_val, class_weights=weights,
+                        start=start)
         for start in (None, fitted[0]))
     assert len(fits) == 2 * n_iterations + (2 * n_iterations - 1)  # scratch, then forked
     assert json.dumps(forked_log) == json.dumps(scratch_log)
@@ -305,13 +302,14 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
 
 def test_a_checkpoint_of_every_fit_rebuilds_the_reference_without_fitting(monkeypatch):
     schema, X_train, y_train, X_val, y_val = _training_setup()
-    done, log = train_unboosted(schema, NET, 2, X_train, y_train, X_val, y_val, seed=43)
+    model = create_xdboost(schema, NET, n_iterations=2, seed=43)
+    done, log = train_unboosted(model, X_train, y_train, X_val, y_val)
     state = done.fit_state()
     hists = [FitHistory(**entry[f"classifier_{stage}"])
              for entry in log for stage in ("fit", "refit")]
     monkeypatch.setattr(BaseNet, "fit", lambda *a, **kw: pytest.fail("a fit ran"))
-    again, again_log = train_unboosted(schema, NET, 2, X_train, y_train, X_val, y_val,
-                                       seed=43, start=(state, hists))
+    again, again_log = train_unboosted(model, X_train, y_train, X_val, y_val,
+                                       start=(state, hists))
     assert again_log == log
     assert again.flat.tobytes() == done.flat.tobytes()
     assert again.optimizer.t == done.optimizer.t
@@ -339,18 +337,23 @@ def test_a_checkpoint_that_cannot_belong_to_the_call_is_refused(case, message):
     else:
         v = v[:-1]
     with pytest.raises(UsageError, match=message):
-        train_unboosted(schema, NET, 2, X_train, y_train, X_val, y_val, seed=45,
+        train_unboosted(model, X_train, y_train, X_val, y_val,
                         start=((flat, (t, m, v), rng_state), hists))
 
 
 def test_unboosted_reference_never_mutates_its_inputs():
     schema, X_train, y_train, X_val, y_val = _training_setup()
+    model = create_xdboost(schema, NET, n_iterations=2, seed=21)
     cont_before = X_train.cont.copy()
     val_before = X_val.cont.copy()
-    train_unboosted(make_schema((5, 4), 1), NET, 2, X_train, y_train,
-                    X_val, y_val, seed=21)
+    arena_before = model.classifier.flat.copy()
+    reference, _ = train_unboosted(model, X_train, y_train, X_val, y_val)
     assert np.array_equal(X_train.cont, cont_before)
     assert np.array_equal(X_val.cont, val_before)
+    # the model is only read: its classifier is not the reference, nor trained by it
+    assert reference is not model.classifier
+    assert model.classifier.flat.tobytes() == arena_before.tobytes()
+    assert model.classifier.optimizer.t == 0
 
 
 def test_training_is_deterministic():

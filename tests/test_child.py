@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import _Unpicklable
+from xdboost import child as child_module
 from xdboost.child import _Child, _ChildTraceback
 from xdboost.errors import EvaluationError, TrainingError
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """A child forks only with a second CPU to run on; these tests fork
+    even on one CPU, as an in-process os._exit would end the test run."""
+    monkeypatch.setattr(child_module, "_cpus", lambda: 2)
 
 
 def _raise(exc):
@@ -47,3 +55,14 @@ def test_a_child_s_result_larger_than_a_pipe_arrives_whole():
     finally:
         child.close()
     assert tag == "ok" and got.tobytes() == big.tobytes()
+
+
+def test_a_child_on_one_cpu_runs_the_job_in_process(monkeypatch):
+    monkeypatch.setattr(child_module, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked with one CPU")))
+    pid = os.getpid()
+    child = _Child(lambda: ("ok", os.getpid()))
+    try:
+        assert child.result() == ("ok", pid)
+    finally:
+        child.close()

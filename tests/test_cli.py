@@ -19,11 +19,12 @@ from hypothesis import given, settings
 
 from conftest import (_Unpicklable, click_csv_texts, csv_reader_oracle, read_bundle,
                       write_bundle)
-from xdboost import cli, data, synth
+from xdboost import child, cli, data, synth
 from xdboost.boosting import XDBoostModel, append_placeholders, predict_xdboost
 from xdboost.data import (FeatureSchema, FieldSpec, chronological_split, encode, ingest_csv,
                           records_hash)
-from xdboost.errors import ConfigError, DataError, TrainingError
+from xdboost.errors import (ConfigError, DataError, EvaluationError, TrainingError,
+                            UsageError)
 from xdboost.metrics import evaluate
 from xdboost.models import BaseNet
 
@@ -311,7 +312,7 @@ def _result_files(root):
 @pytest.fixture
 def two_cpus(monkeypatch):
     """The reference forks only with a second CPU to run on."""
-    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+    monkeypatch.setattr(child, "_cpus", lambda: 2)
 
 
 def _failing_fork():
@@ -338,7 +339,7 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
                 patch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
                 patch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
             elif name == "one_cpu":
-                patch.setattr(cli, "_cpus", lambda: 1)
+                patch.setattr(child, "_cpus", lambda: 1)
                 patch.setattr(os, "fork", _forbidden_fork)
             (tmp_path / name).mkdir()
             patch.chdir(tmp_path / name)  # the results embed the output directory
@@ -488,6 +489,23 @@ def test_sweep_where_every_run_fails_exits_nonzero(tmp_path):
     assert summary["test_set_hash"] is None
     assert [f["percentage"] for f in summary["failures"]] == [0.5]
     assert summary["failures"][0]["type"] == "DataError"
+
+
+@pytest.mark.parametrize("raised, code", [
+    ((UsageError, UsageError), 2), ((DataError, EvaluationError), 4)],
+    ids=["one-class", "mixed"])
+def test_a_sweep_that_fails_everywhere_raises_its_failures_class(tmp_path, monkeypatch,
+                                                                raised, code):
+    """Every run failing with one class exits as that class does, any
+    class of the package included; failures of mixed classes exit 4."""
+    errors = iter(raised)
+
+    def fail(*args, **kwargs):
+        raise next(errors)("run failed")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    assert cli.main(["sweep", "--config", write_config(tmp_path), "--output-dir",
+                     str(tmp_path / "sweep"), "--percentages", "5,10"]) == code
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
