@@ -46,8 +46,9 @@ def regressor_seed(master_seed, iteration):
 def append_placeholders(X: DesignMatrix, n):
     """New matrix with n zero columns appended as the placeholder block.
 
-    The categorical block is shared with the input; the continuous block is
-    reallocated so later placeholder writes never touch the original.
+    The categorical block is shared with the input and the continuous block
+    is new. No entry point writes the matrices it is given, so one result
+    can feed train_xdboost, train_unboosted and scoring alike.
     """
     if X.n_placeholders:
         raise UsageError("matrix already has placeholder columns")
@@ -128,7 +129,8 @@ class XDBoostModel:
     @classmethod
     def load_bundle(cls, path):
         """Read a bundle written by save_bundle; a missing, unreadable,
-        damaged or inconsistent bundle is a DataError naming path."""
+        damaged or inconsistent bundle, or one whose stored vectors hold a
+        NaN or an infinity, is a DataError naming path."""
         if os.path.isdir(path):
             raise DataError(f"{path} is a directory, as version-1 model bundles were; "
                             "retrain to write a one-file bundle")
@@ -150,6 +152,8 @@ class XDBoostModel:
                     if arrays[key].shape != vector.shape:
                         raise DataError(f"{key} has shape {arrays[key].shape}, "
                                         f"expected {vector.shape}")
+                    if not np.isfinite(arrays[key]).all():
+                        raise DataError(f"{key} holds a NaN or infinite value")
                     vector[...] = arrays[key]
                 net.optimizer.t = int(spec["adam_t"])
                 nets.append(net)
@@ -228,14 +232,15 @@ def _fit_stage(net, X, y, class_weights, val, iteration, stage):
 
 def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
                   class_weights=None, observer=None):
-    """Run the full boosting loop; the model and X matrices mutate in place.
+    """Run the full boosting loop; the model is trained in place.
 
     Each iteration i performs three stages: fit the classifier, fit
     regressor i on training residuals (validation residuals, when given,
     drive its early stopping), then write scaled predicted errors into
     placeholder column i of the train and validation matrices and refit the
     classifier. Placeholder columns i..N-1 are still zero when regressor i
-    is fitted. Returns the trained model; per-iteration fit histories are
+    is fitted. The writes go to copies, so X_train and X_val are left as
+    they were. Returns the trained model; per-iteration fit histories are
     kept in model.training_log.
 
     The optional observer is called with one dict per notable event
@@ -249,9 +254,8 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     """
     y_train, y_val, class_weights = _training_inputs(
         model.n_iterations, X_train, y_train, X_val, y_val, class_weights)
-
-    train_block = X_train.placeholder_block()
-    val_block = X_val.placeholder_block() if X_val is not None else None
+    X_train = _working_copy(X_train)
+    X_val = _working_copy(X_val) if X_val is not None else None
     cls_val = (X_val, y_val) if X_val is not None else None
 
     model.training_log = []
@@ -266,7 +270,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
             raise TrainingError(f"iteration {i}: non-finite residuals from the classifier")
         if observer is not None:
             observer({"event": "residual_fit", "iteration": i, "targets": residual.copy(),
-                      "placeholders": train_block.copy(),
+                      "placeholders": X_train.placeholder_block().copy(),
                       "classifier": model.classifier, "classifier_history": fit_hist})
         reg_val = None
         if X_val is not None:
@@ -274,17 +278,9 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         reg_hist = _fit_stage(model.regressors[i], X_train, residual, None,
                               reg_val, i, "residual fit")
 
-        written = model.error_lr * model.regressors[i].predict_matrix(X_train)
-        train_block[:, i] = written
-        if observer is not None:
-            observer({"event": "placeholder_write", "phase": "train", "iteration": i,
-                      "column": i, "values": written.copy()})
+        written = _write_column(model, i, X_train, "train", observer)
         if X_val is not None:
-            val_written = model.error_lr * model.regressors[i].predict_matrix(X_val)
-            val_block[:, i] = val_written
-            if observer is not None:
-                observer({"event": "placeholder_write", "phase": "val", "iteration": i,
-                          "column": i, "values": val_written.copy()})
+            _write_column(model, i, X_val, "val", observer)
 
         model.classifier, refit_hist = _classifier_fit(
             model.classifier, 2 * i + 1, X_train, y_train, class_weights, cls_val,
@@ -313,15 +309,26 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     if not model.trained:
         raise UsageError("model has not been trained")
     _check_boosting_matrix(X_test, model.n_iterations, "X_test")
-    X = DesignMatrix(X_test.cat, X_test.cont.copy(), X_test.n_placeholders)
-    block = X.placeholder_block()
-    for i, regressor in enumerate(model.regressors):
-        written = model.error_lr * regressor.predict_matrix(X)
-        block[:, i] = written
-        if observer is not None:
-            observer({"event": "placeholder_write", "phase": "predict", "iteration": i,
-                      "column": i, "values": written.copy()})
+    X = _working_copy(X_test)
+    for i in range(model.n_iterations):
+        _write_column(model, i, X, "predict", observer)
     return model.classifier.predict_matrix(X)
+
+
+def _working_copy(X):
+    """X with a continuous block of its own to write placeholder columns into."""
+    return DesignMatrix(X.cat, X.cont.copy(), X.n_placeholders)
+
+
+def _write_column(model, i, X, phase, observer):
+    """The one writer of placeholder columns: error_lr times regressor i's
+    predictions on X into column i, shown to the observer; returns them."""
+    written = model.error_lr * model.regressors[i].predict_matrix(X)
+    X.placeholder_block()[:, i] = written
+    if observer is not None:
+        observer({"event": "placeholder_write", "phase": phase, "iteration": i,
+                  "column": i, "values": written.copy()})
+    return written
 
 
 def train_unboosted(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,

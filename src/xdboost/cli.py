@@ -232,20 +232,16 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
     weights = class_weights(y_train)
     timings["encode"] = time.perf_counter() - t0
 
-    n = cfg.n_iterations
-
-    def inputs():
-        """Fresh (X_train, y_train, X_val, y_val) with zeroed placeholder
-        columns, for one model; no validation pair without validation rows."""
-        val = (append_placeholders(X_val, n), y_val) if X_val.n_rows else (None, None)
-        return append_placeholders(X_train, n), y_train, *val
-
     t0 = time.perf_counter()
+    # one zeroed set feeds both models and the validation scores: no entry point writes it
+    n = cfg.n_iterations
+    train = append_placeholders(X_train, n), y_train
+    val = (append_placeholders(X_val, n), y_val) if X_val.n_rows else (None, None)
     model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
                            seed=cfg.seed, cold_restart=cfg.cold_restart)
 
     def train_reference(start):
-        return train_unboosted(model, *inputs(), class_weights=weights, start=start)
+        return train_unboosted(model, *train, *val, class_weights=weights, start=start)
 
     children = []
 
@@ -258,7 +254,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
             children.append(_Child(lambda: _checkpoint(*train_reference(start))))
 
     try:
-        train_xdboost(model, *inputs(), class_weights=weights, observer=fork_reference)
+        train_xdboost(model, *train, *val, class_weights=weights, observer=fork_reference)
         timings["train_boosted"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -272,14 +268,13 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
 
     t0 = time.perf_counter()
     result_metrics = {"boosted": {}, "baseline": {}}
-    for split_name, X, y in (("val", X_val, y_val), ("test", X_test, y_test)):
-        if X.n_rows == 0:
+    for split_name, X, y in (("val", *val), ("test", append_placeholders(X_test, n), y_test)):
+        if X is None or X.n_rows == 0:
             continue
-        Xp = append_placeholders(X, n)
         result_metrics["boosted"][split_name] = metrics.evaluate(
-            predict_xdboost(model, Xp), y).to_dict()
+            predict_xdboost(model, X), y).to_dict()
         result_metrics["baseline"][split_name] = metrics.evaluate(
-            reference.predict_matrix(Xp), y).to_dict()
+            reference.predict_matrix(X), y).to_dict()
     timings["evaluate"] = time.perf_counter() - t0
 
     result = {

@@ -164,9 +164,10 @@ def read_csv(path, field_spec, scoring=False):
     Rows stay in file order; blank lines are skipped and short rows are
     padded with blank cells. The header must name every declared field, and
     ``timestamp`` and ``label`` unless scoring: a scoring file may lack
-    them, and then the row order fills the timestamps and 0 the labels. A
-    blank categorical cell is MISSING_TOKEN and a blank continuous cell is
-    missing (NaN). A row with more cells than the header, a non-binary
+    them, and then the row order fills the timestamps and 0 the labels.
+    None of these may be named twice. A blank categorical cell is
+    MISSING_TOKEN and a blank continuous cell is missing (NaN). A row with
+    more cells than the header, a non-binary
     label, or a timestamp or continuous value that is not a finite number
     raises a DataError naming the physical line the row starts on.
 
@@ -298,9 +299,15 @@ def _split_rows(path, required):
 
 
 def _require_columns(header, required):
+    """The header must name every required column, and ``timestamp``,
+    ``label`` and every required column at most once: a repeated name would
+    leave only its last column read."""
     missing = [name for name in required if name not in header]
     if missing:
         raise DataError(f"missing required columns: {missing}")
+    for name in dict.fromkeys(["timestamp", "label", *required]):
+        if header.count(name) > 1:
+            raise DataError(f"the header names column {name!r} {header.count(name)} times")
 
 
 def _finite(text):
@@ -460,9 +467,6 @@ class DesignMatrix:
     @property
     def n_rows(self):
         return self.cat.shape[0]
-
-    def copy(self):
-        return DesignMatrix(self.cat.copy(), self.cont.copy(), self.n_placeholders)
 
     def placeholder_block(self):
         if self.n_placeholders == 0:

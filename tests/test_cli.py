@@ -372,6 +372,21 @@ def test_an_experiment_takes_one_fit_state_in_the_parent(tmp_path, monkeypatch, 
     assert len(taken) == fit_states
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_experiment_appends_placeholders_once_per_split(tmp_path, monkeypatch, cpus):
+    """No entry point writes the matrices it is given, so one zeroed train
+    and validation set feeds both models, the reference's rebuild and the
+    validation scores, forked or not; the test split gets the third."""
+    monkeypatch.setattr(child, "_cpus", lambda: cpus)
+    append, rows = cli.append_placeholders, []
+    monkeypatch.setattr(cli, "append_placeholders",
+                        lambda X, n: rows.append(X.n_rows) or append(X, n))
+    cfg = cli.load_config(write_config(tmp_path), output_dir=str(tmp_path))
+    log, field_spec, _ = cli.load_records(cfg)
+    result, _ = cli.run_experiment(cfg, log, field_spec, None)
+    assert rows == [result["n_train_rows"], result["n_val_rows"], result["n_test_rows"]]
+
+
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
 def test_the_parent_s_last_reference_scores_the_reported_baseline(tmp_path, monkeypatch,
                                                                   two_cpus, forked):
@@ -873,6 +888,11 @@ def _schema_with_one_more_token(manifest, arrays):
     manifest.update(schema=schema.to_dict(), schema_hash=schema.hash())
 
 
+def _first_entry(key, value):
+    """A fault that stores value as the first entry of vector key."""
+    return _edited(lambda manifest, arrays: arrays[key].__setitem__(0, value))
+
+
 def _version_1_directory(bundle):
     os.remove(bundle)
     os.mkdir(bundle)
@@ -892,6 +912,8 @@ BUNDLE_FAULTS = {
                                                      read_bundle(bundle)[1]),
     "manifest-without-error-lr": _edited(lambda manifest, arrays: manifest.pop("error_lr")),
     "version-1-directory": _version_1_directory,
+    "nan-in-classifier-arena": _first_entry("flat_0", np.nan),
+    "inf-in-regressor-arena": _first_entry("flat_1", np.inf),
 }
 
 

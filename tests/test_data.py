@@ -97,6 +97,23 @@ def test_ingest_missing_file_and_columns(tmp_path):
         ingest_csv(path, _SPEC)
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+@pytest.mark.parametrize("header, scoring, name", [
+    ("timestamp,user,item,c0,x0,label,label", False, "label"),
+    ("c0,timestamp,user,item,c0,x0,label", False, "c0"),
+    ("timestamp,user,item,c0,x0,timestamp", True, "timestamp")],
+    ids=["label", "declared-field", "scoring-timestamp"])
+def test_read_csv_refuses_a_column_named_twice(tmp_path, quoted, header, scoring, name):
+    """Each parse path would read only the last of the two columns, so a
+    second label column of zeros would erase every click."""
+    width = header.count(",") + 1
+    first = '"1"' if quoted else "1"  # a quote sends the file down the csv.reader path
+    path = tmp_path / "log.csv"
+    path.write_text(f"{header}\n{first}{',1' * (width - 1)}\n")
+    with pytest.raises(DataError, match=f"names column '{name}' 2 times"):
+        read_csv(path, _SPEC, scoring=scoring)
+
+
 def test_ingest_strict_errors_name_the_line(tmp_path):
     path = tmp_path / "log.csv"
     _write_log(path, [[1, "u1", "i1", "g0", 0.5, 1],
