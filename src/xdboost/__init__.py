@@ -8,13 +8,12 @@ chronological splits, sub-training carving, class weighting, cold-start
 filtering, AUC/log-loss evaluation and a CLI harness.
 """
 
-from .boosting import (XDBoostModel, append_placeholders, create_xdboost,
-                       predict_xdboost, train_unboosted, train_xdboost)
+from .boosting import (XDBoostModel, create_xdboost, predict_xdboost,
+                       train_unboosted, train_xdboost)
 from .data import (ClassWeights, ClickLog, DesignMatrix, FeatureSchema,
-                   FieldSpec, SplitSpec, build_schema,
-                   build_schema_and_encode, chronological_split, class_weights,
-                   cold_start_filter, encode, ingest_csv, records_hash,
-                   sub_training)
+                   FieldSpec, SplitSpec, append_placeholders, build_schema,
+                   chronological_split, class_weights, cold_start_filter,
+                   encode, ingest_csv, records_hash, sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
 from .kernels import BACKEND
@@ -47,7 +46,6 @@ __all__ = [
     "append_placeholders",
     "auc",
     "build_schema",
-    "build_schema_and_encode",
     "chronological_split",
     "class_weights",
     "cold_start_filter",

@@ -1,15 +1,16 @@
 """Iterative residual boosting around a single deep classifier.
 
-The model keeps one classifier and N error regressors. Training appends N
-zero-valued placeholder columns to the design matrix, then repeats N times:
-fit the classifier, fit regressor i on the classifier's training residuals
-(label minus predicted probability, a value in (-1, 1), hence the tanh
-head), scale the regressor's predicted errors by the error learning rate
-and write them into placeholder column i, and refit the classifier so it
-can exploit the new column. Prediction replays the same column writes on
-the test matrix before asking the classifier for probabilities. Unlike
-gradient boosting, component predictions are never summed; the regressors
-only ever speak to the classifier through the placeholder columns.
+The model keeps one classifier and N error regressors. Its schema gives
+the design matrix N zero-valued placeholder columns (``data.encode`` lays
+them out), and training repeats N times: fit the classifier, fit
+regressor i on the classifier's training residuals (label minus predicted
+probability, a value in (-1, 1), hence the tanh head), scale the
+regressor's predicted errors by the error learning rate and write them
+into placeholder column i, and refit the classifier so it can exploit the
+new column. Prediction replays the same column writes on the test matrix
+before asking the classifier for probabilities. Unlike gradient boosting,
+component predictions are never summed; the regressors only ever speak to
+the classifier through the placeholder columns.
 """
 
 import json
@@ -19,7 +20,9 @@ import zipfile
 import numpy as np
 
 from .atomic import replacing
-from .data import DesignMatrix, FeatureSchema
+# append_placeholders lives in data, beside DesignMatrix; the name stays
+# importable from here
+from .data import DesignMatrix, FeatureSchema, append_placeholders  # noqa: F401
 from .errors import ConfigError, DataError, TrainingError, UsageError
 from .models import BaseNet, BaseNetConfig, FitHistory
 
@@ -41,21 +44,6 @@ def classifier_seed(master_seed):
 
 def regressor_seed(master_seed, iteration):
     return derive_seed(master_seed, 1, iteration)
-
-
-def append_placeholders(X: DesignMatrix, n):
-    """New matrix with n zero columns appended as the placeholder block.
-
-    The categorical block is shared with the input and the continuous block
-    is new. No entry point writes the matrices it is given, so one result
-    can feed train_xdboost, train_unboosted and scoring alike.
-    """
-    if X.n_placeholders:
-        raise UsageError("matrix already has placeholder columns")
-    if n < 1:
-        raise ConfigError(f"placeholder count must be >= 1, got {n}")
-    cont = np.concatenate([X.cont, np.zeros((X.n_rows, n))], axis=1)
-    return DesignMatrix(X.cat, cont, n)
 
 
 def _check_knobs(n_iterations=1, error_lr=0.0):
@@ -192,23 +180,21 @@ def _check_boosting_matrix(X, n_iterations, name):
     if X.n_placeholders != n_iterations:
         raise DataError(
             f"{name} has {X.n_placeholders} placeholder columns, expected {n_iterations} "
-            "(append_placeholders first)")
+            "(encode against the model's schema)")
     if X.n_rows and np.any(X.placeholder_block()):
         raise DataError(f"{name} placeholder columns must start zeroed")
 
 
-def _training_inputs(n_iterations, X_train, y_train, X_val, y_val, class_weights):
+def _training_inputs(n_iterations, X_train, y_train, X_val, y_val):
     """Check the training matrices; returns float64 y_train and y_val (None
-    without validation rows) and the class weights as a dict."""
+    without validation rows)."""
     _check_boosting_matrix(X_train, n_iterations, "X_train")
     if (X_val is None) != (y_val is None):
         raise UsageError("X_val and y_val must be given together")
     if X_val is not None:
         _check_boosting_matrix(X_val, n_iterations, "X_val")
         y_val = np.asarray(y_val, dtype=np.float64)
-    if hasattr(class_weights, "as_dict"):
-        class_weights = class_weights.as_dict()
-    return np.asarray(y_train, dtype=np.float64), y_val, class_weights
+    return np.asarray(y_train, dtype=np.float64), y_val
 
 
 def _classifier_fit(net, fit, X, y, class_weights, val, cold_restart, observer=None):
@@ -252,8 +238,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     history, taken during the event, are the checkpoint train_unboosted
     starts from.
     """
-    y_train, y_val, class_weights = _training_inputs(
-        model.n_iterations, X_train, y_train, X_val, y_val, class_weights)
+    y_train, y_val = _training_inputs(model.n_iterations, X_train, y_train, X_val, y_val)
     X_train = _working_copy(X_train)
     X_val = _working_copy(X_val) if X_val is not None else None
     cls_val = (X_val, y_val) if X_val is not None else None
@@ -304,7 +289,9 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     Regressor i fills placeholder column i (scaled by the error learning
     rate) in index order, exactly mirroring the training-time writes; the
     classifier then scores the completed matrix. The writes go to a copy
-    of the continuous block, so X_test is left as it was.
+    of the continuous block, so X_test is left as it was. A row scored
+    NaN or infinite (its finite inputs overflowed) is a DataError naming
+    the first one.
     """
     if not model.trained:
         raise UsageError("model has not been trained")
@@ -312,7 +299,12 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     X = _working_copy(X_test)
     for i in range(model.n_iterations):
         _write_column(model, i, X, "predict", observer)
-    return model.classifier.predict_matrix(X)
+    probs = model.classifier.predict_matrix(X)
+    bad = np.flatnonzero(~np.isfinite(probs))
+    if bad.size:
+        raise DataError(f"X_test row {bad[0]} (from 0) scores {probs[bad[0]]}: "
+                        "its values overflow the model")
+    return probs
 
 
 def _working_copy(X):
@@ -352,8 +344,7 @@ def train_unboosted(model: XDBoostModel, X_train, y_train, X_val=None, y_val=Non
     residual_fit event.
     """
     n_iterations = model.n_iterations
-    y_train, y_val, class_weights = _training_inputs(
-        n_iterations, X_train, y_train, X_val, y_val, class_weights)
+    y_train, y_val = _training_inputs(n_iterations, X_train, y_train, X_val, y_val)
     val = (X_val, y_val) if X_val is not None else None
 
     net = model.classifier

@@ -34,12 +34,12 @@ import numpy as np
 from . import metrics, synth
 from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
-                       _check_knobs, _checkpoint, append_placeholders, create_xdboost,
-                       predict_xdboost, train_unboosted, train_xdboost)
+                       _check_knobs, _checkpoint, create_xdboost, predict_xdboost,
+                       train_unboosted, train_xdboost)
 from .child import _Child
-from .data import (FieldSpec, SplitSpec, build_schema_and_encode,
-                   chronological_split, class_weights, cold_start_filter, encode,
-                   ingest_csv, read_csv, records_hash, sub_training)
+from .data import (FieldSpec, SplitSpec, build_schema, chronological_split,
+                   class_weights, cold_start_filter, encode, ingest_csv, read_csv,
+                   records_hash, sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
 from .models import BaseNetConfig
@@ -220,25 +220,25 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
     sub = (sub_training(log, train_region, sub_percent, cfg.split)
            if sub_percent is not None else train_region)
     test_eval = eval_test if eval_test is not None else test_log
+    if command == "sweep" and not len(test_eval):
+        # a sweep compares budgets by their test metrics; train reports
+        # validation metrics alone
+        raise DataError("the test split is empty; a sweep needs test rows to score")
     timings["split"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    schema, encoded = build_schema_and_encode(
-        sub, {"train": sub, "val": val_log, "test": test_eval},
-        field_spec, cfg.normalize_continuous)
-    X_train, y_train, _ = encoded["train"]
-    X_val, y_val, _ = encoded["val"]
-    X_test, y_test, _ = encoded["test"]
-    weights = class_weights(y_train)
+    schema = build_schema(sub, field_spec, cfg.normalize_continuous)
+    model = create_xdboost(schema, cfg.net, cfg.n_iterations, cfg.error_lr,
+                           seed=cfg.seed, cold_restart=cfg.cold_restart)
+    # each split once, zeroed placeholders included: one set feeds both
+    # models and the scores, as no entry point writes it
+    train, val, test = [encode(part, model.schema)[:2] for part in (sub, val_log, test_eval)]
+    if not val[0].n_rows:
+        val = None, None
+    weights = class_weights(train[1])
     timings["encode"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # one zeroed set feeds both models and the validation scores: no entry point writes it
-    n = cfg.n_iterations
-    train = append_placeholders(X_train, n), y_train
-    val = (append_placeholders(X_val, n), y_val) if X_val.n_rows else (None, None)
-    model = create_xdboost(schema, cfg.net, n, cfg.error_lr,
-                           seed=cfg.seed, cold_restart=cfg.cold_restart)
 
     def train_reference(start):
         return train_unboosted(model, *train, *val, class_weights=weights, start=start)
@@ -268,7 +268,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
 
     t0 = time.perf_counter()
     result_metrics = {"boosted": {}, "baseline": {}}
-    for split_name, X, y in (("val", *val), ("test", append_placeholders(X_test, n), y_test)):
+    for split_name, X, y in (("val", *val), ("test", *test)):
         if X is None or X.n_rows == 0:
             continue
         result_metrics["boosted"][split_name] = metrics.evaluate(
@@ -412,14 +412,13 @@ def cmd_coldstart(cfg):
 
 def cmd_predict(bundle_path, input_path, output_path):
     model = XDBoostModel.load_bundle(bundle_path)
-    schema = dataclasses.replace(model.schema, n_placeholders=0)
+    schema = model.schema
     user, item = schema.user_field, schema.item_field
     fields = FieldSpec(user, item, [f for f in schema.cat_fields if f not in (user, item)],
                        list(schema.cont_fields))
     header, texts, log = read_csv(input_path, fields, scoring=True)
     X, _, _ = encode(log, schema)
-    probs = (predict_xdboost(model, append_placeholders(X, model.n_iterations))
-             if len(log) else np.zeros(0))
+    probs = predict_xdboost(model, X) if len(log) else np.zeros(0)
     with replacing(output_path, newline="") as fh:
         csv.writer(fh).writerow(header + ["predicted_ctr"])
         # each text is its row as csv.writer writes it, so appending the

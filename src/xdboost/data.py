@@ -19,6 +19,7 @@ import types
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -365,15 +366,12 @@ def sub_training(full_log, train_region, x_percent, split=None):
     return train_region[len(train_region) - k:]
 
 
-@dataclass
-class ClassWeights:
-    """Per-class loss weights balancing clicks against non-clicks."""
+class ClassWeights(NamedTuple):
+    """Per-class loss weights balancing clicks against non-clicks: the
+    pair the loss indexes by label, non-clicks (0) first."""
 
     weight_nonclick: float = 1.0
     weight_click: float = 1.0
-
-    def as_dict(self):
-        return {0: self.weight_nonclick, 1: self.weight_click}
 
 
 def class_weights(train_labels):
@@ -474,6 +472,22 @@ class DesignMatrix:
         return self.cont[:, self.cont.shape[1] - self.n_placeholders:]
 
 
+def append_placeholders(X: DesignMatrix, n):
+    """New matrix with n zero columns appended as the placeholder block.
+
+    The categorical block is shared with the input and the continuous block
+    is new. ``encode`` calls it for a schema with placeholders, so callers
+    need not; no entry point writes the matrices it is given, so one result
+    can feed train_xdboost, train_unboosted and scoring alike.
+    """
+    if X.n_placeholders:
+        raise UsageError("matrix already has placeholder columns")
+    if n < 1:
+        raise ConfigError(f"placeholder count must be >= 1, got {n}")
+    cont = np.concatenate([X.cont, np.zeros((X.n_rows, n))], axis=1)
+    return DesignMatrix(X.cat, cont, n)
+
+
 def records_hash(log):
     """Order-sensitive digest of raw rows, before any encoding.
 
@@ -542,7 +556,10 @@ def encode(log, schema):
 
     Missing continuous values take the training mean; with normalization,
     values are min-max scaled by the training range and clamped to [0, 1].
-    Returns (DesignMatrix without placeholders, labels, timestamps).
+    The schema lays out the matrix: a schema with placeholders (a model's
+    schema) gives its ``n_placeholders`` zeroed trailing continuous
+    columns, from append_placeholders. Returns (DesignMatrix, labels,
+    timestamps).
     """
     n = len(log)
     tokens = _token_columns(log, schema.user_field, schema.item_field)
@@ -558,12 +575,8 @@ def encode(log, schema):
         if schema.normalize:
             values = np.clip((values - lo) / (hi - lo), 0.0, 1.0) if hi > lo else 0.0
         cont[:, j] = values
-    return DesignMatrix(cat, cont, 0), log.label.astype(np.float64), log.timestamp.copy()
-
-
-def build_schema_and_encode(train_log, splits, field_spec, normalize=True):
-    """Fit the schema on train_log and encode every provided split."""
-    schema = build_schema(train_log, field_spec, normalize)
-    encoded = {name: encode(log, schema) for name, log in splits.items()}
-    return schema, encoded
+    X = DesignMatrix(cat, cont, 0)
+    if schema.n_placeholders:
+        X = append_placeholders(X, schema.n_placeholders)
+    return X, log.label.astype(np.float64), log.timestamp.copy()
 

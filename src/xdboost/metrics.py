@@ -62,7 +62,13 @@ def log_loss(probs, labels):
 
 
 def evaluate(scores, labels):
-    """Bundle AUC and log loss over one scored evaluation set."""
+    """Bundle AUC and log loss over one scored evaluation set; a NaN or
+    infinite score is an EvaluationError naming the first one."""
+    scores = np.asarray(scores, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise EvaluationError(f"score {bad[0]} is {scores[bad[0]]}; "
+                              "scores must be finite")
     labels = np.asarray(labels)
     return MetricsReport(auc=auc(scores, labels),
                          log_loss=log_loss(scores, labels),

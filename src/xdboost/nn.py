@@ -48,15 +48,18 @@ def activation_grad_from_output(kind, out):
 
 
 def _weights_pair(class_weights):
-    """Normalize class weights to an array [w_for_0, w_for_1]."""
+    """Class weights, a pair (weight of label 0, weight of label 1) such as
+    data.ClassWeights, as the array the loss indexes by label."""
     if class_weights is None:
         return np.array([1.0, 1.0])
-    if isinstance(class_weights, dict):
-        return np.array([float(class_weights[0]), float(class_weights[1])])
-    w = np.asarray(class_weights, dtype=np.float64)
-    if w.shape != (2,):
-        raise UsageError("class weights must map the two classes 0 and 1")
-    return w
+    try:
+        w = np.asarray(class_weights)
+    except ValueError:  # a ragged sequence
+        w = np.empty(0)
+    if w.shape != (2,) or w.dtype.kind not in "iuf":
+        raise UsageError("class weights must be a pair of numbers (weight of label 0, "
+                         f"weight of label 1), got {class_weights!r}")
+    return w.astype(np.float64, copy=False)
 
 
 def weighted_bce_loss(p, y, class_weights=None):

@@ -192,7 +192,7 @@ def random_net_case(rng, head):
     X = make_matrix(rng, schema, n_rows, zero_placeholders=False)
     if head == "sigmoid":
         targets = rng.integers(0, 2, size=n_rows).astype(np.float64)
-        weights = {0: 1.0, 1: float(rng.uniform(0.5, 4.0))}
+        weights = (1.0, float(rng.uniform(0.5, 4.0)))
     else:
         targets = rng.uniform(-0.95, 0.95, size=n_rows)
         weights = None

@@ -20,8 +20,8 @@ from conftest import (SESSION_START, fd_gradcheck, log_rows, random_net_case,
 from xdboost import cli, synth
 from xdboost.boosting import (append_placeholders, create_xdboost,
                               predict_xdboost, train_unboosted, train_xdboost)
-from xdboost.data import (SplitSpec, build_schema_and_encode, chronological_split,
-                          class_weights, cold_start_filter, records_hash,
+from xdboost.data import (SplitSpec, build_schema, chronological_split,
+                          class_weights, cold_start_filter, encode, records_hash,
                           sub_training)
 from xdboost.metrics import auc
 from xdboost.models import BaseNetConfig
@@ -34,8 +34,9 @@ def _encoded_pipeline(gen_cfg):
     """Generate, split and encode one synthetic log the way the harness does."""
     records, meta = synth.generate_records(gen_cfg)
     train, val, test = chronological_split(records, SplitSpec())
-    schema, encoded = build_schema_and_encode(
-        train, {"train": train, "val": val, "test": test}, synth.field_spec(), True)
+    schema = build_schema(train, synth.field_spec(), True)
+    encoded = {name: encode(log, schema)
+               for name, log in (("train", train), ("val", val), ("test", test))}
     return records, meta, schema, encoded
 
 

@@ -208,6 +208,17 @@ def test_predict_leaves_its_input_zeroed():
     assert np.array_equal(predict_xdboost(model, X_test), first)
 
 
+def test_predict_refuses_a_non_finite_probability():
+    """A finite value can overflow the model; predict names the first row
+    it scored NaN instead of returning the NaN."""
+    model, schema = _trained_model(17)
+    X_test = append_placeholders(make_matrix(np.random.default_rng(4), schema, 12), 2)
+    X_test.cont[[5, 9], 0] = 1e300
+    with pytest.raises(DataError, match=r"X_test row 5 \(from 0\) scores nan"), \
+            pytest.warns(RuntimeWarning):
+        predict_xdboost(model, X_test)
+
+
 def test_predict_requires_a_trained_model():
     schema = make_schema((3,), 1)
     model = create_xdboost(schema, NET, n_iterations=2)

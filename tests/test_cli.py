@@ -183,6 +183,24 @@ def test_config_snapshot_roundtrips_through_load(tmp_path):
 
 
 
+def test_the_readme_library_example_runs(tmp_path, monkeypatch):
+    """The example builds the schema, then the model, and encodes each split
+    against the model's schema; nothing appends placeholders by hand."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    example = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert "append_placeholders" not in example and "n_rows=20000" in example
+    monkeypatch.chdir(tmp_path)
+    scope = {}
+    exec(example.replace("n_rows=20000", "n_rows=600"), scope)
+    model, same = scope["model"], scope["same"]
+    assert scope["X_train"].n_placeholders == model.n_iterations == 3
+    assert 0.0 <= scope["report"].auc <= 1.0
+    assert scope["reference"].predict_matrix(scope["X_test"]).shape == (120,)
+    assert np.array_equal(predict_xdboost(same, scope["X_test"]),
+                          predict_xdboost(model, scope["X_test"]))
+
+
 def test_the_readme_config_example_loads(tmp_path, monkeypatch):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()
@@ -378,8 +396,8 @@ def test_an_experiment_appends_placeholders_once_per_split(tmp_path, monkeypatch
     and validation set feeds both models, the reference's rebuild and the
     validation scores, forked or not; the test split gets the third."""
     monkeypatch.setattr(child, "_cpus", lambda: cpus)
-    append, rows = cli.append_placeholders, []
-    monkeypatch.setattr(cli, "append_placeholders",
+    append, rows = data.append_placeholders, []
+    monkeypatch.setattr(data, "append_placeholders",
                         lambda X, n: rows.append(X.n_rows) or append(X, n))
     cfg = cli.load_config(write_config(tmp_path), output_dir=str(tmp_path))
     log, field_spec, _ = cli.load_records(cfg)
@@ -504,6 +522,26 @@ def test_sweep_where_every_run_fails_exits_nonzero(tmp_path):
     assert summary["test_set_hash"] is None
     assert [f["percentage"] for f in summary["failures"]] == [0.5]
     assert summary["failures"][0]["type"] == "DataError"
+
+
+def test_a_sweep_with_an_empty_test_split_fails_every_budget_before_training(tmp_path,
+                                                                           monkeypatch):
+    split = {"train": 0.9, "val": 0.1, "test": 0.0}
+    config = write_config(tmp_path, split=split)
+    monkeypatch.setattr(cli, "train_xdboost", lambda *a, **kw: pytest.fail("a budget trained"))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", config, "--output-dir", str(out),
+                     "--percentages", "5,10"]) == 3
+    summary = read_json(out / "sweep_summary.json")
+    assert [(f["percentage"], f["type"]) for f in summary["failures"]] == [
+        (5, "DataError"), (10, "DataError")]
+    assert "test split is empty" in summary["failures"][0]["error"]
+    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_summary.json"]
+    monkeypatch.undo()
+    # train on the same split reports validation metrics only
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    result = read_json(tmp_path / "run" / "train_result.json")
+    assert (result["n_test_rows"], list(result["metrics"]["boosted"])) == (0, ["val"])
 
 
 @pytest.mark.parametrize("raised, code", [
@@ -812,6 +850,26 @@ def test_predict_rejects_non_finite_values(trained_run, tmp_path):
         assert cli.main(["predict", "--bundle", bundle, "--input", str(path),
                          "--output", str(out)]) == 3
         assert not out.exists()
+
+
+def test_predict_refuses_a_row_whose_score_overflows(tmp_path, capsys):
+    """Without normalization a finite 1e300 overflows the model; predict
+    exits 3 naming the row and keeps the previous output."""
+    config = write_config(tmp_path, normalize_continuous=False)
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert cli.main(["synth-gen", "--output-dir", str(tmp_path / "gen"), "--rows", "40",
+                     "--vocab-size", "8", "--seed", "99"]) == 0
+    path = tmp_path / "huge.csv"
+    _rewrite_csv(tmp_path / "gen" / "data.csv", path,
+                 lambda i, row: row.update({"x0": "1e300"}) if i == 4 else None)
+    out = tmp_path / "out.csv"
+    out.write_text("previous\n")
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["predict", "--bundle", str(tmp_path / "run" / "model_bundle"),
+                         "--input", str(path), "--output", str(out)])
+    assert code == 3
+    assert "X_test row 4 (from 0) scores nan" in capsys.readouterr().err
+    assert out.read_text() == "previous\n"
 
 
 def _csv_writer_predict(model, path):

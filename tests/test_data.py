@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import (click_csv_texts, csv_reader_oracle, csv_writer_line, log_rows,
                       make_records, records_hash_oracle, same_log)
-from xdboost import data
+from xdboost import boosting, data
 from xdboost.data import (ClickLog, FeatureSchema, FieldSpec, SplitSpec,
                           build_schema, chronological_split, class_weights,
                           cold_start_filter, encode, ingest_csv, read_csv,
@@ -378,7 +378,7 @@ def test_class_weights_match_the_count_ratio_exactly():
         expected = n_nonclick / n_click if n_nonclick > n_click else 1.0
         assert abs(w.weight_click - expected) <= 1e-12
         assert w.weight_nonclick == 1.0
-        assert w.as_dict() == {0: w.weight_nonclick, 1: w.weight_click}
+        assert tuple(w) == (w.weight_nonclick, w.weight_click)
 
 
 # ---- cold-start filtering ----------------------------------------------------------
@@ -482,6 +482,32 @@ def test_encode_imputes_missing_continuous_with_the_train_mean():
     assert X.cont[0, 0] == 3.0
     records.continuous["x0"][:] = np.nan
     assert build_schema(records, spec).cont_stats["x0"] == (0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("n_rows", [30, 0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_encode_against_a_schema_with_placeholders_appends_them(n_rows, n):
+    """The schema lays out the matrix: n placeholder columns are
+    append_placeholders' zeroed block on the placeholder-free encoding, bit
+    for bit."""
+    records = make_records(40, seed=64)
+    spec = FieldSpec(user_field="user", item_field="item",
+                     categorical=["c0"], continuous=["x0"])
+    schema = build_schema(records[:30], spec)
+    rows = records[10:10 + n_rows]
+    X, y, ts = encode(rows, schema.with_placeholders(n))
+    bare, y_bare, ts_bare = encode(rows, schema)
+    expected = data.append_placeholders(bare, n)
+    assert (X.n_placeholders, X.cont.shape) == (n, (n_rows, 1 + n))
+    assert X.cat.tobytes() == expected.cat.tobytes()
+    assert X.cont.tobytes() == expected.cont.tobytes()
+    assert not X.placeholder_block().any()
+    assert np.array_equal(y, y_bare) and np.array_equal(ts, ts_bare)
+    assert bare.n_placeholders == 0
+
+
+def test_append_placeholders_lives_beside_the_matrix():
+    assert boosting.append_placeholders is data.append_placeholders
 
 
 def test_encode_rejects_non_numeric_values(tmp_path):

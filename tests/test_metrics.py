@@ -141,6 +141,13 @@ def test_log_loss_shape_mismatch_is_a_usage_error():
         metrics.log_loss([0.5], [0, 1])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluate_refuses_a_non_finite_score(bad):
+    """No NaN or infinity reaches a report, so no result file holds one."""
+    with pytest.raises(EvaluationError, match="score 2 is"):
+        metrics.evaluate([0.1, 0.4, bad, 0.8, bad], [0, 0, 1, 1, 0])
+
+
 def test_evaluate_builds_a_report():
     report = metrics.evaluate([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
     assert abs(report.auc - 0.75) < 1e-12

@@ -111,7 +111,7 @@ def test_config_head_switching_updates_the_loss():
     head, mean absolute error under the tanh head."""
     reg = BaseNetConfig().as_regressor()
     assert (reg.head, reg.as_classifier().head) == ("tanh", "sigmoid")
-    schema, weights = make_schema((2,), 0), {0: 1.0, 1: 3.0}
+    schema, weights = make_schema((2,), 0), (1.0, 3.0)
     out, targets = np.array([0.25, 0.5, 0.75]), np.array([0.0, 1.0, 1.0])
     assert BaseNet(schema, reg).batch_loss(out, targets) == nn.mae_loss(out, targets)
     assert (BaseNet(schema, reg.as_classifier()).batch_loss(out, targets, weights)
@@ -459,7 +459,7 @@ def test_fit_is_bit_identical_to_the_recorded_fit(shuffle):
     net = BaseNet(schema, BaseNetConfig(embedding_dim=3, hidden_layers=(5,),
                                         learning_rate=0.05, epochs=12, patience=3,
                                         batch_size=16, shuffle=shuffle), seed=29)
-    history = net.fit(X, y, {0: 1.0, 1: 1.5}, val=(val_X, val_y))
+    history = net.fit(X, y, (1.0, 1.5), val=(val_X, val_y))
     # an early stop that rolls back past the last epochs
     assert 0 < history.best_epoch < history.epochs_run - 1 < 11
     digest = hashlib.sha256()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from xdboost import kernels, nn
+from xdboost.data import ClassWeights
 from xdboost.errors import ConfigError, UsageError
 
 LN2 = math.log(2.0)
@@ -59,12 +60,12 @@ def test_relu_subgradient_at_zero_is_zero():
 
 
 def test_bce_even_coin_is_ln2():
-    loss = nn.weighted_bce_loss([0.5], [1.0], {0: 1.0, 1: 1.0})
+    loss = nn.weighted_bce_loss([0.5], [1.0], (1.0, 1.0))
     assert abs(loss - LN2) < 1e-12
 
 
 def test_bce_click_weight_scales_the_click_term():
-    loss = nn.weighted_bce_loss([0.5], [1.0], {0: 1.0, 1: 4.0})
+    loss = nn.weighted_bce_loss([0.5], [1.0], (1.0, 4.0))
     assert abs(loss - 4.0 * LN2) < 1e-12
 
 
@@ -79,7 +80,7 @@ def test_bce_all_weights_one_equals_unweighted_exactly():
         n = int(rng.integers(1, 30))
         p = rng.uniform(0.0, 1.0, size=n)
         y = rng.integers(0, 2, size=n).astype(np.float64)
-        assert (nn.weighted_bce_loss(p, y, {0: 1.0, 1: 1.0})
+        assert (nn.weighted_bce_loss(p, y, (1.0, 1.0))
                 == nn.weighted_bce_loss(p, y, None))
 
 
@@ -97,10 +98,27 @@ def test_bce_shape_mismatch_is_a_usage_error():
         nn.weighted_bce_loss([0.5], [1.0], np.ones(3))
 
 
+@pytest.mark.parametrize("weights", [{0: 1.0, 1: 2.0}, (1.0,), (1.0, 2.0, 3.0), "12",
+                                     ("1", "2"), (True, False), [[1.0], [1.0, 2.0]]])
+def test_class_weights_that_are_not_a_pair_of_numbers_are_a_usage_error(weights):
+    with pytest.raises(UsageError, match="pair of numbers"):
+        nn.weighted_bce_loss([0.5], [1.0], weights)
+    with pytest.raises(UsageError, match="pair of numbers"):
+        nn.bce_dlogit(np.array([0.5]), np.array([1.0]), weights)
+
+
+def test_class_weights_are_indexed_by_label():
+    p, y = np.array([0.3, 0.6, 0.8]), np.array([0.0, 1.0, 1.0])
+    for pair in (ClassWeights(1.0, 2.5), (1.0, 2.5), [1, 2.5], np.array([1.0, 2.5])):
+        assert nn.weighted_bce_loss(p, y, pair) == nn.weighted_bce_loss(p, y, (1.0, 2.5))
+        assert np.array_equal(nn.bce_dlogit(p, y, pair), nn.bce_dlogit(p, y, (1.0, 2.5)))
+    assert nn.weighted_bce_loss(p, y, (2.0, 1.0)) != nn.weighted_bce_loss(p, y, (1.0, 2.0))
+
+
 def test_bce_dlogit_fused_form_and_clip_mask():
     grad = nn.bce_dlogit(np.array([0.7]), np.array([1.0]))
     assert abs(grad[0] - (0.7 - 1.0)) < 1e-15
-    grad = nn.bce_dlogit(np.array([0.7, 0.2]), np.array([1.0, 0.0]), {0: 1.0, 1: 3.0})
+    grad = nn.bce_dlogit(np.array([0.7, 0.2]), np.array([1.0, 0.0]), (1.0, 3.0))
     assert abs(grad[0] - 3.0 * (0.7 - 1.0) / 2) < 1e-15
     assert abs(grad[1] - (0.2 - 0.0) / 2) < 1e-15
     # where the clip is active the loss is flat, so the gradient is zero
@@ -112,7 +130,7 @@ def test_bce_dlogit_matches_finite_differences_through_sigmoid():
     rng = np.random.default_rng(9)
     z = rng.uniform(-4.0, 4.0, size=25)
     y = rng.integers(0, 2, size=25).astype(np.float64)
-    w = {0: 1.0, 1: 2.5}
+    w = (1.0, 2.5)
     grad = nn.bce_dlogit(nn.activation_apply("sigmoid", z), y, w)
     h = 1e-6
     for j in range(z.size):
