@@ -302,8 +302,10 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     probs = model.classifier.predict_matrix(X)
     bad = np.flatnonzero(~np.isfinite(probs))
     if bad.size:
-        raise DataError(f"X_test row {bad[0]} (from 0) scores {probs[bad[0]]}: "
-                        "its values overflow the model")
+        error = DataError(f"X_test row {bad[0]} (from 0) scores {probs[bad[0]]}: "
+                          "its values overflow the model")
+        error.row = int(bad[0])  # for a caller that knows where the row came from
+        raise error
     return probs
 
 
@@ -352,7 +354,9 @@ def train_unboosted(model: XDBoostModel, X_train, y_train, X_val=None, y_val=Non
     hists = []
     if start is not None:
         state, hists = start[0], list(start[1])
-        _check_checkpoint(net, state, len(hists), n_iterations)
+        if len(hists) > 2 * n_iterations:
+            raise UsageError(f"the checkpoint holds {len(hists)} fits; "
+                             f"{n_iterations} iterations run {2 * n_iterations}")
         net.load_fit_state(state)
     for fit in range(len(hists), 2 * n_iterations):
         net, hist = _classifier_fit(net, fit, X_train, y_train, class_weights, val,
@@ -369,14 +373,3 @@ def _checkpoint(net, log):
     return net.fit_state(), [FitHistory(**entry[f"classifier_{stage}"])
                              for entry in log for stage in ("fit", "refit")]
 
-
-def _check_checkpoint(net, state, n_fits, n_iterations):
-    """A checkpoint of n_fits fits must fit the schedule and net's layout."""
-    if n_fits > 2 * n_iterations:
-        raise UsageError(f"the checkpoint holds {n_fits} fits; "
-                         f"{n_iterations} iterations run {2 * n_iterations}")
-    flat, (_, m, v), _ = state
-    for name, vector in (("arena", flat), ("Adam m", m), ("Adam v", v)):
-        if len(vector) != len(net.flat):
-            raise UsageError(f"the checkpoint's {name} has {len(vector)} entries, "
-                             f"the net's arena {len(net.flat)}")

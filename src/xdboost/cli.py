@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -37,7 +38,7 @@ from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        _check_knobs, _checkpoint, create_xdboost, predict_xdboost,
                        train_unboosted, train_xdboost)
 from .child import _Child
-from .data import (FieldSpec, SplitSpec, build_schema, chronological_split,
+from .data import (FieldSpec, SplitSpec, _row_line, build_schema, chronological_split,
                    class_weights, cold_start_filter, encode, ingest_csv, read_csv,
                    records_hash, sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
@@ -73,6 +74,7 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        _check_seed(self.seed)
         self.error_lr = float(self.error_lr)  # the model keeps a float; JSON 1 snapshots as 1.0
         for key in ("n_iterations", "error_lr"):
             try:
@@ -118,8 +120,11 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
     if synthetic and raw.get("synthetic") is None:
         raw["synthetic"] = {}
     if isinstance(raw.get("synthetic"), dict):
-        # the generator's seed follows the master seed unless set
-        raw["synthetic"] = {"seed": _value(int, raw["seed"], "seed"), **raw["synthetic"]}
+        # the generator's seed follows the master seed unless set, so the
+        # master seed is checked first: its refusal names its own key
+        seed = _value(int, raw["seed"], "seed")
+        _check_seed(seed)
+        raw["synthetic"] = {"seed": seed, **raw["synthetic"]}
     if isinstance(raw.get("fields"), str):
         raw["fields"] = _read_json(raw["fields"], "field declaration file")
 
@@ -137,6 +142,11 @@ def load_config(path=None, seed=None, output_dir=None, sub_training_percent=None
 _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                bool: ((bool,), "true or false"), str: ((str,), "a string"),
                dict: ((dict,), "a JSON object")}
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def _annotations(cls):
@@ -162,13 +172,19 @@ def _settings(annotations, raw, block):
 def _value(tp, value, key):
     """The JSON value at config key ``key`` as a value of annotated type
     ``tp``: a dataclass is built from its block, ``tuple[X, ...]`` from a
-    list, and ``X | None`` also takes null."""
+    list, and ``X | None`` also takes null. JSON's NaN and Infinity are
+    refused. A dataclass's refusal begins with the field it refuses, so
+    it is prefixed with the block's key."""
     if isinstance(tp, types.UnionType):
         if value is None:
             return None
         tp = next(t for t in typing.get_args(tp) if t is not type(None))
     if dataclasses.is_dataclass(tp):
-        return tp(**_settings(_annotations(tp), value, key))
+        settings = _settings(_annotations(tp), value, key)
+        try:
+            return tp(**settings)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}.{exc}") from None
     if typing.get_origin(tp) is tuple:
         if type(value) is not list:
             raise ConfigError(f"{key} must be a list, got {json.dumps(value)}")
@@ -177,6 +193,8 @@ def _value(tp, value, key):
     accepted, name = _JSON_TYPES[tp]
     if type(value) not in accepted:
         raise ConfigError(f"{key} must be {name}, got {json.dumps(value)}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
     return value
 
 
@@ -356,24 +374,25 @@ def cmd_sweep(cfg):
         print(f"sweep {pct:g}%: done ({result['n_train_rows']} train rows)")
 
     csv_path = os.path.join(cfg.output_dir, "sweep.csv")
-    with replacing(csv_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["percentage", "model", "auc", "logloss"])
-        writer.writerows(rows)
+    if results:  # else the previous sweep's CSV stays; the summary lists the failures
+        with replacing(csv_path, newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["percentage", "model", "auc", "logloss"])
+            writer.writerows(rows)
     summary = {
         "command": "sweep",
         "config": cfg.snapshot(),
         "percentages": list(cfg.sub_training_percentages),
         "test_set_hash": test_set_hash,
         "failures": failures,
-        "csv": csv_path,
+        "csv": csv_path if results else None,
     }
     _write_json(os.path.join(cfg.output_dir, "sweep_summary.json"), summary)
-    print(f"sweep: {len(results)} runs ok, {len(failures)} failed; "
-          f"aggregated CSV at {csv_path}")
     if not results:
         error = kinds.pop() if len(kinds) == 1 else TrainingError
         raise error(f"every sweep run failed: {failures}")
+    print(f"sweep: {len(results)} runs ok, {len(failures)} failed; "
+          f"aggregated CSV at {csv_path}")
     return 0
 
 
@@ -418,7 +437,12 @@ def cmd_predict(bundle_path, input_path, output_path):
                        list(schema.cont_fields))
     header, texts, log = read_csv(input_path, fields, scoring=True)
     X, _, _ = encode(log, schema)
-    probs = predict_xdboost(model, X) if len(log) else np.zeros(0)
+    try:
+        probs = predict_xdboost(model, X) if len(log) else np.zeros(0)
+    except DataError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        raise DataError(f"line {_row_line(input_path, exc.row)}: {exc}") from None
     with replacing(output_path, newline="") as fh:
         csv.writer(fh).writerow(header + ["predicted_ctr"])
         # each text is its row as csv.writer writes it, so appending the

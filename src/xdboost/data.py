@@ -141,10 +141,14 @@ class SplitSpec:
     test: float = 0.20
 
     def __post_init__(self):
-        if min(self.train, self.val, self.test) < 0:
-            raise ConfigError("split fractions must be nonnegative")
-        if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-            raise ConfigError("split fractions must sum to 1")
+        # written so that NaN fails them
+        for name in ("train", "val", "test"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be a nonnegative fraction, "
+                                  f"got {getattr(self, name)}")
+        if not abs(self.train + self.val + self.test - 1.0) <= 1e-9:
+            raise ConfigError("train + val + test must equal 1, got "
+                              f"{self.train} + {self.val} + {self.test}")
 
     def holds_sub_training(self, x_percent):
         """Whether the training region can hold a sub-training set of
@@ -194,7 +198,7 @@ def read_csv(path, field_spec, scoring=False):
     required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
     with open(path, newline="") as fh:
         plain = _split_plain(fh.read(), required)
-    header, columns, n, texts, lineno = plain or _split_rows(path, required)
+    header, columns, n, texts = plain or _split_rows(path, required)
 
     def strings(name):
         if name is None:
@@ -212,7 +216,7 @@ def read_csv(path, field_spec, scoring=False):
         values = [parse(c.strip()) for c in col]
         if None in values:
             i = values.index(None)
-            raise DataError(f"line {lineno(i)}: {what}: {col[i].strip()!r}")
+            raise DataError(f"line {_row_line(path, i)}: {what}: {col[i].strip()!r}")
         return values
 
     labels = {"0": 0, "1": 1}
@@ -231,7 +235,7 @@ def read_csv(path, field_spec, scoring=False):
 
 
 def _split_plain(text, required):
-    r"""(header, columns, row count, row texts, lineno) of text that needs
+    r"""(header, columns, row count, row texts) of text that needs
     no CSV quoting rules, else None; a missing required column raises.
 
     Such text has no quote, no NUL (which ``csv.reader`` refuses before
@@ -252,15 +256,11 @@ def _split_plain(text, required):
     cells = ",".join(rows).split(",") if rows else []
     width = len(header)
     columns = {name: cells[j::width] for j, name in enumerate(header)}
-
-    def lineno(i):
-        return [k for k, line in enumerate(lines, start=1) if line][i + 1]
-
-    return header, columns, len(rows), rows, lineno
+    return header, columns, len(rows), rows
 
 
 def _split_rows(path, required):
-    """(header, columns, row count, row texts, lineno) of any CSV file, read
+    """(header, columns, row count, row texts) of any CSV file, read
     as a stream by csv.reader; a missing required column raises before a
     row that is too long. The texts are a generator, so a caller that drops
     them never pays for them."""
@@ -269,25 +269,12 @@ def _split_rows(path, required):
         header = next(reader, [])
         rows = [row for row in reader if row]
     _require_columns(header, required)
-
-    def lineno(i):
-        # read again up to the row, counting the lines a quoted cell spans
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, [])
-            start = reader.line_num + 1
-            for row in reader:
-                if row:
-                    if i == 0:
-                        return start
-                    i -= 1
-                start = reader.line_num + 1
-
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
             if len(row) > width:
-                raise DataError(f"line {lineno(i)}: {len(row)} cells, the header has {width}")
+                raise DataError(f"line {_row_line(path, i)}: {len(row)} cells, "
+                                f"the header has {width}")
             row += [""] * (width - len(row))
     columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
     # writerow returns what the file's write returns: here the line itself.
@@ -296,7 +283,20 @@ def _split_rows(path, required):
     # drops it with its comma and the line end.
     writer = csv.writer(types.SimpleNamespace(write=str))
     texts = (writer.writerow(row + [""])[:-3] for row in rows)
-    return header, columns, len(rows), texts, lineno
+    return header, columns, len(rows), texts
+
+
+def _row_line(path, i):
+    """The physical line data row i (from 0) of a CSV file starts on, read
+    again by csv.reader up to the row; for error messages only."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, [])
+        end = reader.line_num
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if row and (i := i - 1) < 0:
+                return start
 
 
 def _require_columns(header, required):

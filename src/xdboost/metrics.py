@@ -5,8 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, UsageError
-
-LOGLOSS_CLIP = 1e-7
+from .nn import weighted_bce_loss
 
 
 @dataclass
@@ -52,13 +51,9 @@ def auc(scores, labels):
 
 
 def log_loss(probs, labels):
-    """Unweighted mean binary cross-entropy; probabilities are clipped."""
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if probs.shape != labels.shape:
-        raise UsageError(f"length mismatch: {probs.shape} vs {labels.shape}")
-    p = np.clip(probs, LOGLOSS_CLIP, 1.0 - LOGLOSS_CLIP)
-    return float(np.mean(-labels * np.log(p) - (1.0 - labels) * np.log(1.0 - p)))
+    """Unweighted mean binary cross-entropy: the training loss with unit
+    class weights, so probabilities are clipped as in training."""
+    return weighted_bce_loss(probs, labels)
 
 
 def evaluate(scores, labels):

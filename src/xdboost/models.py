@@ -43,7 +43,7 @@ import numpy as np
 
 from . import kernels, nn
 from .data import DesignMatrix, FeatureSchema
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError, UsageError
 
 # The classifier's head and the error regressors'; the loss follows the head.
 HEADS = ("sigmoid", "tanh")
@@ -70,11 +70,18 @@ class BaseNetConfig:
         if self.embedding_dim < 1:
             raise ConfigError("embedding_dim must be positive")
         if any(h < 1 for h in self.hidden_layers):
-            raise ConfigError("hidden layer sizes must be positive")
+            raise ConfigError(f"hidden_layers must be positive sizes, got {self.hidden_layers}")
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
         if self.epochs < 0 or self.patience < 0 or self.batch_size < 1:
             raise ConfigError("epochs/patience must be >= 0 and batch_size >= 1")
+        # written so that NaN fails them
+        for name in ("learning_rate", "epsilon"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
 
     def as_classifier(self):
         return dataclasses.replace(self, head="sigmoid")
@@ -419,6 +426,12 @@ class BaseNet:
         return *self._snapshot(), self._shuffle_rng.bit_generator.state
 
     def load_fit_state(self, state):
+        """Resume from a fit_state, whose vectors must match the arena's layout."""
+        flat, (_, m, v), _ = state
+        for name, vector in (("arena", flat), ("Adam m", m), ("Adam v", v)):
+            if len(vector) != len(self.flat):
+                raise UsageError(f"the checkpoint's {name} has {len(vector)} entries, "
+                                 f"the net's arena {len(self.flat)}")
         self._restore(state)
         self._shuffle_rng.bit_generator.state = state[2]
 

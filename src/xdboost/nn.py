@@ -8,7 +8,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, UsageError
 
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
+DENSE_ACTIVATIONS = ("relu", "identity")  # the heads' derivatives live in their losses'
 
 # Probabilities are clipped to [P_CLIP, 1 - P_CLIP] before any log.
 P_CLIP = 1e-7
@@ -32,16 +32,12 @@ def activation_apply(kind, x):
 
 
 def activation_grad_from_output(kind, out):
-    """Derivative of the activation expressed through its own output.
+    """Derivative of a dense layer's activation through its own output.
 
     For relu the subgradient at 0 is taken as 0 (out == 0 gives 0).
     """
     if kind == "relu":
         return (out > 0.0).astype(np.float64)
-    if kind == "sigmoid":
-        return out * (1.0 - out)
-    if kind == "tanh":
-        return 1.0 - out * out
     if kind == "identity":
         return np.ones_like(out)
     raise ConfigError(f"unknown activation kind: {kind!r}")
@@ -126,8 +122,8 @@ class DenseLayer:
     """
 
     def __init__(self, weights, bias, activation, rng):
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation kind: {activation!r}")
+        if activation not in DENSE_ACTIVATIONS:
+            raise ConfigError(f"unknown dense layer activation: {activation!r}")
         self.out_dim, self.in_dim = weights.shape
         self.activation = activation
         self.weights = weights

@@ -14,6 +14,7 @@ their own latent vectors), so they are genuinely scoreable, just unseen.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +60,17 @@ class SynthConfig:
             raise ConfigError("n_rows must be positive")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be at least 2")
+        if self.latent_dim < 1:
+            raise ConfigError(f"latent_dim must be positive, got {self.latent_dim}")
+        for name in ("interaction_scale", "segment_scale", "continuous_scale", "base_logit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.cold_start_fraction <= 1.0:
             raise ConfigError("cold_start_fraction must lie in [0, 1]")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
     def to_dict(self):
         return dataclasses.asdict(self)

@@ -150,12 +150,27 @@ def _net(**settings):
     (lambda tmp_path: {"normalize_continuous": "false"}, "normalize_continuous"),
     (lambda tmp_path: _net(loss="mae"), "loss"),
     (lambda tmp_path: _net(seed=0), "seed"),
+    (lambda tmp_path: {"seed": -5}, "error: seed must be a nonnegative integer, got -5"),
+    (lambda tmp_path: {"synthetic": {"n_rows": 400, "seed": -1}}, "synthetic.seed"),
+    (lambda tmp_path: _net(learning_rate=-1.0), "model.net.learning_rate must be positive"),
+    (lambda tmp_path: _net(learning_rate=float("nan")), "model.net.learning_rate"),
+    (lambda tmp_path: _net(epsilon=-1.0), "model.net.epsilon"),
+    (lambda tmp_path: _net(beta1=1.0), "model.net.beta1"),
+    (lambda tmp_path: {"synthetic": {"n_rows": 400, "latent_dim": 0}}, "synthetic.latent_dim"),
+    (lambda tmp_path: {"synthetic": {"n_rows": 400, "interaction_scale": float("nan")}},
+     "synthetic.interaction_scale"),
+    (lambda tmp_path: {"split": {"train": float("nan"), "val": 0.1, "test": 0.2}},
+     "split.train"),
+    (lambda tmp_path: {"sub_training_percent": float("inf")}, "sub_training_percent"),
 ], ids=["fields-file-not-json", "hidden-layers-not-numbers", "percent-as-string",
         "iterations-not-a-number", "model-not-an-object", "percentages-not-a-list",
         "shuffle-as-string", "cold-restart-as-string", "seed-not-an-integer",
         "iterations-not-an-integer", "epochs-not-an-integer", "batch-size-as-float",
         "embedding-dim-as-float", "synthetic-rows-not-an-integer", "hidden-layers-of-strings",
-        "normalize-as-string", "net-loss", "net-seed"])
+        "normalize-as-string", "net-loss", "net-seed", "negative-seed",
+        "negative-synthetic-seed", "negative-learning-rate", "nan-learning-rate",
+        "negative-epsilon", "beta1-of-one", "zero-latent-dim", "nan-interaction-scale",
+        "nan-split", "infinite-percent"])
 def test_malformed_config_inputs_exit_2(tmp_path, capsys, monkeypatch, overrides, named):
     """Each is refused naming its key, before any data is read."""
     monkeypatch.setattr(cli, "load_records", None)
@@ -457,6 +472,29 @@ def test_train_without_data_source_is_a_config_error(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"seed": 1}))
     assert cli.main(["train", "--config", str(path)]) == 2
+    path.write_text(json.dumps({"seed": 1, "dataset": str(tmp_path / "data.csv")}))
+    assert cli.main(["train", "--config", str(path)]) == 2  # a dataset without fields
+
+
+@pytest.mark.parametrize("fields_as", ["path", "inline"])
+def test_the_readme_flow_trains_from_a_synth_gen_csv_and_scores_it(tmp_path, fields_as):
+    """synth-gen, then train from its dataset and fields, then predict over
+    the same CSV."""
+    gen = tmp_path / "gen"
+    assert cli.main(["synth-gen", "--output-dir", str(gen), "--rows", "400",
+                     "--vocab-size", "8", "--seed", "5"]) == 0
+    fields = str(gen / "fields.json") if fields_as == "path" else synth.field_mapping()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 11, "dataset": str(gen / "data.csv"),
+                                  "fields": fields, "model": FAST_MODEL}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--output-dir", str(out)]) == 0
+    result = read_json(out / "train_result.json")
+    assert result["data_source"] == {"source": str(gen / "data.csv"), "n_rows": 400}
+    assert result["config"]["fields"] == synth.field_mapping()
+    assert cli.main(["predict", "--bundle", str(out / "model_bundle"),
+                     "--input", str(gen / "data.csv"), "--output", str(tmp_path / "p.csv")]) == 0
+    assert len(_scored(tmp_path / "p.csv")) == 400
 
 
 # ---- sweep ------------------------------------------------------------------------
@@ -524,6 +562,20 @@ def test_sweep_where_every_run_fails_exits_nonzero(tmp_path):
     assert summary["failures"][0]["type"] == "DataError"
 
 
+def test_a_sweep_that_fails_every_budget_keeps_the_previous_csv(tmp_path):
+    config = write_config(tmp_path, synthetic={"n_rows": 150, "vocab_size": 5})
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", config, "--output-dir", str(out),
+                     "--percentages", "20"]) == 0
+    before = (out / "sweep.csv").read_bytes()
+    # 0.5% of 150 rows floors to zero records: every budget fails
+    assert cli.main(["sweep", "--config", config, "--output-dir", str(out),
+                     "--percentages", "0.5"]) == 3
+    assert (out / "sweep.csv").read_bytes() == before
+    summary = read_json(out / "sweep_summary.json")
+    assert summary["csv"] is None and summary["failures"][0]["percentage"] == 0.5
+
+
 def test_a_sweep_with_an_empty_test_split_fails_every_budget_before_training(tmp_path,
                                                                            monkeypatch):
     split = {"train": 0.9, "val": 0.1, "test": 0.0}
@@ -536,7 +588,7 @@ def test_a_sweep_with_an_empty_test_split_fails_every_budget_before_training(tmp
     assert [(f["percentage"], f["type"]) for f in summary["failures"]] == [
         (5, "DataError"), (10, "DataError")]
     assert "test split is empty" in summary["failures"][0]["error"]
-    assert sorted(os.listdir(out)) == ["sweep.csv", "sweep_summary.json"]
+    assert sorted(os.listdir(out)) == ["sweep_summary.json"]
     monkeypatch.undo()
     # train on the same split reports validation metrics only
     assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
@@ -868,8 +920,29 @@ def test_predict_refuses_a_row_whose_score_overflows(tmp_path, capsys):
         code = cli.main(["predict", "--bundle", str(tmp_path / "run" / "model_bundle"),
                          "--input", str(path), "--output", str(out)])
     assert code == 3
-    assert "X_test row 4 (from 0) scores nan" in capsys.readouterr().err
+    assert "line 6: X_test row 4 (from 0) scores nan" in capsys.readouterr().err
     assert out.read_text() == "previous\n"
+
+
+def test_predict_names_the_line_of_an_overflowing_row_after_quotes_and_blanks(tmp_path,
+                                                                             capsys):
+    """The same overflow in a log that csv.reader parses: a quoted header and
+    three blank lines put data row 4 on line 9."""
+    config = write_config(tmp_path, normalize_continuous=False)
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert cli.main(["synth-gen", "--output-dir", str(tmp_path / "gen"), "--rows", "40",
+                     "--vocab-size", "8", "--seed", "99"]) == 0
+    lines = (tmp_path / "gen" / "data.csv").read_text().splitlines()
+    cells = lines[5].split(",")  # data row 4
+    lines[5] = ",".join([*cells[:-3], "1e300", *cells[-2:]])  # its x0
+    header = ",".join(f'"{name}"' for name in lines[0].split(","))
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join([header, "", *lines[1:3], "", "", *lines[3:]]) + "\n")
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["predict", "--bundle", str(tmp_path / "run" / "model_bundle"),
+                         "--input", str(path), "--output", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert "line 9: X_test row 4 (from 0) scores nan" in capsys.readouterr().err
 
 
 def _csv_writer_predict(model, path):
@@ -965,6 +1038,10 @@ BUNDLE_FAULTS = {
         flat_1=arrays["flat_1"][:1])),
     "classifier-as-regressor": _edited(lambda manifest, arrays: manifest["nets"].__setitem__(
         1, manifest["nets"][0])),
+    # every net loads, but the model they would form is refused
+    "tanh-classifier": _edited(lambda manifest, arrays: manifest["nets"][0]["config"].update(
+        head="tanh")),
+    "regressor-dropped-from-manifest": _edited(lambda manifest, arrays: manifest["nets"].pop()),
     "net-for-another-schema": _edited(_schema_with_one_more_token),
     "manifest-not-json": lambda bundle: write_bundle(bundle, b"{not json",
                                                      read_bundle(bundle)[1]),
@@ -982,3 +1059,4 @@ def test_predict_rejects_a_damaged_bundle(trained_run, tmp_path, capsys, fault):
     shutil.copy(bundle, broken)
     BUNDLE_FAULTS[fault](broken)
     assert _predict_with(broken, data, tmp_path / "out.csv", capsys) == 3
+

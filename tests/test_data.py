@@ -262,6 +262,10 @@ def test_split_spec_validation():
         SplitSpec(0.5, 0.5, 0.5)
     with pytest.raises(ConfigError):
         SplitSpec(-0.1, 0.9, 0.2)
+    # every bound fails NaN, whichever fraction holds it
+    for spec in ((math.nan, 0.1, 0.2), (0.7, math.nan, 0.2), (0.7, 0.1, math.nan)):
+        with pytest.raises(ConfigError):
+            SplitSpec(*spec)
 
 
 def test_split_partition_and_order_property():

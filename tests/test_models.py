@@ -7,6 +7,7 @@ bundle that stores every net.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import shutil
 
@@ -102,6 +103,10 @@ def test_config_validation():
         BaseNetConfig(batch_size=0)
     with pytest.raises(ConfigError):
         BaseNetConfig(epochs=-1)
+    for bad in ({"learning_rate": 0.0}, {"learning_rate": math.nan}, {"epsilon": -1e-8},
+                {"epsilon": math.nan}, {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": math.nan}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            BaseNetConfig(**bad)
     with pytest.raises(ConfigError):
         BaseNet(make_schema((2,), 0), BaseNetConfig(), seed=-1)
 

@@ -47,7 +47,7 @@ def test_activation_grads_match_finite_differences():
     x = rng.uniform(-3.0, 3.0, size=200)
     x = x[np.abs(x) > 1e-3]  # keep clear of the relu kink
     h = 1e-6
-    for kind in ("sigmoid", "tanh", "relu", "identity"):
+    for kind in ("relu", "identity"):
         out = nn.activation_apply(kind, x)
         grad = nn.activation_grad_from_output(kind, out)
         fd = (nn.activation_apply(kind, x + h) - nn.activation_apply(kind, x - h)) / (2 * h)
@@ -202,11 +202,13 @@ def test_dense_layer_forward_and_errors():
         layer.backward(cache, np.ones((4, 3)))
     with pytest.raises(ConfigError):
         _dense(3, 2, "softmax", np.random.default_rng(0))
+    with pytest.raises(ConfigError):  # a head's derivative lives in its loss's
+        _dense(3, 2, "tanh", np.random.default_rng(0))
 
 
 def test_dense_layer_backward_matches_finite_differences():
     rng = np.random.default_rng(6)
-    for kind in ("identity", "relu", "tanh", "sigmoid"):
+    for kind in ("identity", "relu"):
         layer = _dense(4, 3, kind, rng)
         x = rng.uniform(0.1, 1.0, size=(5, 4))
         # resample until every preactivation is far from the relu kink,

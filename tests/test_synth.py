@@ -2,6 +2,7 @@
 planting and CSV round-trips."""
 
 import hashlib
+import math
 import os
 
 import numpy as np
@@ -95,6 +96,11 @@ def test_config_validation():
         synth.SynthConfig(cold_start_fraction=1.5)
     with pytest.raises(ConfigError):
         synth.SynthConfig(test_fraction=0.0)
+    for bad in ({"latent_dim": 0}, {"seed": -1}, {"interaction_scale": math.nan},
+                {"segment_scale": math.inf}, {"continuous_scale": -math.inf},
+                {"base_logit": math.nan}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            synth.SynthConfig(**bad)
 
 
 def test_csv_roundtrip_reproduces_the_records(tmp_path):
