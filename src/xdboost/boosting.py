@@ -90,7 +90,7 @@ class XDBoostModel:
         net's config, seed and Adam step count) and each net's arena and
         Adam moment vectors, classifier first. It is written beside path
         and renamed over it, so path holds the old bundle or the new one,
-        never a mix.
+        never a mix. The manifest is strict JSON: a NaN in it is a ValueError.
         """
         path = os.fspath(path)
         if os.path.isdir(path):
@@ -108,17 +108,18 @@ class XDBoostModel:
             "nets": [{"config": net.config.to_dict(), "seed": net.seed,
                       "adam_t": net.optimizer.t} for net in nets],
         }
-        arrays = dict(entry for i, net in enumerate(nets) for entry in _stored_vectors(net, i))
+        blob = json.dumps(manifest, allow_nan=False).encode()
+        arrays = {f"{key}_{i}": vector for i, net in enumerate(nets) for key, vector in
+                  (("flat", net.flat), ("adam_m", net.optimizer.m), ("adam_v", net.optimizer.v))}
         # a handle, because np.savez appends ".npz" to a path
         with replacing(path, "wb") as fh:
-            np.savez(fh, manifest=np.frombuffer(json.dumps(manifest).encode(), np.uint8),
-                     **arrays)
+            np.savez(fh, manifest=np.frombuffer(blob, np.uint8), **arrays)
 
     @classmethod
     def load_bundle(cls, path):
         """Read a bundle written by save_bundle; a missing, unreadable,
-        damaged or inconsistent bundle, or one whose stored vectors hold a
-        NaN or an infinity, is a DataError naming path."""
+        damaged or inconsistent bundle is a DataError naming path. Each
+        net's vectors are checked and restored by BaseNet.load_fit_state."""
         if os.path.isdir(path):
             raise DataError(f"{path} is a directory, as version-1 model bundles were; "
                             "retrain to write a one-file bundle")
@@ -136,14 +137,11 @@ class XDBoostModel:
             nets = []
             for i, spec in enumerate(manifest["nets"]):
                 net = BaseNet(schema, BaseNetConfig.from_dict(spec["config"]), seed=spec["seed"])
-                for key, vector in _stored_vectors(net, i):
-                    if arrays[key].shape != vector.shape:
-                        raise DataError(f"{key} has shape {arrays[key].shape}, "
-                                        f"expected {vector.shape}")
-                    if not np.isfinite(arrays[key]).all():
-                        raise DataError(f"{key} holds a NaN or infinite value")
-                    vector[...] = arrays[key]
-                net.optimizer.t = int(spec["adam_t"])
+                adam = int(spec["adam_t"]), arrays[f"adam_m_{i}"], arrays[f"adam_v_{i}"]
+                try:
+                    net.load_fit_state((arrays[f"flat_{i}"], adam, None))
+                except UsageError as exc:
+                    raise DataError(f"net {i}: {exc}") from exc
                 nets.append(net)
             classifier, *regressors = nets
             return cls(schema, manifest["n_iterations"], manifest["error_lr"],
@@ -154,12 +152,6 @@ class XDBoostModel:
         except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile,
                 ConfigError, DataError) as exc:
             raise DataError(f"cannot load model bundle {path}: {exc}") from exc
-
-
-def _stored_vectors(net, i):
-    """(archive entry name, vector) for each stored vector of bundle net i."""
-    return ((f"flat_{i}", net.flat), (f"adam_m_{i}", net.optimizer.m),
-            (f"adam_v_{i}", net.optimizer.v))
 
 
 def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,
@@ -232,11 +224,12 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     The optional observer is called with one dict per notable event
     (classifier_fit, residual_fit, placeholder_write) so tests and
     diagnostics can watch the column discipline without touching the loop.
-    Event payloads, copies included, are built only when an observer is
-    given. A residual_fit event carries the live ``classifier`` and the
-    FitHistory of the fit just run; iteration 0's fit state and that
-    history, taken during the event, are the checkpoint train_unboosted
-    starts from.
+    Payloads are built only when an observer is given, and are for
+    reading: ``targets`` and ``values`` are the loop's own arrays, and
+    ``placeholders`` a copy, since the loop writes that block later. A
+    residual_fit event carries the FitHistory of the fit just run;
+    iteration 0's ``model.classifier.fit_state()`` and that history, taken
+    during the event, are the checkpoint train_unboosted starts from.
     """
     y_train, y_val = _training_inputs(model.n_iterations, X_train, y_train, X_val, y_val)
     X_train = _working_copy(X_train)
@@ -254,9 +247,9 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         if residual.size and not np.isfinite(residual).all():
             raise TrainingError(f"iteration {i}: non-finite residuals from the classifier")
         if observer is not None:
-            observer({"event": "residual_fit", "iteration": i, "targets": residual.copy(),
+            observer({"event": "residual_fit", "iteration": i, "targets": residual,
                       "placeholders": X_train.placeholder_block().copy(),
-                      "classifier": model.classifier, "classifier_history": fit_hist})
+                      "classifier_history": fit_hist})
         reg_val = None
         if X_val is not None:
             reg_val = (X_val, y_val - model.classifier.predict_matrix(X_val))
@@ -321,7 +314,7 @@ def _write_column(model, i, X, phase, observer):
     X.placeholder_block()[:, i] = written
     if observer is not None:
         observer({"event": "placeholder_write", "phase": phase, "iteration": i,
-                  "column": i, "values": written.copy()})
+                  "column": i, "values": written})
     return written
 
 

@@ -268,7 +268,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         # reference's fits share nothing with the loop's, so a child runs
         # them while the loop goes on.
         if event["event"] == "residual_fit" and event["iteration"] == 0:
-            start = event["classifier"].fit_state(), [event["classifier_history"]]
+            start = model.classifier.fit_state(), [event["classifier_history"]]
             children.append(_Child(lambda: _checkpoint(*train_reference(start))))
 
     try:
@@ -317,8 +317,9 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
 
 
 def _write_json(path, payload):
+    """A NaN or infinity in payload is a ValueError; path keeps its old content."""
     with replacing(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

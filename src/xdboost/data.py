@@ -16,7 +16,7 @@ import json
 import math
 import os
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -40,7 +40,8 @@ class ClickLog:
     are None when the log has no such field. ``categorical`` and
     ``continuous`` map each context field to its column. Timestamps and
     continuous values are float64, with NaN marking a missing continuous
-    value; labels are int64. ``log[idx]`` selects rows by slice, index
+    value; labels are int64, and a label that is not an integer is a
+    DataError, not truncated. ``log[idx]`` selects rows by slice, index
     array or boolean mask; a slice shares its columns with the log.
     """
 
@@ -59,12 +60,18 @@ class ClickLog:
             self.timestamp = np.asarray(self.timestamp, dtype=np.float64)
             self.continuous = {name: np.asarray(col, dtype=np.float64)
                                for name, col in self.continuous.items()}
+            label = np.asarray(self.label)
+            if label.dtype.kind not in "biu":  # a cast to int64 would truncate
+                label = label.astype(np.float64)
+                whole = (label == np.round(label)) & (np.abs(label) < 2.0 ** 63)
+                if not whole.all():
+                    raise DataError(f"label {label[~whole][0]} is not an integer")
         except (TypeError, ValueError) as exc:
             raise DataError(f"non-numeric value in a numeric column: {exc}")
         self.user_id = strings(self.user_id)
         self.item_id = strings(self.item_id)
         self.categorical = {name: strings(col) for name, col in self.categorical.items()}
-        self.label = np.asarray(self.label, dtype=np.int64)
+        self.label = label.astype(np.int64, copy=False)
 
     def __len__(self):
         return len(self.label)
@@ -92,14 +99,10 @@ class FieldSpec:
     def from_mapping(cls, mapping):
         spec = cls()
         for name, kind in mapping.items():
-            if kind == "user":
-                if spec.user_field is not None:
-                    raise ConfigError("more than one field declared as user")
-                spec.user_field = name
-            elif kind == "item":
-                if spec.item_field is not None:
-                    raise ConfigError("more than one field declared as item")
-                spec.item_field = name
+            if kind in ("user", "item"):
+                if getattr(spec, f"{kind}_field") is not None:
+                    raise ConfigError(f"more than one field declared as {kind}")
+                setattr(spec, f"{kind}_field", name)
             elif kind == "categorical":
                 spec.categorical.append(name)
             elif kind == "continuous":
@@ -122,14 +125,8 @@ class FieldSpec:
         return out
 
     def all_categorical(self):
-        """Ordered categorical columns: user, item, then context fields."""
-        out = []
-        if self.user_field:
-            out.append(self.user_field)
-        if self.item_field:
-            out.append(self.item_field)
-        out.extend(self.categorical)
-        return out
+        """Categorical columns in to_mapping's order: user, item, then context fields."""
+        return [name for name, kind in self.to_mapping().items() if kind != "continuous"]
 
 
 @dataclass
@@ -424,9 +421,7 @@ class FeatureSchema:
     def with_placeholders(self, n):
         if self.n_placeholders:
             raise UsageError("schema already has placeholder columns")
-        return FeatureSchema(self.cat_fields, self.vocab, self.cont_fields,
-                             self.cont_stats, n, self.user_field,
-                             self.item_field, self.normalize)
+        return replace(self, n_placeholders=n)
 
     def to_dict(self):
         return {

@@ -1,6 +1,6 @@
 """Evaluation metrics: ROC AUC (rank-based, ties count half) and log loss."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -16,8 +16,7 @@ class MetricsReport:
     n_positive: int
 
     def to_dict(self):
-        return {"auc": self.auc, "log_loss": self.log_loss,
-                "n_instances": self.n_instances, "n_positive": self.n_positive}
+        return asdict(self)
 
 
 def _tied_ranks(scores):
@@ -35,7 +34,7 @@ def auc(scores, labels):
     """Probability a random positive outscores a random negative, ties = 1/2.
 
     Computed via rank sums in O(n log n); equals brute-force pairwise
-    counting exactly.
+    counting exactly. A label other than 0 or 1 is an EvaluationError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -43,6 +42,8 @@ def auc(scores, labels):
         raise UsageError(f"length mismatch: {scores.shape} vs {labels.shape}")
     n_pos = int(np.sum(labels == 1))
     n_neg = int(np.sum(labels == 0))
+    if n_pos + n_neg != labels.size:
+        raise EvaluationError("AUC needs labels of 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise EvaluationError("AUC needs both classes present")
     ranks = _tied_ranks(scores)
@@ -58,7 +59,8 @@ def log_loss(probs, labels):
 
 def evaluate(scores, labels):
     """Bundle AUC and log loss over one scored evaluation set; a NaN or
-    infinite score is an EvaluationError naming the first one."""
+    infinite score is an EvaluationError naming the first one, and so is
+    a label other than 0 or 1 (from auc)."""
     scores = np.asarray(scores, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:

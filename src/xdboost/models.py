@@ -426,14 +426,20 @@ class BaseNet:
         return *self._snapshot(), self._shuffle_rng.bit_generator.state
 
     def load_fit_state(self, state):
-        """Resume from a fit_state, whose vectors must match the arena's layout."""
-        flat, (_, m, v), _ = state
+        """Resume from a fit_state (arena, (adam_t, m, v), rng_state), a
+        checkpoint's or a bundle's: the one check of a saved net. A vector
+        of another shape than the arena, or holding a NaN or infinity, is a
+        UsageError; an rng_state of None keeps the seeded shuffle RNG."""
+        flat, (_, m, v), rng_state = state
         for name, vector in (("arena", flat), ("Adam m", m), ("Adam v", v)):
-            if len(vector) != len(self.flat):
-                raise UsageError(f"the checkpoint's {name} has {len(vector)} entries, "
-                                 f"the net's arena {len(self.flat)}")
+            if np.shape(vector) != self.flat.shape:
+                raise UsageError(f"the checkpoint's {name} has {np.size(vector)} entries in "
+                                 f"shape {np.shape(vector)}, the net's arena {self.flat.size}")
+            if not np.isfinite(vector).all():
+                raise UsageError(f"the checkpoint's {name} holds a NaN or infinite value")
         self._restore(state)
-        self._shuffle_rng.bit_generator.state = state[2]
+        if rng_state is not None:
+            self._shuffle_rng.bit_generator.state = rng_state
 
     def _snapshot(self):
         return self.flat.copy(), self.optimizer.state_copy()

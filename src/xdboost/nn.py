@@ -43,35 +43,37 @@ def activation_grad_from_output(kind, out):
     raise ConfigError(f"unknown activation kind: {kind!r}")
 
 
-def _weights_pair(class_weights):
-    """Class weights, a pair (weight of label 0, weight of label 1) such as
-    data.ClassWeights, as the array the loss indexes by label."""
-    if class_weights is None:
-        return np.array([1.0, 1.0])
+def _label_weights(y, class_weights):
+    """Each float64 label's class weight, from a pair (weight of label 0,
+    weight of label 1) such as data.ClassWeights, or unit weights for None.
+    Another class_weights, or a label other than 0 or 1, is a UsageError."""
+    binary = (y == 0.0) | (y == 1.0)
+    if not binary.all():
+        raise UsageError(f"labels must be 0 or 1, got {y[~binary][0]}")
     try:
-        w = np.asarray(class_weights)
+        w = np.asarray((1.0, 1.0) if class_weights is None else class_weights)
     except ValueError:  # a ragged sequence
         w = np.empty(0)
     if w.shape != (2,) or w.dtype.kind not in "iuf":
         raise UsageError("class weights must be a pair of numbers (weight of label 0, "
                          f"weight of label 1), got {class_weights!r}")
-    return w.astype(np.float64, copy=False)
+    return w.astype(np.float64, copy=False)[y.astype(np.int64)]
 
 
 def weighted_bce_loss(p, y, class_weights=None):
     """Mean class-weighted binary cross-entropy.
 
     Probabilities are clipped to [P_CLIP, 1 - P_CLIP]; each instance is
-    weighted by the weight of its true class.
+    weighted by the weight of its true class, so a label must be 0 or 1.
     """
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
         raise UsageError(f"length mismatch: {p.shape} vs {y.shape}")
-    w = _weights_pair(class_weights)
+    w = _label_weights(y, class_weights)
     pc = np.clip(p, P_CLIP, 1.0 - P_CLIP)
     per = -y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)
-    return float(np.mean(w[y.astype(np.int64)] * per))
+    return float(np.mean(w * per))
 
 
 def bce_dlogit(p, y, class_weights=None):
@@ -82,9 +84,8 @@ def bce_dlogit(p, y, class_weights=None):
     """
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = _weights_pair(class_weights)
     inside = (p > P_CLIP) & (p < 1.0 - P_CLIP)
-    return w[y.astype(np.int64)] * (p - y) * inside / p.shape[0]
+    return _label_weights(y, class_weights) * (p - y) * inside / p.shape[0]
 
 
 def mae_loss(yhat, target):

@@ -14,7 +14,7 @@ from xdboost.boosting import (XDBoostModel, append_placeholders, classifier_seed
                               create_xdboost, derive_seed, predict_xdboost,
                               regressor_seed, train_unboosted, train_xdboost)
 from xdboost.data import class_weights
-from xdboost.errors import ConfigError, DataError, UsageError
+from xdboost.errors import ConfigError, DataError, TrainingError, UsageError
 from xdboost.models import BaseNet, BaseNetConfig, FitHistory
 
 NET = BaseNetConfig(embedding_dim=2, hidden_layers=(4,), learning_rate=1e-2,
@@ -173,6 +173,42 @@ def test_an_unobserved_loop_builds_no_event_payloads(monkeypatch):
     assert model.trained
 
 
+def test_a_residual_fit_event_carries_the_loops_residuals_and_no_net(monkeypatch):
+    """The event's targets are the array regressor i fits on, not a copy of
+    it, and the event holds no net: an observer reads model.classifier."""
+    schema, X_train, y_train, X_val, y_val = _training_setup()
+    model = create_xdboost(schema, NET, n_iterations=2, seed=9)
+    fit, regressor_targets = BaseNet.fit, []
+    monkeypatch.setattr(BaseNet, "fit", lambda net, X, targets, **kw: (
+        net.config.head == "tanh" and regressor_targets.append(targets)) or fit(
+        net, X, targets, **kw))
+    events = []
+    train_xdboost(model, X_train, y_train, X_val, y_val,
+                  observer=lambda e: e["event"] == "residual_fit" and events.append(e))
+    assert [sorted(e) for e in events] == [
+        ["classifier_history", "event", "iteration", "placeholders", "targets"]] * 2
+    assert len(regressor_targets) == 2
+    assert all(e["targets"] is t for e, t in zip(events, regressor_targets))
+
+
+def test_non_finite_residuals_are_a_training_error_naming_the_iteration(monkeypatch):
+    schema, X_train, y_train, X_val, y_val = _training_setup(n_train=120, n_val=30)
+    model = create_xdboost(schema, NET, n_iterations=2, seed=9)
+    predict, train_scores = BaseNet.predict_matrix, []
+
+    def nan_at_iteration_1(net, X):
+        out = predict(net, X)
+        if net.config.head == "sigmoid" and X.n_rows == 120:
+            train_scores.append(out)
+            if len(train_scores) == 2:
+                out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(BaseNet, "predict_matrix", nan_at_iteration_1)
+    with pytest.raises(TrainingError, match="iteration 1: non-finite residuals"):
+        train_xdboost(model, X_train, y_train, X_val, y_val)
+
+
 def test_predict_replays_the_training_writes():
     schema, X_train, y_train, X_val, y_val = _training_setup()
     model = create_xdboost(schema, NET, n_iterations=2, seed=11)
@@ -290,7 +326,7 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
     fitted = []
     train_xdboost(model, X_train, y_train, X_val, y_val, class_weights=weights,
                   observer=lambda e: fitted.append(
-                      (e["classifier"].fit_state(), [e["classifier_history"]]))
+                      (model.classifier.fit_state(), [e["classifier_history"]]))
                   if e["event"] == "residual_fit" else None)
     assert len(fitted) == n_iterations
 
@@ -336,7 +372,7 @@ def test_a_checkpoint_that_cannot_belong_to_the_call_is_refused(case, message):
     first = []
     train_xdboost(model, X_train, y_train, X_val, y_val,
                   observer=lambda e: e["event"] == "residual_fit" and first.append(
-                      (e["classifier"].fit_state(), [e["classifier_history"]])))
+                      (model.classifier.fit_state(), [e["classifier_history"]])))
     (flat, (t, m, v), rng_state), hists = first[0]
     if case == "histories":
         hists = hists * 5
@@ -454,6 +490,21 @@ def test_load_bundle_rejects_missing_or_tampered_manifests(tmp_path):
     write_bundle(bundle, {**manifest, "n_iterations": 3}, arrays)
     with pytest.raises(DataError, match="3 iterations"):
         XDBoostModel.load_bundle(bundle)
+
+
+def test_a_manifest_holding_an_infinity_is_refused_before_a_write(tmp_path):
+    """JSON has no infinity, so a net config holding one (its own checks
+    let an infinite learning rate through) is refused, not written as a
+    manifest that strict JSON readers cannot read."""
+    old, schema = _trained_model(31)
+    bundle = tmp_path / "bundle"
+    old.save_bundle(bundle)
+    saved = bundle.read_bytes()
+    config = dataclasses.replace(NET, learning_rate=float("inf"))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        create_xdboost(schema, config, n_iterations=2, seed=31).save_bundle(bundle)
+    assert bundle.read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
 
 
 def test_an_interrupted_save_leaves_the_previous_bundle(tmp_path, monkeypatch):

@@ -315,6 +315,19 @@ def test_an_interrupted_result_write_keeps_the_previous_file(tmp_path, monkeypat
     assert os.listdir(tmp_path) == ["result.json"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_result_holding_nan_or_infinity_is_refused(tmp_path, bad):
+    """JSON has neither, so the writer refuses the payload and the previous
+    file stays, with no temporary file beside it."""
+    path = tmp_path / "result.json"
+    cli._write_json(path, {"run": 1})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(path, {"run": 2, "metrics": {"auc": bad}})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["result.json"]
+
+
 # sha256 of result files at seed 11 with every timing read as 0, recorded
 # when each file was still written in place
 RESULT_SHA256 = {
@@ -386,6 +399,29 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     assert forked == _result_files(tmp_path / "one_cpu")
     assert len(pipes) == 3  # one per experiment
     assert {fd for fds in pipes for fd in fds} <= set(closed)
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+def test_train_on_a_split_without_validation_rows(tmp_path, monkeypatch, two_cpus, forked):
+    """Both models train without early stopping and are scored on the test
+    rows only, whether or not the reference trains in a child."""
+    fork, forks = getattr(os, "fork", None), []
+    if forked:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    else:
+        monkeypatch.delattr(os, "fork")
+    config = write_config(tmp_path, split={"train": 0.8, "val": 0.0, "test": 0.2},
+                          model={**FAST_MODEL, "n_iterations": 2})
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert len(forks) == forked
+    result = read_json(tmp_path / "run" / "train_result.json")
+    assert (result["n_val_rows"], result["n_test_rows"]) == (0, 80)
+    assert {name: list(reports) for name, reports in result["metrics"].items()} == {
+        "boosted": ["test"], "baseline": ["test"]}
+    fits = [fit for log in (result["boosted_training_log"], result["baseline_training_log"])
+            for entry in log for fit in entry.values() if isinstance(fit, dict)]
+    assert len(fits) == 2 * 3 + 2 * 2
+    assert all(fit["val_losses"] == [] and fit["initial_val_loss"] is None for fit in fits)
 
 
 @pytest.mark.parametrize("n_iterations", [1, 3])
@@ -546,6 +582,24 @@ def test_sweep_hashes_the_test_split_once(tmp_path, monkeypatch):
     for pct in (5, 10, 20):
         assert read_json(out / f"sweep_p{pct}.json")["test_set_hash"] == fresh
     assert read_json(out / "sweep_summary.json")["test_set_hash"] == fresh
+
+
+def test_sweep_with_an_empty_percentage_list_exits_2_before_reading_data(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.setattr(cli, "load_records", lambda cfg: pytest.fail("data was read"))
+    assert cli.main(["sweep", "--config", write_config(tmp_path), "--output-dir",
+                     str(tmp_path / "sweep"), "--percentages", ""]) == 2
+    assert "non-empty sub-training percentage list" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("percentages", ["5,ten", "5;10", "5,,x"])
+def test_a_malformed_percentage_list_exits_2(tmp_path, capsys, percentages):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", "--config", write_config(tmp_path), "--output-dir",
+                  str(tmp_path / "sweep"), "--percentages", percentages])
+    assert exit_info.value.code == 2
+    assert "bad percentage list" in capsys.readouterr().err
 
 
 def test_sweep_where_every_run_fails_exits_nonzero(tmp_path):

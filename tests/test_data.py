@@ -88,6 +88,15 @@ def test_click_log_selects_rows_by_slice_index_array_and_mask():
     assert log_rows(no_user[1:]) == [(2.0, None, "b", {}, {}, 1)]
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 0], [0, 1, math.nan], [0, -math.inf, 1]])
+def test_click_log_refuses_a_label_that_is_not_an_integer(labels):
+    """A cast to int64 would truncate 0.5 and 1.7 to a silent 0 and 1."""
+    with pytest.raises(DataError, match="is not an integer"):
+        ClickLog([1, 2, 3], None, None, {}, {}, labels)
+    assert ClickLog([1, 2], None, None, {}, {}, [1.0, 0.0]).label.tolist() == [1, 0]
+    assert ClickLog([1, 2], None, None, {}, {}, [2 ** 62, -5]).label.tolist() == [2 ** 62, -5]
+
+
 def test_ingest_missing_file_and_columns(tmp_path):
     with pytest.raises(DataError, match="not found"):
         ingest_csv(tmp_path / "absent.csv", _SPEC)
@@ -334,6 +343,14 @@ def test_sub_training_bound_follows_the_split():
         SplitSpec(train=0.5, val=0.25, test=0.25).check_sub_training_percent(60)
     # 100 * 0.57 is just below 57 in floating point; the bound still holds 57
     SplitSpec(train=0.57, val=0.23, test=0.2).check_sub_training_percent(57)
+
+
+def test_sub_training_of_a_region_cut_by_another_split_is_a_config_error():
+    records = make_records(100)
+    train, _, _ = chronological_split(records, SplitSpec(train=0.3, val=0.2, test=0.5))
+    # 50% is within the default split's 72%, but not within this 30-row region
+    with pytest.raises(ConfigError, match=r"exceeds the training region \(30 rows\)"):
+        sub_training(records, train, 50)
 
 
 def test_sub_training_sets_are_nested():

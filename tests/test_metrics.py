@@ -107,6 +107,18 @@ def test_auc_needs_both_classes():
         metrics.auc([0.1, 0.9], [0, 0])
 
 
+@pytest.mark.parametrize("label", [2, 0.5, -1])
+def test_auc_refuses_a_label_other_than_0_or_1(label):
+    with pytest.raises(EvaluationError, match="labels of 0 or 1"):
+        metrics.auc([0.9, 0.1, 0.5], [1, 0, label])
+
+
+@pytest.mark.parametrize("label", [2, 0.5, -1])
+def test_evaluate_refuses_a_label_other_than_0_or_1(label):
+    with pytest.raises(EvaluationError, match="labels of 0 or 1"):
+        metrics.evaluate([0.1, 0.2, 0.9], [0, 1, label])
+
+
 def test_auc_shape_mismatch_is_a_usage_error():
     with pytest.raises(UsageError):
         metrics.auc([0.1, 0.9, 0.5], [0, 1])

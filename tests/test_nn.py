@@ -107,6 +107,19 @@ def test_class_weights_that_are_not_a_pair_of_numbers_are_a_usage_error(weights)
         nn.bce_dlogit(np.array([0.5]), np.array([1.0]), weights)
 
 
+@pytest.mark.parametrize("label", [-1.0, 2.0, 0.5, math.nan])
+def test_bce_loss_refuses_a_label_other_than_0_or_1(label):
+    """Indexing the class weights by label -1 would weigh it as a click."""
+    with pytest.raises(UsageError, match="labels must be 0 or 1"):
+        nn.weighted_bce_loss([0.5, 0.5], [1.0, label], (1.0, 4.0))
+
+
+@pytest.mark.parametrize("label", [-1.0, 2.0, 0.5, math.nan])
+def test_bce_dlogit_refuses_a_label_other_than_0_or_1(label):
+    with pytest.raises(UsageError, match="labels must be 0 or 1"):
+        nn.bce_dlogit(np.array([0.5, 0.5]), np.array([1.0, label]), (1.0, 4.0))
+
+
 def test_class_weights_are_indexed_by_label():
     p, y = np.array([0.3, 0.6, 0.8]), np.array([0.0, 1.0, 1.0])
     for pair in (ClassWeights(1.0, 2.5), (1.0, 2.5), [1, 2.5], np.array([1.0, 2.5])):
