@@ -533,6 +533,39 @@ def test_the_readme_flow_trains_from_a_synth_gen_csv_and_scores_it(tmp_path, fie
     assert len(_scored(tmp_path / "p.csv")) == 400
 
 
+def _synth_gen_without(tmp_path, role):
+    """A synth-gen log and a config that trains from it with the ``role``
+    field left undeclared, so its column is read as no field at all."""
+    gen = tmp_path / "gen"
+    assert cli.main(["synth-gen", "--output-dir", str(gen), "--rows", "400",
+                     "--vocab-size", "8", "--seed", "5", "--cold-start-fraction", "0.3"]) == 0
+    fields = {name: kind for name, kind in synth.field_mapping().items() if kind != role}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 11, "dataset": str(gen / "data.csv"),
+                                  "fields": fields, "model": FAST_MODEL}))
+    return gen / "data.csv", str(config)
+
+
+def test_a_field_declaration_without_a_user_field_trains_and_scores(tmp_path):
+    data_path, config = _synth_gen_without(tmp_path, "user")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--output-dir", str(out)]) == 0
+    schema = XDBoostModel.load_bundle(str(out / "model_bundle")).schema
+    assert (schema.user_field, schema.item_field) == (None, synth.ITEM_FIELD)
+    assert schema.cat_fields == [synth.ITEM_FIELD, *synth.CONTEXT_FIELDS]
+    assert cli.main(["predict", "--bundle", str(out / "model_bundle"),
+                     "--input", str(data_path), "--output", str(tmp_path / "p.csv")]) == 0
+    assert len(_scored(tmp_path / "p.csv")) == 400
+
+
+def test_coldstart_without_an_item_field_exits_3_naming_it(tmp_path, capsys):
+    _, config = _synth_gen_without(tmp_path, "item")
+    out = tmp_path / "cold"
+    assert cli.main(["coldstart", "--config", config, "--output-dir", str(out)]) == 3
+    assert "item field" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 # ---- sweep ------------------------------------------------------------------------
 
 def test_sweep_writes_csv_and_per_percentage_results(tmp_path):

@@ -527,6 +527,15 @@ def test_encode_against_a_schema_with_placeholders_appends_them(n_rows, n):
     assert bare.n_placeholders == 0
 
 
+def test_a_matrix_without_placeholders_has_no_placeholder_block():
+    records = make_records(10, seed=65)
+    spec = FieldSpec.from_mapping({"user": "user", "item": "item", "c0": "categorical",
+                                   "x0": "continuous"})
+    X, _, _ = encode(records, build_schema(records, spec))
+    with pytest.raises(UsageError, match="no placeholder columns"):
+        X.placeholder_block()
+
+
 def test_append_placeholders_lives_beside_the_matrix():
     assert boosting.append_placeholders is data.append_placeholders
 
