@@ -433,8 +433,7 @@ def cmd_coldstart(cfg):
 def cmd_predict(bundle_path, input_path, output_path):
     model = XDBoostModel.load_bundle(bundle_path)
     schema = model.schema
-    user, item = schema.user_field, schema.item_field
-    fields = FieldSpec(user, item, [f for f in schema.cat_fields if f not in (user, item)],
+    fields = FieldSpec(schema.user_field, schema.item_field, list(schema.cat_fields),
                        list(schema.cont_fields))
     header, texts, log = read_csv(input_path, fields, scoring=True)
     X, _, _ = encode(log, schema)

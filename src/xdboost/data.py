@@ -1,9 +1,10 @@
 """Click-log ingestion, encoding, chronological splitting and class weights.
 
-A click log is one ClickLog: a column per field (timestamp, user, item,
-context fields, continuous fields, binary click label), one entry per
-impression. Training and scoring parse CSV with the one reader here,
-``read_csv``; the synthetic generator builds the same columns directly.
+A click log is one ClickLog: a column per field (timestamp, categorical
+fields with user and item among them, continuous fields, binary click
+label), one entry per impression. Training and scoring parse CSV with the
+one reader here, ``read_csv``; the synthetic generator builds the same
+columns directly.
 Splits, sub-training sets and the cold-start filter are row selections on
 a log. Vocabularies and continuous-feature statistics are always built
 from the training split only; unseen tokens map to a reserved
@@ -36,26 +37,26 @@ HASH_CHUNK_ROWS = 256  # rows per sha256 update in records_hash
 class ClickLog:
     """Labeled impressions, held column by column.
 
-    String columns are object arrays of str; ``user_id`` and ``item_id``
-    are None when the log has no such field. ``categorical`` and
-    ``continuous`` map each context field to its column. Timestamps and
-    continuous values are float64, with NaN marking a missing continuous
-    value; labels are int64, and a label that is not an integer is a
-    DataError, not truncated. ``log[idx]`` selects rows by slice, index
-    array or boolean mask; a slice shares its columns with the log.
+    ``categorical`` maps every categorical field, user and item included,
+    to its column, an object array of str; ``user_field`` and
+    ``item_field`` name the user and item columns, or are None when the log
+    has no such field, and a name that is not a categorical column is a
+    DataError. ``continuous`` maps each continuous field to its column.
+    Timestamps and continuous values are float64, with NaN marking a
+    missing continuous value; labels are int64, and a label that is not an
+    integer is a DataError, not truncated. ``log[idx]`` selects rows by
+    slice, index array or boolean mask; a slice shares its columns with
+    the log.
     """
 
     timestamp: np.ndarray
-    user_id: np.ndarray | None
-    item_id: np.ndarray | None
     categorical: dict
     continuous: dict
     label: np.ndarray
+    user_field: str | None = None
+    item_field: str | None = None
 
     def __post_init__(self):
-        def strings(col):
-            return None if col is None else np.asarray(col, dtype=object)
-
         try:
             self.timestamp = np.asarray(self.timestamp, dtype=np.float64)
             self.continuous = {name: np.asarray(col, dtype=np.float64)
@@ -68,65 +69,63 @@ class ClickLog:
                     raise DataError(f"label {label[~whole][0]} is not an integer")
         except (TypeError, ValueError) as exc:
             raise DataError(f"non-numeric value in a numeric column: {exc}")
-        self.user_id = strings(self.user_id)
-        self.item_id = strings(self.item_id)
-        self.categorical = {name: strings(col) for name, col in self.categorical.items()}
+        self.categorical = {name: np.asarray(col, dtype=object)
+                            for name, col in self.categorical.items()}
+        for role in (self.user_field, self.item_field):
+            if role is not None and role not in self.categorical:
+                raise DataError(f"field {role!r} names no categorical column")
         self.label = label.astype(np.int64, copy=False)
 
     def __len__(self):
         return len(self.label)
 
     def __getitem__(self, idx):
-        def pick(col):
-            return None if col is None else col[idx]
-
-        return ClickLog(self.timestamp[idx], pick(self.user_id), pick(self.item_id),
+        return ClickLog(self.timestamp[idx],
                         {name: col[idx] for name, col in self.categorical.items()},
                         {name: col[idx] for name, col in self.continuous.items()},
-                        self.label[idx])
+                        self.label[idx], self.user_field, self.item_field)
 
 
 @dataclass
 class FieldSpec:
-    """Declares the role of every CSV column besides timestamp and label."""
+    """Declares the role of every CSV column besides timestamp and label.
+
+    ``categorical`` lists every categorical field: the user field, the item
+    field, then the context fields. ``user_field`` and ``item_field`` name
+    the first two, or are None when there is no such field; a list that
+    does not begin with the fields they name is a ConfigError.
+    """
 
     user_field: str | None = None
     item_field: str | None = None
     categorical: list = field(default_factory=list)
     continuous: list = field(default_factory=list)
 
+    def __post_init__(self):
+        roles = [name for name in (self.user_field, self.item_field) if name is not None]
+        if self.categorical[:len(roles)] != roles:
+            raise ConfigError(f"categorical fields {self.categorical} must begin with "
+                              f"the user and item fields {roles}")
+
     @classmethod
     def from_mapping(cls, mapping):
-        spec = cls()
+        names = {kind: [] for kind in FIELD_TYPES}
         for name, kind in mapping.items():
-            if kind in ("user", "item"):
-                if getattr(spec, f"{kind}_field") is not None:
-                    raise ConfigError(f"more than one field declared as {kind}")
-                setattr(spec, f"{kind}_field", name)
-            elif kind == "categorical":
-                spec.categorical.append(name)
-            elif kind == "continuous":
-                spec.continuous.append(name)
-            else:
+            if kind not in names:
                 raise ConfigError(
                     f"field {name!r}: unknown type {kind!r} (expected one of {FIELD_TYPES})")
-        return spec
+            names[kind].append(name)
+        user, item, context, continuous = names.values()
+        for kind, named in (("user", user), ("item", item)):
+            if len(named) > 1:
+                raise ConfigError(f"more than one field declared as {kind}")
+        return cls(next(iter(user), None), next(iter(item), None), user + item + context,
+                   continuous)
 
     def to_mapping(self):
-        out = {}
-        if self.user_field:
-            out[self.user_field] = "user"
-        if self.item_field:
-            out[self.item_field] = "item"
-        for name in self.categorical:
-            out[name] = "categorical"
-        for name in self.continuous:
-            out[name] = "continuous"
-        return out
-
-    def all_categorical(self):
-        """Categorical columns in to_mapping's order: user, item, then context fields."""
-        return [name for name, kind in self.to_mapping().items() if kind != "continuous"]
+        roles = {self.user_field: "user", self.item_field: "item"}
+        return {**{name: roles.get(name, "categorical") for name in self.categorical},
+                **dict.fromkeys(self.continuous, "continuous")}
 
 
 @dataclass
@@ -164,12 +163,13 @@ def read_csv(path, field_spec, scoring=False):
     r"""The one click-log CSV parser; returns (header, row texts, ClickLog).
 
     Rows stay in file order; blank lines are skipped and short rows are
-    padded with blank cells. The header must name every declared field, and
-    ``timestamp`` and ``label`` unless scoring: a scoring file may lack
-    them, and then the row order fills the timestamps and 0 the labels.
-    None of these may be named twice. A blank categorical cell is
-    MISSING_TOKEN and a blank continuous cell is missing (NaN). A row with
-    more cells than the header, a non-binary
+    padded with blank cells. The log holds the declared fields in the
+    spec's order and names the spec's user and item fields. The header
+    must name every declared field, and ``timestamp`` and ``label`` unless
+    scoring: a scoring file may lack them, and then the row order fills
+    the timestamps and 0 the labels. None of these may be named twice. A
+    blank categorical cell is MISSING_TOKEN and a blank continuous cell is
+    missing (NaN). A row with more cells than the header, a non-binary
     label, or a timestamp or continuous value that is not a finite number
     raises a DataError naming the physical line the row starts on.
 
@@ -198,8 +198,6 @@ def read_csv(path, field_spec, scoring=False):
     header, columns, n, texts = plain or _split_rows(path, required)
 
     def strings(name):
-        if name is None:
-            return None
         return np.array([c.strip() or MISSING_TOKEN for c in columns[name]], dtype=object)
 
     def parsed(name, convert, parse, what, dtype=np.float64):
@@ -220,14 +218,13 @@ def read_csv(path, field_spec, scoring=False):
     log = ClickLog(
         timestamp=(parsed("timestamp", float, _finite, "bad timestamp")
                    if "timestamp" in columns else np.arange(n)),
-        user_id=strings(field_spec.user_field),
-        item_id=strings(field_spec.item_field),
         categorical={name: strings(name) for name in field_spec.categorical},
         continuous={name: parsed(name, float, _finite_or_blank,
                                  f"bad continuous value in {name!r}")
                     for name in field_spec.continuous},
         label=(parsed("label", labels.__getitem__, labels.get, "non-binary label", np.int64)
-               if "label" in columns else np.zeros(n)))
+               if "label" in columns else np.zeros(n)),
+        user_field=field_spec.user_field, item_field=field_spec.item_field)
     return header, texts, log
 
 
@@ -386,12 +383,12 @@ def class_weights(train_labels):
 
 
 def cold_start_filter(test_log, subtrain_log):
-    """Drop test rows whose item id occurs in the sub-training set."""
-    if test_log.item_id is None or subtrain_log.item_id is None:
+    """Drop test rows whose item occurs in the sub-training set."""
+    if test_log.item_field is None or subtrain_log.item_field is None:
         raise DataError("cold-start filtering requires an item field")
-    seen = set(subtrain_log.item_id.tolist())
-    return test_log[np.array([item not in seen for item in test_log.item_id.tolist()],
-                             dtype=bool)]
+    seen = set(subtrain_log.categorical[subtrain_log.item_field].tolist())
+    items = test_log.categorical[test_log.item_field].tolist()
+    return test_log[np.array([item not in seen for item in items], dtype=bool)]
 
 
 @dataclass
@@ -488,9 +485,10 @@ def records_hash(log):
 
     Lets experiment runs prove they evaluated on the same rows even when
     their schemas (and therefore encoded matrices) differ. Each row hashes
-    as the JSON list [timestamp, user, item, sorted categorical pairs,
-    sorted continuous pairs (null when missing), label], the text of
-    ``json.dumps``; each column is turned into JSON in one pass.
+    as the JSON list [timestamp, user (null without one), item (likewise),
+    sorted pairs of the other categorical fields, sorted continuous pairs
+    (null when missing), label], the text of ``json.dumps``; each column is
+    turned into JSON in one pass.
     """
     def strings(col):
         return repeat("null") if col is None else map(encode_basestring_ascii, col.tolist())
@@ -501,7 +499,9 @@ def records_hash(log):
             text[i] = {"inf": "Infinity", "-inf": "-Infinity"}.get(text[i], nan)
         return text
 
-    cat, cont = sorted(log.categorical), sorted(log.continuous)
+    roles = (log.user_field, log.item_field)
+    cat = sorted(name for name in log.categorical if name not in roles)
+    cont = sorted(log.continuous)
     pairs = [", ".join(f"[{encode_basestring_ascii(name)}, \0]" for name in names)
              for names in (cat, cont)]
     # escaped JSON holds no NUL, so NUL marks where a row's values go
@@ -509,18 +509,14 @@ def records_hash(log):
     h = hashlib.sha256()
     for lo in range(0, len(log), HASH_CHUNK_ROWS):
         part = log[lo:lo + HASH_CHUNK_ROWS]
-        values = [floats(part.timestamp, "NaN"), strings(part.user_id),
-                  strings(part.item_id), *(strings(part.categorical[name]) for name in cat),
+        values = [floats(part.timestamp, "NaN"),
+                  *(strings(part.categorical.get(role)) for role in roles),
+                  *(strings(part.categorical[name]) for name in cat),
                   *(floats(part.continuous[name], "null") for name in cont),
                   map(int.__repr__, part.label.tolist())]
         texts = [*chain.from_iterable(zip(between, values)), between[-1]]
         h.update("".join(chain.from_iterable(zip(*texts))).encode())
     return h.hexdigest()
-
-
-def _token_columns(log, user_field, item_field):
-    """Categorical field name -> string column, user and item included."""
-    return {**log.categorical, user_field: log.user_id, item_field: log.item_id}
 
 
 def build_schema(train_log, field_spec, normalize=True):
@@ -530,9 +526,9 @@ def build_schema(train_log, field_spec, normalize=True):
     """
     if not len(train_log):
         raise DataError("cannot build a schema from an empty training split")
-    cat_fields = field_spec.all_categorical()
-    tokens = _token_columns(train_log, field_spec.user_field, field_spec.item_field)
-    vocab = {name: {token: i for i, token in enumerate(dict.fromkeys(tokens[name].tolist()))}
+    cat_fields = list(field_spec.categorical)
+    vocab = {name: {token: i for i, token in
+                    enumerate(dict.fromkeys(train_log.categorical[name].tolist()))}
              for name in cat_fields}
     cont_stats = {}
     for name in field_spec.continuous:
@@ -557,10 +553,9 @@ def encode(log, schema):
     timestamps).
     """
     n = len(log)
-    tokens = _token_columns(log, schema.user_field, schema.item_field)
     cat = np.empty((n, len(schema.cat_fields)), dtype=np.int64)
     for j, name in enumerate(schema.cat_fields):
-        lookup = map(schema.vocab[name].get, tokens[name], repeat(schema.oov_index(name)))
+        lookup = map(schema.vocab[name].get, log.categorical[name], repeat(schema.oov_index(name)))
         cat[:, j] = np.fromiter(lookup, dtype=np.int64, count=n)
     cont = np.empty((n, len(schema.cont_fields)), dtype=np.float64)
     for j, name in enumerate(schema.cont_fields):

@@ -53,7 +53,10 @@ def auc(scores, labels):
 
 def log_loss(probs, labels):
     """Unweighted mean binary cross-entropy: the training loss with unit
-    class weights, so probabilities are clipped as in training."""
+    class weights, so probabilities are clipped as in training. A label
+    other than 0 or 1 is an EvaluationError, as in auc."""
+    if not np.isin(labels, (0, 1)).all():
+        raise EvaluationError("log loss needs labels of 0 or 1")
     return weighted_bce_loss(probs, labels)
 
 

@@ -77,8 +77,9 @@ class BaseNetConfig:
             raise ConfigError("epochs/patience must be >= 0 and batch_size >= 1")
         # written so that NaN fails them
         for name in ("learning_rate", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")

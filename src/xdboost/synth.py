@@ -79,7 +79,7 @@ class SynthConfig:
 def field_spec():
     """Field declaration matching the generated columns."""
     return FieldSpec(user_field=USER_FIELD, item_field=ITEM_FIELD,
-                     categorical=list(CONTEXT_FIELDS),
+                     categorical=[USER_FIELD, ITEM_FIELD, *CONTEXT_FIELDS],
                      continuous=list(CONTINUOUS_FIELDS))
 
 
@@ -144,15 +144,15 @@ def generate_records(config: SynthConfig):
         """Token strings of column j; rows drawing one token share its str."""
         return np.array([f"{prefix}{t}" for t in range(v)], dtype=object)[tokens[:, j]]
 
-    items = column("i", 1)
-    items[novel_rows] = [f"i_new{k}" for k in range(n_novel_rows)]
+    prefixes = ("u", "i", *(f"{name}_" for name in CONTEXT_FIELDS))
+    categorical = {name: column(prefix, j)
+                   for j, (name, prefix) in enumerate(zip(field_spec().categorical, prefixes))}
+    categorical[ITEM_FIELD][novel_rows] = [f"i_new{k}" for k in range(n_novel_rows)]
     log = ClickLog(
         timestamp=np.arange(n, dtype=np.float64),
-        user_id=column("u", 0),
-        item_id=items,
-        categorical={name: column(f"{name}_", 2 + j) for j, name in enumerate(CONTEXT_FIELDS)},
+        categorical=categorical,
         continuous={name: cont_values[:, j].copy() for j, name in enumerate(CONTINUOUS_FIELDS)},
-        label=labels)
+        label=labels, user_field=USER_FIELD, item_field=ITEM_FIELD)
 
     meta = {
         "config": config.to_dict(),
@@ -173,13 +173,12 @@ def write_csv(log, path):
     ``repr`` floats never need quoting, so the bytes are those csv.writer
     would write, CRLF line ends included.
     """
-    header = (["timestamp", USER_FIELD, ITEM_FIELD]
-              + list(CONTEXT_FIELDS) + list(CONTINUOUS_FIELDS) + ["label"])
-    columns = [map(str, log.timestamp.astype(np.int64).tolist()), log.user_id.tolist(),
-               log.item_id.tolist()]
-    columns += [log.categorical[name].tolist() for name in CONTEXT_FIELDS]
-    columns += [map(repr, log.continuous[name].tolist()) for name in CONTINUOUS_FIELDS]
-    columns.append(map(str, log.label.tolist()))
+    fields = field_spec()
+    header = ["timestamp", *fields.categorical, *fields.continuous, "label"]
+    columns = [map(str, log.timestamp.astype(np.int64).tolist()),
+               *(log.categorical[name].tolist() for name in fields.categorical),
+               *(map(repr, log.continuous[name].tolist()) for name in fields.continuous),
+               map(str, log.label.tolist())]
     with replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(f"{','.join(row)}\r\n" for row in zip(*columns))

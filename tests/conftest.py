@@ -112,26 +112,27 @@ def make_records(n, n_users=5, n_items=4, seed=0, timestamps=None):
         labels.append(int(rng.integers(2)))
     return ClickLog(
         timestamp=np.arange(n, dtype=np.float64) if timestamps is None else timestamps,
-        user_id=users, item_id=items, categorical={"c0": groups},
-        continuous={"x0": values}, label=labels)
+        categorical={"user": users, "item": items, "c0": groups},
+        continuous={"x0": values}, label=labels, user_field="user", item_field="item")
 
 
 def log_rows(log):
     """The log as one plain tuple per row, for comparing logs by value:
-    (timestamp, user, item, categorical dict, continuous dict, label), with
-    None for a missing continuous value."""
+    (timestamp, user, item, dict of the other categorical fields, continuous
+    dict, label), with None for a missing user, item or continuous value."""
     n = len(log)
 
     def plain(col):
         return [None] * n if col is None else col.tolist()
 
-    cat = {name: col.tolist() for name, col in log.categorical.items()}
+    roles = (log.user_field, log.item_field)
+    cat = {name: col.tolist() for name, col in log.categorical.items() if name not in roles}
     cont = {name: [None if np.isnan(v) else v for v in col.tolist()]
             for name, col in log.continuous.items()}
     return [(ts, user, item, {name: col[i] for name, col in cat.items()},
              {name: col[i] for name, col in cont.items()}, label)
             for i, (ts, user, item, label) in enumerate(zip(
-                plain(log.timestamp), plain(log.user_id), plain(log.item_id),
+                plain(log.timestamp), *(plain(log.categorical.get(role)) for role in roles),
                 plain(log.label)))]
 
 
@@ -298,8 +299,6 @@ def csv_reader_oracle(path, field_spec, scoring=False):
         return value if math.isfinite(value) else None
 
     def strings(name):
-        if name is None:
-            return None
         return [c.strip() or MISSING_TOKEN for c in cells[name]]
 
     def parsed(name, parse, what):
@@ -313,14 +312,13 @@ def csv_reader_oracle(path, field_spec, scoring=False):
     log = ClickLog(
         timestamp=(parsed("timestamp", finite, "bad timestamp")
                    if "timestamp" in cells else np.arange(n)),
-        user_id=strings(field_spec.user_field),
-        item_id=strings(field_spec.item_field),
         categorical={name: strings(name) for name in field_spec.categorical},
         continuous={name: parsed(name, lambda c: finite(c) if c else math.nan,
                                  f"bad continuous value in {name!r}")
                     for name in field_spec.continuous},
         label=(parsed("label", {"0": 0, "1": 1}.get, "non-binary label")
-               if "label" in cells else np.zeros(n)))
+               if "label" in cells else np.zeros(n)),
+        user_field=field_spec.user_field, item_field=field_spec.item_field)
     return header, rows, log
 
 
@@ -334,16 +332,14 @@ def csv_writer_line(cells):
 def same_log(a, b):
     """Whether two logs hold the same columns, numeric ones byte for byte."""
     def columns(log):
-        return [log.timestamp, log.user_id, log.item_id, log.label,
-                *log.categorical.values(), *log.continuous.values()]
+        return [log.timestamp, log.label, *log.categorical.values(), *log.continuous.values()]
 
-    if list(a.categorical) != list(b.categorical) or list(a.continuous) != list(b.continuous):
+    if ((a.user_field, a.item_field) != (b.user_field, b.item_field)
+            or list(a.categorical) != list(b.categorical)
+            or list(a.continuous) != list(b.continuous)):
         return False
     for x, y in zip(columns(a), columns(b)):
-        if x is None or y is None:
-            if x is not y:
-                return False
-        elif x.dtype != y.dtype or x.shape != y.shape:
+        if x.dtype != y.dtype or x.shape != y.shape:
             return False
         elif x.dtype == object:
             if x.tolist() != y.tolist():
@@ -412,12 +408,14 @@ def click_csv_texts(draw, columns, continuous=()):
 def records_hash_oracle(log):
     """records_hash as one json.dumps per row, the form it had while the
     log was a list of rows."""
-    cat = [(name, col.tolist()) for name, col in sorted(log.categorical.items())]
+    roles = (log.user_field, log.item_field)
+    cat = [(name, col.tolist()) for name, col in sorted(log.categorical.items())
+           if name not in roles]
     cont = [(name, [None if math.isnan(v) else v for v in col.tolist()])
             for name, col in sorted(log.continuous.items())]
     n = len(log)
-    users, items = ([None] * n if col is None else col.tolist()
-                    for col in (log.user_id, log.item_id))
+    users, items = ([None] * n if role is None else log.categorical[role].tolist()
+                    for role in roles)
     h = hashlib.sha256()
     for i, (ts, user, item, label) in enumerate(zip(log.timestamp.tolist(), users, items,
                                                     log.label.tolist())):

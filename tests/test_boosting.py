@@ -493,16 +493,17 @@ def test_load_bundle_rejects_missing_or_tampered_manifests(tmp_path):
 
 
 def test_a_manifest_holding_an_infinity_is_refused_before_a_write(tmp_path):
-    """JSON has no infinity, so a net config holding one (its own checks
-    let an infinite learning rate through) is refused, not written as a
+    """JSON has no infinity, so a net config holding one (set after the
+    config's own checks ran, which refuse it) is refused, not written as a
     manifest that strict JSON readers cannot read."""
     old, schema = _trained_model(31)
     bundle = tmp_path / "bundle"
     old.save_bundle(bundle)
     saved = bundle.read_bytes()
-    config = dataclasses.replace(NET, learning_rate=float("inf"))
+    model = create_xdboost(schema, NET, n_iterations=2, seed=31)
+    model.classifier.config.learning_rate = float("inf")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        create_xdboost(schema, config, n_iterations=2, seed=31).save_bundle(bundle)
+        model.save_bundle(bundle)
     assert bundle.read_bytes() == saved
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle"]
 

@@ -180,6 +180,15 @@ def test_malformed_config_inputs_exit_2(tmp_path, capsys, monkeypatch, overrides
     assert err.startswith("error: ") and named in err
 
 
+def test_a_finite_learning_rate_that_diverges_is_a_training_error(tmp_path, capsys):
+    """1e300 passes every config check; the first epoch's loss is not finite."""
+    config = write_config(tmp_path, **_net(learning_rate=1e300))
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")])
+    assert code == 4
+    assert "non-finite training loss" in capsys.readouterr().err
+
+
 def test_load_config_applies_overrides_and_synthetic_default():
     cfg = cli.load_config(None, seed=7, output_dir="out", synthetic=True)
     assert cfg.seed == 7
@@ -841,8 +850,8 @@ def test_coldstart_evaluates_only_novel_items(tmp_path):
 def test_coldstart_with_nothing_novel_short_circuits(tmp_path, capsys):
     cfg = synth.SynthConfig(n_rows=400, vocab_size=5, seed=11)
     records, _ = synth.generate_records(cfg)
-    train_items = set(records.item_id[:288])  # the 72% train region
-    test_items = set(records.item_id[320:])
+    train_items = set(records.categorical["item"][:288])  # the 72% train region
+    test_items = set(records.categorical["item"][320:])
     assert test_items <= train_items  # precondition: no natural cold starts
 
     config = write_config(tmp_path, synthetic={"n_rows": 400, "vocab_size": 5})

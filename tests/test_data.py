@@ -35,9 +35,8 @@ def test_field_spec_from_mapping():
                                    "slot": "categorical", "price": "continuous"})
     assert spec.user_field == "uid"
     assert spec.item_field == "iid"
-    assert spec.categorical == ["slot"]
+    assert spec.categorical == ["uid", "iid", "slot"]
     assert spec.continuous == ["price"]
-    assert spec.all_categorical() == ["uid", "iid", "slot"]
     assert FieldSpec.from_mapping(spec.to_mapping()) == spec
 
 
@@ -48,12 +47,26 @@ def test_field_spec_rejects_bad_mappings():
         FieldSpec.from_mapping({"a": "item", "b": "item"})
     with pytest.raises(ConfigError):
         FieldSpec.from_mapping({"a": "embedding"})
+    with pytest.raises(ConfigError, match="unknown type 'embedding'"):  # before the repeat
+        FieldSpec.from_mapping({"a": "user", "b": "user", "c": "embedding"})
+
+
+@pytest.mark.parametrize("categorical", [["c0"], ["item", "user", "c0"], ["user", "c0"], []])
+def test_field_spec_categorical_fields_begin_with_the_user_and_item_fields(categorical):
+    """A list of context fields alone, the old shape, would drop the user
+    and item columns."""
+    with pytest.raises(ConfigError, match="must begin with the user and item fields"):
+        FieldSpec("user", "item", categorical)
+    assert FieldSpec(None, "item", ["item", "c0"]).categorical == ["item", "c0"]
+    # without roles every categorical field is a context field, whatever its name
+    assert FieldSpec(categorical=categorical).to_mapping() == dict.fromkeys(categorical,
+                                                                           "categorical")
 
 
 # ---- CSV ingestion ---------------------------------------------------------------
 
 _SPEC = FieldSpec(user_field="user", item_field="item",
-                  categorical=["c0"], continuous=["x0"])
+                  categorical=["user", "item", "c0"], continuous=["x0"])
 
 
 def _write_log(path, rows):
@@ -71,7 +84,7 @@ def test_ingest_happy_path(tmp_path):
         (3.0, "u1", "i1", {"c0": "g0"}, {"x0": 0.25}, 1),
         (1.0, "u2", "i2", {"c0": "g1"}, {"x0": 0.75}, 0)]
     assert log.timestamp.dtype == np.float64 and log.label.dtype == np.int64
-    assert log.user_id.dtype == object and log.continuous["x0"].dtype == np.float64
+    assert log.categorical["user"].dtype == object and log.continuous["x0"].dtype == np.float64
 
 
 def test_click_log_selects_rows_by_slice_index_array_and_mask():
@@ -83,18 +96,27 @@ def test_click_log_selects_rows_by_slice_index_array_and_mask():
     mask = np.array([True, False, False, True, False, True])
     assert log_rows(log[mask]) == [rows[0], rows[3], rows[5]]
     assert len(log[:0]) == 0
-    no_user = ClickLog([1, 2], None, ["a", "b"], {}, {}, [0, 1])
-    assert no_user[1:].user_id is None
+    no_user = ClickLog([1, 2], {"item": ["a", "b"]}, {}, [0, 1], item_field="item")
+    assert (no_user[1:].user_field, no_user[1:].item_field) == (None, "item")
     assert log_rows(no_user[1:]) == [(2.0, None, "b", {}, {}, 1)]
+
+
+@pytest.mark.parametrize("roles", [{"user_field": "u"}, {"item_field": "x0"},
+                                   {"user_field": "c0", "item_field": "i"}])
+def test_click_log_refuses_a_role_that_names_no_categorical_column(roles):
+    """Else records_hash would write null for the role and encode would
+    fail on a missing column."""
+    with pytest.raises(DataError, match="names no categorical column"):
+        ClickLog([1.0], {"c0": ["a"]}, {"x0": [0.5]}, [1], **roles)
 
 
 @pytest.mark.parametrize("labels", [[0.5, 1.7, 0], [0, 1, math.nan], [0, -math.inf, 1]])
 def test_click_log_refuses_a_label_that_is_not_an_integer(labels):
     """A cast to int64 would truncate 0.5 and 1.7 to a silent 0 and 1."""
     with pytest.raises(DataError, match="is not an integer"):
-        ClickLog([1, 2, 3], None, None, {}, {}, labels)
-    assert ClickLog([1, 2], None, None, {}, {}, [1.0, 0.0]).label.tolist() == [1, 0]
-    assert ClickLog([1, 2], None, None, {}, {}, [2 ** 62, -5]).label.tolist() == [2 ** 62, -5]
+        ClickLog([1, 2, 3], {}, {}, labels)
+    assert ClickLog([1, 2], {}, {}, [1.0, 0.0]).label.tolist() == [1, 0]
+    assert ClickLog([1, 2], {}, {}, [2 ** 62, -5]).label.tolist() == [2 ** 62, -5]
 
 
 def test_ingest_missing_file_and_columns(tmp_path):
@@ -165,7 +187,7 @@ def test_ingest_fills_missing_values(tmp_path):
         ingest_csv(path, _SPEC)
     path.write_text(path.read_text().replace("i2,g1", "i2,g1,,0"))
     log = ingest_csv(path, _SPEC)
-    assert log.user_id.tolist() == ["__missing__", "u2"]
+    assert log.categorical["user"].tolist() == ["__missing__", "u2"]
     assert log.categorical["c0"].tolist() == ["__missing__", "g1"]
     assert np.isnan(log.continuous["x0"]).all()
 
@@ -256,7 +278,7 @@ def test_split_sorts_by_timestamp_before_cutting():
 
 def test_split_with_equal_timestamps_keeps_input_order():
     records = make_records(20, timestamps=[5.0] * 20)
-    records.item_id[:] = [f"row{i}" for i in range(20)]
+    records.categorical["item"][:] = [f"row{i}" for i in range(20)]
     train, val, test = chronological_split(records)
     assert log_rows(train) + log_rows(val) + log_rows(test) == log_rows(records)
 
@@ -283,7 +305,7 @@ def test_split_partition_and_order_property():
         n = int(rng.integers(3, 400))
         ts = rng.integers(0, 50, size=n)  # duplicates on purpose
         records = make_records(n, timestamps=ts)
-        records.item_id[:] = [f"row{i}" for i in range(n)]
+        records.categorical["item"][:] = [f"row{i}" for i in range(n)]
         train, val, test = chronological_split(records)
         assert len(train) + len(val) + len(test) == n
         assert len(val) == math.floor(0.08 * n)
@@ -406,7 +428,7 @@ def test_class_weights_match_the_count_ratio_exactly():
 
 def _records_with_items(items, offset=0):
     records = make_records(len(items), seed=offset)
-    records.item_id[:] = items
+    records.categorical["item"][:] = items
     return records
 
 
@@ -424,7 +446,7 @@ def test_cold_start_filter_soundness_property():
     for _ in range(25):
         test_rows = _records_with_items([f"i{rng.integers(8)}" for _ in range(30)])
         train_rows = _records_with_items([f"i{rng.integers(8)}" for _ in range(20)])
-        seen = set(train_rows.item_id)
+        seen = set(train_rows.categorical["item"])
         kept = cold_start_filter(test_rows, train_rows)
         # exactly the unseen rows survive, in their order
         assert log_rows(kept) == [r for r in log_rows(test_rows) if r[2] not in seen]
@@ -432,7 +454,7 @@ def test_cold_start_filter_soundness_property():
 
 def test_cold_start_filter_requires_item_ids():
     rows = _records_with_items(["A"])
-    rows.item_id = None
+    rows.item_field = None
     with pytest.raises(DataError):
         cold_start_filter(rows, _records_with_items(["B"]))
     with pytest.raises(DataError):
@@ -444,7 +466,7 @@ def test_cold_start_filter_requires_item_ids():
 def test_vocabulary_counts_distinct_tokens_plus_oov():
     records = _records_with_items(["a", "b", "a"])
     spec = FieldSpec(user_field="user", item_field="item",
-                     categorical=["c0"], continuous=["x0"])
+                     categorical=["user", "item", "c0"], continuous=["x0"])
     schema = build_schema(records, spec)
     assert len(schema.vocab["item"]) == 2
     assert schema.vocab_size("item") == 3
@@ -455,7 +477,7 @@ def test_vocabulary_counts_distinct_tokens_plus_oov():
 def test_encode_is_consistent_and_maps_unseen_to_oov():
     records = make_records(40, seed=57)
     spec = FieldSpec(user_field="user", item_field="item",
-                     categorical=["c0"], continuous=["x0"])
+                     categorical=["user", "item", "c0"], continuous=["x0"])
     schema = build_schema(records[:30], spec)
     X, y, ts = encode(records[:30], schema)
     assert X.cat.dtype == np.int64
@@ -465,7 +487,7 @@ def test_encode_is_consistent_and_maps_unseen_to_oov():
 
     item_col = schema.cat_fields.index("item")
     token_to_index = {}
-    for row, item in zip(X.cat, records.item_id[:30]):
+    for row, item in zip(X.cat, records.categorical["item"][:30]):
         token_to_index.setdefault(item, set()).add(int(row[item_col]))
     assert all(len(v) == 1 for v in token_to_index.values())
     assert {t: i.pop() for t, i in token_to_index.items()} == schema.vocab["item"]
@@ -478,7 +500,8 @@ def test_encode_is_consistent_and_maps_unseen_to_oov():
 def test_encode_minmax_scales_train_to_unit_interval():
     records = make_records(20, seed=59)
     records.continuous["x0"][:] = np.arange(20.0)
-    spec = FieldSpec(user_field="user", item_field="item", continuous=["x0"])
+    spec = FieldSpec(user_field="user", item_field="item", categorical=["user", "item"],
+                     continuous=["x0"])
     schema = build_schema(records, spec)
     X, _, _ = encode(records, schema)
     col = X.cont[:, 0]
@@ -494,7 +517,8 @@ def test_encode_minmax_scales_train_to_unit_interval():
 def test_encode_imputes_missing_continuous_with_the_train_mean():
     records = make_records(5, seed=61)
     records.continuous["x0"][:] = [1.0, 2.0, np.nan, 3.0, 6.0]  # NaN is missing
-    spec = FieldSpec(user_field="user", item_field="item", continuous=["x0"])
+    spec = FieldSpec(user_field="user", item_field="item", categorical=["user", "item"],
+                     continuous=["x0"])
     schema = build_schema(records, spec, normalize=False)
     assert schema.cont_stats["x0"] == (1.0, 6.0, 3.0)
     holed = make_records(1, seed=62)
@@ -513,7 +537,7 @@ def test_encode_against_a_schema_with_placeholders_appends_them(n_rows, n):
     for bit."""
     records = make_records(40, seed=64)
     spec = FieldSpec(user_field="user", item_field="item",
-                     categorical=["c0"], continuous=["x0"])
+                     categorical=["user", "item", "c0"], continuous=["x0"])
     schema = build_schema(records[:30], spec)
     rows = records[10:10 + n_rows]
     X, y, ts = encode(rows, schema.with_placeholders(n))
@@ -545,8 +569,8 @@ def test_encode_rejects_non_numeric_values(tmp_path):
     parsing the log rejects it."""
     records = make_records(2, seed=63)
     with pytest.raises(DataError, match="non-numeric value in a numeric column"):
-        ClickLog(records.timestamp, records.user_id, records.item_id,
-                 records.categorical, {"x0": [0.5, "expensive"]}, records.label)
+        ClickLog(records.timestamp, records.categorical, {"x0": [0.5, "expensive"]},
+                 records.label, records.user_field, records.item_field)
     path = tmp_path / "log.csv"
     _write_log(path, [[1, "u1", "i1", "g0", 0.5, 1], [2, "u2", "i2", "g1", "expensive", 0]])
     with pytest.raises(DataError, match="line 3: bad continuous value in 'x0': 'expensive'"):
@@ -554,7 +578,7 @@ def test_encode_rejects_non_numeric_values(tmp_path):
 
 
 def test_build_schema_needs_training_rows():
-    spec = FieldSpec(user_field="user", item_field="item")
+    spec = FieldSpec(user_field="user", item_field="item", categorical=["user", "item"])
     with pytest.raises(DataError):
         build_schema(make_records(3)[:0], spec)
 
@@ -562,7 +586,7 @@ def test_build_schema_needs_training_rows():
 def test_schema_dict_roundtrip_and_hash():
     records = make_records(15, seed=67)
     spec = FieldSpec(user_field="user", item_field="item",
-                     categorical=["c0"], continuous=["x0"])
+                     categorical=["user", "item", "c0"], continuous=["x0"])
     schema = build_schema(records, spec)
     clone = FeatureSchema.from_dict(json.loads(json.dumps(schema.to_dict())))
     assert clone.hash() == schema.hash()
@@ -585,13 +609,13 @@ def test_records_hash_is_order_and_content_sensitive():
 def test_records_hash_digests_one_json_list_per_row():
     # the digest stays comparable with result files written before the
     # log became columnar: one JSON list per row, null for a missing value
-    log = ClickLog([2.0, 7.5], ["u1", "u2"], ["i1", "i2"], {"c1": ["b", "d"], "c0": ["a", "c"]},
-                   {"x0": [0.25, np.nan]}, [1, 0])
+    log = ClickLog([2.0, 7.5], {"user": ["u1", "u2"], "item": ["i1", "i2"], "c1": ["b", "d"],
+                               "c0": ["a", "c"]}, {"x0": [0.25, np.nan]}, [1, 0], "user", "item")
     expected = hashlib.sha256()
     expected.update(b'[2.0, "u1", "i1", [["c0", "a"], ["c1", "b"]], [["x0", 0.25]], 1]')
     expected.update(b'[7.5, "u2", "i2", [["c0", "c"], ["c1", "d"]], [["x0", null]], 0]')
     assert records_hash(log) == expected.hexdigest()
-    no_item = ClickLog([1.0], ["u1"], None, {}, {}, [1])
+    no_item = ClickLog([1.0], {"u": ["u1"]}, {}, [1], user_field="u")
     assert records_hash(no_item) == hashlib.sha256(b'[1.0, "u1", null, [], [], 1]').hexdigest()
 
 
@@ -613,17 +637,20 @@ def click_logs(draw):
         names = draw(st.lists(AWKWARD_TEXT, max_size=max_size, unique=True))
         return {name: column(values) for name in names}
 
-    user, item = (None if draw(st.booleans()) else column(AWKWARD_TEXT) for _ in range(2))
-    return ClickLog(column(ANY_FLOAT), user, item, fields(AWKWARD_TEXT, 3), fields(ANY_FLOAT, 2),
-                    column(st.integers(-2 ** 63, 2 ** 63 - 1)))
+    # the user and item fields, when drawn, are the first two categorical fields
+    cat = fields(AWKWARD_TEXT, 5)
+    user, item = (name if draw(st.booleans()) else None for name in [*cat, None, None][:2])
+    return ClickLog(column(ANY_FLOAT), cat, fields(ANY_FLOAT, 2),
+                    column(st.integers(-2 ** 63, 2 ** 63 - 1)), user, item)
 
 
 @settings(max_examples=300, deadline=None)
 @given(log=click_logs(), chunk_rows=st.integers(1, 4))
-@example(log=ClickLog([], None, None, {}, {}, []), chunk_rows=1)
-@example(log=ClickLog([1.0, math.nan], ["u", "v"], None, {}, {}, [0, 1]), chunk_rows=1)
-@example(log=ClickLog([-math.inf], None, ["i"], {"c": ["\"\\\x01\u00e9"]},
-                      {"x": [math.nan], "y": [math.inf]}, [1]), chunk_rows=4)
+@example(log=ClickLog([], {}, {}, []), chunk_rows=1)
+@example(log=ClickLog([1.0, math.nan], {"u": ["u", "v"]}, {}, [0, 1], user_field="u"),
+         chunk_rows=1)
+@example(log=ClickLog([-math.inf], {"i": ["i"], "c": ["\"\\\x01\u00e9"]},
+                      {"x": [math.nan], "y": [math.inf]}, [1], item_field="i"), chunk_rows=4)
 def test_records_hash_equals_one_json_dumps_per_row(log, chunk_rows):
     """Any rows, hashed in chunks of any size, give the digest of one
     json.dumps list per row."""

@@ -119,6 +119,12 @@ def test_evaluate_refuses_a_label_other_than_0_or_1(label):
         metrics.evaluate([0.1, 0.2, 0.9], [0, 1, label])
 
 
+@pytest.mark.parametrize("label", [2, 0.5, -1, math.nan])
+def test_log_loss_refuses_a_label_other_than_0_or_1(label):
+    with pytest.raises(EvaluationError, match="labels of 0 or 1"):
+        metrics.log_loss([0.9, 0.1, 0.5], [1, 0, label])
+
+
 def test_auc_shape_mismatch_is_a_usage_error():
     with pytest.raises(UsageError):
         metrics.auc([0.1, 0.9, 0.5], [0, 1])

@@ -103,8 +103,10 @@ def test_config_validation():
         BaseNetConfig(batch_size=0)
     with pytest.raises(ConfigError):
         BaseNetConfig(epochs=-1)
+    # an infinite epsilon would make every Adam step zero: a fit would run and change nothing
     for bad in ({"learning_rate": 0.0}, {"learning_rate": math.nan}, {"epsilon": -1e-8},
-                {"epsilon": math.nan}, {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": math.nan}):
+                {"epsilon": math.nan}, {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": math.nan},
+                {"learning_rate": math.inf}, {"epsilon": math.inf}):
         with pytest.raises(ConfigError, match=next(iter(bad))):
             BaseNetConfig(**bad)
     with pytest.raises(ConfigError):

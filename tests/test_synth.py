@@ -33,13 +33,14 @@ def test_generated_shape_and_meta():
     assert set(records.label.tolist()) == {0, 1}
     assert meta["ctr"] == np.mean(records.label)
     assert 0.0 < meta["mean_click_probability"] < 1.0
-    assert list(records.categorical) == list(synth.CONTEXT_FIELDS)
+    assert list(records.categorical) == ["user", "item", *synth.CONTEXT_FIELDS]
+    assert (records.user_field, records.item_field) == ("user", "item")
     assert list(records.continuous) == list(synth.CONTINUOUS_FIELDS)
     for col in records.continuous.values():
         assert col.dtype == np.float64 and ((0.0 <= col) & (col <= 1.0)).all()
-    for col in (records.user_id, records.item_id, *records.categorical.values()):
+    for col in records.categorical.values():
         assert col.dtype == object and len(col) == 800
-    assert all(u.startswith("u") for u in records.user_id)
+    assert all(u.startswith("u") for u in records.categorical["user"])
 
 
 def test_field_declarations_cover_the_columns():
@@ -51,7 +52,7 @@ def test_field_declarations_cover_the_columns():
         assert mapping[name] == "categorical"
     for name in synth.CONTINUOUS_FIELDS:
         assert mapping[name] == "continuous"
-    assert spec.all_categorical()[:2] == [synth.USER_FIELD, synth.ITEM_FIELD]
+    assert spec.categorical[:2] == [synth.USER_FIELD, synth.ITEM_FIELD]
 
 
 def test_cold_start_planting_counts_and_placement():
@@ -63,17 +64,17 @@ def test_cold_start_planting_counts_and_placement():
     assert meta["n_test_region_rows"] == n_test
     assert meta["n_novel_item_rows"] == planted
 
-    novel = np.array([item.startswith("i_new") for item in records.item_id])
+    novel = np.array([item.startswith("i_new") for item in records.categorical["item"]])
     assert novel.sum() == planted
     assert (records.timestamp[novel] >= 1000 - n_test).all()
     # each planted row carries its own token, never reused, numbered in row order
-    assert records.item_id[novel].tolist() == [f"i_new{k}" for k in range(planted)]
+    assert records.categorical["item"][novel].tolist() == [f"i_new{k}" for k in range(planted)]
 
 
 def test_cold_start_fraction_zero_plants_nothing():
     records, meta = synth.generate_records(synth.SynthConfig(n_rows=400, seed=9))
     assert meta["n_novel_item_rows"] == 0
-    assert not any(item.startswith("i_new") for item in records.item_id)
+    assert not any(item.startswith("i_new") for item in records.categorical["item"])
 
 
 def test_planted_rows_survive_the_cold_start_filter():
@@ -82,8 +83,8 @@ def test_planted_rows_survive_the_cold_start_filter():
     records, meta = synth.generate_records(config)
     train, _, test = chronological_split(records)
     kept = cold_start_filter(test, train)
-    novel_in_test = {item for item in test.item_id if item.startswith("i_new")}
-    assert novel_in_test <= set(kept.item_id)
+    novel_in_test = {item for item in test.categorical["item"] if item.startswith("i_new")}
+    assert novel_in_test <= set(kept.categorical["item"])
     assert len(novel_in_test) == meta["n_novel_item_rows"]
 
 
@@ -124,7 +125,7 @@ def test_write_csv_bytes_are_pinned(tmp_path):
 
 def test_write_csv_that_fails_partway_keeps_the_previous_file(tmp_path):
     records, _ = synth.generate_records(synth.SynthConfig(n_rows=300, seed=4))
-    records.user_id[200] = None  # a row the writer cannot join
+    records.categorical["user"][200] = None  # a row the writer cannot join
     path = tmp_path / "data.csv"
     path.write_bytes(b"previous\r\n")
     with pytest.raises(TypeError):
