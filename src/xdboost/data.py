@@ -2,23 +2,25 @@
 
 A click log is one ClickLog: a column per field (timestamp, categorical
 fields with user and item among them, continuous fields, binary click
-label), one entry per impression. Training and scoring parse CSV with the
-one reader here, ``read_csv``; the synthetic generator builds the same
-columns directly.
+label), one entry per impression. A categorical column holds int64 codes
+into the field's tuple of distinct tokens. Training and scoring parse CSV
+with the one reader here, ``read_csv``, chunk by chunk; the synthetic
+generator builds the same columns directly.
 Splits, sub-training sets and the cold-start filter are row selections on
-a log. Vocabularies and continuous-feature statistics are always built
-from the training split only; unseen tokens map to a reserved
-out-of-vocabulary index per field.
+a log, which share its token tables. Vocabularies and continuous-feature
+statistics are always built from the training split only; unseen tokens
+map to a reserved out-of-vocabulary index per field.
 """
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import types
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -30,6 +32,7 @@ MISSING_TOKEN = "__missing__"
 
 FIELD_TYPES = ("user", "item", "categorical", "continuous")
 
+CHUNK_ROWS = 4096  # data rows read_csv parses, factorizes and converts at a time
 HASH_CHUNK_ROWS = 256  # rows per sha256 update in records_hash
 
 
@@ -38,19 +41,23 @@ class ClickLog:
     """Labeled impressions, held column by column.
 
     ``categorical`` maps every categorical field, user and item included,
-    to its column, an object array of str; ``user_field`` and
-    ``item_field`` name the user and item columns, or are None when the log
-    has no such field, and a name that is not a categorical column is a
-    DataError. ``continuous`` maps each continuous field to its column.
-    Timestamps and continuous values are float64, with NaN marking a
-    missing continuous value; labels are int64, and a label that is not an
-    integer is a DataError, not truncated. ``log[idx]`` selects rows by
-    slice, index array or boolean mask; a slice shares its columns with
-    the log.
+    to its column of int64 codes, and ``tokens`` maps the same fields to
+    the tuple of distinct tokens the codes index; a code outside its tuple
+    is a DataError. Codes are int64, numpy's index type, so indexing a
+    token table or a lookup table by them casts nothing. ``user_field``
+    and ``item_field`` name the user and item columns, or are None when
+    the log has no such field, and a name that is not a categorical column
+    is a DataError. ``continuous`` maps each continuous field to its
+    column. Timestamps and continuous values are float64, with NaN marking
+    a missing continuous value; labels are int64, and a label that is not
+    an integer is a DataError, not truncated. ``log[idx]`` selects rows by
+    slice, index array or boolean mask and shares the token tuples; a
+    slice also shares its columns with the log.
     """
 
     timestamp: np.ndarray
     categorical: dict
+    tokens: dict
     continuous: dict
     label: np.ndarray
     user_field: str | None = None
@@ -69,7 +76,11 @@ class ClickLog:
                     raise DataError(f"label {label[~whole][0]} is not an integer")
         except (TypeError, ValueError) as exc:
             raise DataError(f"non-numeric value in a numeric column: {exc}")
-        self.categorical = {name: np.asarray(col, dtype=object)
+        if self.tokens.keys() != self.categorical.keys():
+            raise DataError(f"token tables for {list(self.tokens)}, "
+                            f"categorical columns {list(self.categorical)}")
+        self.tokens = {name: tuple(self.tokens[name]) for name in self.categorical}
+        self.categorical = {name: _codes(col, name, len(self.tokens[name]))
                             for name, col in self.categorical.items()}
         for role in (self.user_field, self.item_field):
             if role is not None and role not in self.categorical:
@@ -82,8 +93,19 @@ class ClickLog:
     def __getitem__(self, idx):
         return ClickLog(self.timestamp[idx],
                         {name: col[idx] for name, col in self.categorical.items()},
+                        self.tokens,
                         {name: col[idx] for name, col in self.continuous.items()},
                         self.label[idx], self.user_field, self.item_field)
+
+
+def _codes(col, name, n_tokens):
+    """A categorical column as int64 codes, each of which must index the
+    column's n_tokens tokens."""
+    codes = np.asarray(col)
+    if codes.size and (codes.dtype.kind not in "iu" or codes.min() < 0
+                       or codes.max() >= n_tokens):
+        raise DataError(f"field {name!r}: a code does not index its {n_tokens} tokens")
+    return codes.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -168,116 +190,222 @@ def read_csv(path, field_spec, scoring=False):
     must name every declared field, and ``timestamp`` and ``label`` unless
     scoring: a scoring file may lack them, and then the row order fills
     the timestamps and 0 the labels. None of these may be named twice. A
-    blank categorical cell is MISSING_TOKEN and a blank continuous cell is
-    missing (NaN). A row with more cells than the header, a non-binary
-    label, or a timestamp or continuous value that is not a finite number
-    raises a DataError naming the physical line the row starts on.
+    categorical cell's token is its text stripped, MISSING_TOKEN when that
+    is blank; a blank continuous cell is missing (NaN). A row with more
+    cells than the header, a non-binary label, or a timestamp or
+    continuous value that is not a finite number raises a DataError naming
+    the physical line the row starts on.
 
-    The row texts are an iterable to be read once. A row's text is its
-    cells, padded, as ``csv.writer`` writes them when another cell follows,
-    so ``f"{text},{cell}\r\n"`` is the line ``csv.writer`` writes for the
-    row with that cell appended.
+    The file is read CHUNK_ROWS data rows at a time, so no list of every
+    cell ever exists. Each chunk's categorical columns go through one
+    _Factorizer per field, which strips each distinct raw cell once, and
+    each numeric or label column is converted whole; a column holding a
+    blank, malformed or non-finite value, or a label other than exactly
+    ``0`` or ``1``, is parsed again cell by cell, which fills blanks and
+    names the first bad cell. The first chunk holding a fault raises it.
 
-    The file is first read as one string. Plain text takes a fast path: no
-    ``"``, no NUL, no bare ``\r``, and exactly ``len(header) - 1`` commas
-    on every non-blank line. One ``split`` then cuts every cell, a column
-    is a strided slice, and a row's text is its line. Any other file is
-    dropped as a string and read again as a stream by ``csv.reader``,
-    which writes a row's text only when it is read and finds a row's line
-    only for an error message. Either way a numeric or label column is
-    first converted whole; a column holding a blank, malformed or
-    non-finite value, or a label other than exactly ``0`` or ``1``, is
-    parsed again cell by cell, which fills blanks and names the first bad
-    cell. Both paths give the same log, texts and errors.
+    Plain text takes a fast path: no ``"``, no NUL, no bare ``\r``, and
+    exactly ``len(header) - 1`` commas on every non-blank line. One
+    ``split`` then cuts a chunk's cells and a column is a strided slice.
+    The first line that is not plain sends the whole file to
+    ``csv.reader``. Both paths give the same log, texts and errors.
+
+    The row texts are an iterable to be read once, made from the raw text
+    of each chunk, which read_csv keeps and the iterable drops as it goes.
+    A row's text is its cells, padded, as ``csv.writer`` writes them when
+    another cell follows, so ``f"{text},{cell}\r\n"`` is the line
+    ``csv.writer`` writes for the row with that cell appended.
     """
     if not os.path.exists(path):
         raise DataError(f"CSV file not found: {path}")
     required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
+    try:
+        plain, (header, log, blocks) = True, _read_log(path, field_spec, required,
+                                                       _plain_chunks)
+    except _NotPlain:
+        plain, (header, log, blocks) = False, _read_log(path, field_spec, required,
+                                                        _reader_chunks)
+    return header, _row_texts(blocks, plain, len(header)), log
+
+
+class _Factorizer:
+    """Int64 codes of one categorical column, fed a chunk of cells at a
+    time. A cell's token is its text stripped, or MISSING_TOKEN when that
+    is blank; cells that strip to one token share its code. Codes number
+    the tokens in order of first occurrence, and ``tokens()`` lists them."""
+
+    def __init__(self):
+        self._token_codes = {}
+        self._cell_codes = {}  # each distinct raw cell, stripped once
+
+    def codes(self, cells):
+        codes = np.fromiter(map(self._cell_codes.get, cells, repeat(-1)), np.int64,
+                            count=len(cells))
+        new = np.flatnonzero(codes < 0).tolist()
+        if new:
+            for cell in dict.fromkeys(map(cells.__getitem__, new)):
+                token = cell.strip() or MISSING_TOKEN
+                self._cell_codes[cell] = self._token_codes.setdefault(token,
+                                                                      len(self._token_codes))
+            codes[new] = [self._cell_codes[cells[i]] for i in new]
+        return codes
+
+    def tokens(self):
+        return tuple(self._token_codes)
+
+
+class _NotPlain(Exception):
+    """The file needs csv.reader's quoting rules."""
+
+
+def _read_log(path, field_spec, required, chunks):
+    """(header, ClickLog, raw text blocks) of a CSV file whose rows
+    ``chunks(fh, path, blocks)`` gives as (header, iterable of (row count,
+    {column: cells})), appending the raw text of the rows to blocks."""
+    numeric = [(name, float, _finite_or_blank, f"bad continuous value in {name!r}",
+                np.float64) for name in field_spec.continuous]
     with open(path, newline="") as fh:
-        plain = _split_plain(fh.read(), required)
-    header, columns, n, texts = plain or _split_rows(path, required)
+        blocks = []
+        header, row_chunks = chunks(fh, path, blocks)
+        _require_columns(header, required)
+        if "timestamp" in header:
+            numeric.insert(0, ("timestamp", float, _finite, "bad timestamp", np.float64))
+        if "label" in header:
+            labels = {"0": 0, "1": 1}
+            numeric.append(("label", labels.__getitem__, labels.get, "non-binary label",
+                            np.int64))
+        factors = {name: _Factorizer() for name in field_spec.categorical}
+        parts = {name: [] for name in [*factors, *(spec[0] for spec in numeric)]}
+        n = 0
+        for rows, columns in row_chunks:
+            for name, factor in factors.items():
+                parts[name].append(factor.codes(columns[name]))
+            for name, *rule in numeric:
+                parts[name].append(_numbers(columns[name], *rule, path, n))
+            n += rows
 
-    def strings(name):
-        return np.array([c.strip() or MISSING_TOKEN for c in columns[name]], dtype=object)
+    def column(name, dtype):
+        return np.concatenate(parts.pop(name)) if n else np.zeros(0, dtype)
 
-    def parsed(name, convert, parse, what, dtype=np.float64):
-        col = columns[name]
-        try:
-            values = np.fromiter(map(convert, col), dtype, count=len(col))
-            if np.isfinite(values).all():
-                return values
-        except (KeyError, ValueError):
-            pass
-        values = [parse(c.strip()) for c in col]
-        if None in values:
-            i = values.index(None)
-            raise DataError(f"line {_row_line(path, i)}: {what}: {col[i].strip()!r}")
-        return values
-
-    labels = {"0": 0, "1": 1}
     log = ClickLog(
-        timestamp=(parsed("timestamp", float, _finite, "bad timestamp")
-                   if "timestamp" in columns else np.arange(n)),
-        categorical={name: strings(name) for name in field_spec.categorical},
-        continuous={name: parsed(name, float, _finite_or_blank,
-                                 f"bad continuous value in {name!r}")
-                    for name in field_spec.continuous},
-        label=(parsed("label", labels.__getitem__, labels.get, "non-binary label", np.int64)
-               if "label" in columns else np.zeros(n)),
+        timestamp=column("timestamp", np.float64) if "timestamp" in header else np.arange(n),
+        categorical={name: column(name, np.int64) for name in factors},
+        tokens={name: factor.tokens() for name, factor in factors.items()},
+        continuous={name: column(name, np.float64) for name in field_spec.continuous},
+        label=column("label", np.int64) if "label" in header else np.zeros(n),
         user_field=field_spec.user_field, item_field=field_spec.item_field)
-    return header, texts, log
+    return header, log, blocks
 
 
-def _split_plain(text, required):
-    r"""(header, columns, row count, row texts) of text that needs
-    no CSV quoting rules, else None; a missing required column raises.
+def _numbers(cells, convert, parse, what, dtype, path, offset):
+    """One chunk's numeric column, whose first row is data row offset."""
+    try:
+        values = np.fromiter(map(convert, cells), dtype, count=len(cells))
+        if np.isfinite(values).all():
+            return values
+    except (KeyError, ValueError):
+        pass
+    values = [parse(c.strip()) for c in cells]
+    if None in values:
+        i = values.index(None)
+        raise DataError(f"line {_row_line(path, offset + i)}: {what}: {cells[i].strip()!r}")
+    return np.array(values, dtype)
 
-    Such text has no quote, no NUL (which ``csv.reader`` refuses before
-    Python 3.11), no bare ``\r``, a non-blank header line and the header's
-    comma count on every non-blank line. No line may be longer than csv's
-    field size limit, so that a file ``csv.reader`` refuses is still
-    refused.
-    """
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
-        return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    header = lines[0].split(",")
-    rows = [line for line in lines[1:] if line]
-    if (not lines[0] or max(map(len, lines)) > csv.field_size_limit()
-            or not set(map(str.count, rows, repeat(","))) <= {len(header) - 1}):
-        return None
-    _require_columns(header, required)
-    cells = ",".join(rows).split(",") if rows else []
+
+def _plain(text):
+    r"""Whether text holds no quote, no NUL (which ``csv.reader`` refuses
+    before Python 3.11) and no bare ``\r``."""
+    return '"' not in text and "\0" not in text and text.count("\r") == text.count("\r\n")
+
+
+def _plain_chunks(fh, path, blocks):
+    """(header, chunks) of a file that needs no CSV quoting rules, for
+    _read_log: a non-blank header and the header's comma count on every
+    non-blank line, none longer than csv's field size limit, so that a file
+    ``csv.reader`` refuses is still refused. Raises _NotPlain, at once or
+    while the chunks are read, on the first line that breaks a rule."""
+    limit = csv.field_size_limit()
+    first = fh.readline()
+    line = first.rstrip("\r\n")
+    if not line or not _plain(first) or len(line) > limit:
+        raise _NotPlain
+    header = line.split(",")
     width = len(header)
-    columns = {name: cells[j::width] for j, name in enumerate(header)}
-    return header, columns, len(rows), rows
+
+    def columns(rows):
+        cells = ",".join(rows).split(",")
+        return len(rows), {name: cells[j::width] for j, name in enumerate(header)}
+
+    def chunks():
+        rows = []
+        for lines in iter(lambda: list(islice(fh, CHUNK_ROWS)), []):
+            text = "".join(lines)
+            new = [line for line in text.replace("\r\n", "\n").split("\n") if line]
+            if (not _plain(text) or max(map(len, new), default=0) > limit
+                    or not set(map(str.count, new, repeat(","))) <= {width - 1}):
+                raise _NotPlain
+            blocks.append(text)
+            rows += new
+            # CHUNK_ROWS lines hold at most CHUNK_ROWS rows, so at most one
+            # chunk is ready after each read
+            if len(rows) >= CHUNK_ROWS:
+                yield columns(rows[:CHUNK_ROWS])
+                del rows[:CHUNK_ROWS]
+        if rows:
+            yield columns(rows)
+
+    return header, chunks()
 
 
-def _split_rows(path, required):
-    """(header, columns, row count, row texts) of any CSV file, read
-    as a stream by csv.reader; a missing required column raises before a
-    row that is too long. The texts are a generator, so a caller that drops
-    them never pays for them."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [row for row in reader if row]
-    _require_columns(header, required)
+def _reader_chunks(fh, path, blocks):
+    """(header, chunks) of any CSV file, read as a stream by csv.reader,
+    for _read_log; a row with more cells than the header raises."""
+    lines = []
+
+    def recorded():
+        for line in fh:
+            lines.append(line)
+            yield line
+
+    reader = csv.reader(recorded())
+    header = next(reader, [])
     width = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            if len(row) > width:
-                raise DataError(f"line {_row_line(path, i)}: {len(row)} cells, "
-                                f"the header has {width}")
-            row += [""] * (width - len(row))
-    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    rows = filter(None, reader)
+
+    def chunks():
+        offset = 0
+        lines.clear()
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            blocks.append("".join(lines))
+            lines.clear()
+            for i, row in enumerate(chunk):
+                if len(row) > width:
+                    raise DataError(f"line {_row_line(path, offset + i)}: {len(row)} cells, "
+                                    f"the header has {width}")
+                row += [""] * (width - len(row))
+            yield len(chunk), dict(zip(header, zip(*chunk)))
+            offset += len(chunk)
+
+    return header, chunks()
+
+
+def _row_texts(blocks, plain, width):
+    """read_csv's row texts, from the raw text blocks of its rows, each
+    dropped once read: on the plain path each row's line, else each row
+    as csv.writer writes it, padded to width cells."""
     # writerow returns what the file's write returns: here the line itself.
-    # The appended blank cell keeps a lone blank cell from being written
-    # as "" (csv.writer's form of a row that is one empty field); the slice
+    # The appended blank cell keeps a lone blank cell from being written as
+    # "" (csv.writer's form of a row that is one empty field); the slice
     # drops it with its comma and the line end.
     writer = csv.writer(types.SimpleNamespace(write=str))
-    texts = (writer.writerow(row + [""])[:-3] for row in rows)
-    return header, columns, len(rows), texts
+    blocks.reverse()
+    while blocks:
+        block = blocks.pop()
+        if plain:
+            yield from filter(None, block.replace("\r\n", "\n").split("\n"))
+        else:
+            for row in filter(None, csv.reader(io.StringIO(block, newline=""))):
+                yield writer.writerow(row + [""] * (width - len(row) + 1))[:-3]
 
 
 def _row_line(path, i):
@@ -383,12 +511,15 @@ def class_weights(train_labels):
 
 
 def cold_start_filter(test_log, subtrain_log):
-    """Drop test rows whose item occurs in the sub-training set."""
+    """Drop test rows whose item occurs in the sub-training set. The two
+    logs may hold different token tables, so items compare as tokens."""
     if test_log.item_field is None or subtrain_log.item_field is None:
         raise DataError("cold-start filtering requires an item field")
-    seen = set(subtrain_log.categorical[subtrain_log.item_field].tolist())
-    items = test_log.categorical[test_log.item_field].tolist()
-    return test_log[np.array([item not in seen for item in items], dtype=bool)]
+    seen_codes = np.unique(subtrain_log.categorical[subtrain_log.item_field]).tolist()
+    seen = set(map(subtrain_log.tokens[subtrain_log.item_field].__getitem__, seen_codes))
+    unseen = np.array([token not in seen for token in test_log.tokens[test_log.item_field]],
+                      dtype=bool)
+    return test_log[unseen[test_log.categorical[test_log.item_field]]]
 
 
 @dataclass
@@ -487,11 +618,17 @@ def records_hash(log):
     their schemas (and therefore encoded matrices) differ. Each row hashes
     as the JSON list [timestamp, user (null without one), item (likewise),
     sorted pairs of the other categorical fields, sorted continuous pairs
-    (null when missing), label], the text of ``json.dumps``; each column is
-    turned into JSON in one pass.
+    (null when missing), label], the text of ``json.dumps``. Each distinct
+    token is escaped once and the escaped texts are gathered by code; each
+    other column is turned into JSON in one pass per HASH_CHUNK_ROWS rows.
     """
-    def strings(col):
-        return repeat("null") if col is None else map(encode_basestring_ascii, col.tolist())
+    escaped = {name: np.array([encode_basestring_ascii(t) for t in tokens], dtype=object)
+               for name, tokens in log.tokens.items()}
+
+    def strings(name, rows):
+        if name is None:
+            return repeat("null")
+        return escaped[name][log.categorical[name][rows]].tolist()
 
     def floats(col, nan):
         text = list(map(float.__repr__, col.tolist()))
@@ -508,12 +645,11 @@ def records_hash(log):
     between = [*map(repeat, "[\0, \0, \0, [{}], [{}], \0]".format(*pairs).split("\0"))]
     h = hashlib.sha256()
     for lo in range(0, len(log), HASH_CHUNK_ROWS):
-        part = log[lo:lo + HASH_CHUNK_ROWS]
-        values = [floats(part.timestamp, "NaN"),
-                  *(strings(part.categorical.get(role)) for role in roles),
-                  *(strings(part.categorical[name]) for name in cat),
-                  *(floats(part.continuous[name], "null") for name in cont),
-                  map(int.__repr__, part.label.tolist())]
+        rows = slice(lo, lo + HASH_CHUNK_ROWS)
+        values = [floats(log.timestamp[rows], "NaN"),
+                  *(strings(name, rows) for name in (*roles, *cat)),
+                  *(floats(log.continuous[name][rows], "null") for name in cont),
+                  map(int.__repr__, log.label[rows].tolist())]
         texts = [*chain.from_iterable(zip(between, values)), between[-1]]
         h.update("".join(chain.from_iterable(zip(*texts))).encode())
     return h.hexdigest()
@@ -522,14 +658,17 @@ def records_hash(log):
 def build_schema(train_log, field_spec, normalize=True):
     """Fit vocabularies and continuous stats on the training split only.
 
-    Each vocabulary numbers its tokens in order of first occurrence.
+    Each vocabulary numbers its tokens in order of first occurrence in the
+    training rows, whatever order the log's token tables hold.
     """
     if not len(train_log):
         raise DataError("cannot build a schema from an empty training split")
     cat_fields = list(field_spec.categorical)
-    vocab = {name: {token: i for i, token in
-                    enumerate(dict.fromkeys(train_log.categorical[name].tolist()))}
-             for name in cat_fields}
+    vocab = {}
+    for name in cat_fields:
+        codes = dict.fromkeys(train_log.categorical[name].tolist())  # first occurrence order
+        tokens = map(train_log.tokens[name].__getitem__, codes)
+        vocab[name] = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
     cont_stats = {}
     for name in field_spec.continuous:
         col = train_log.continuous[name]
@@ -545,6 +684,9 @@ def build_schema(train_log, field_spec, normalize=True):
 def encode(log, schema):
     """Encode a log against a schema; unseen tokens map to the OOV index.
 
+    Each categorical column is one lookup-table index: the table holds the
+    vocabulary index, or the OOV index, of each of the log's tokens.
+
     Missing continuous values take the training mean; with normalization,
     values are min-max scaled by the training range and clamped to [0, 1].
     The schema lays out the matrix: a schema with placeholders (a model's
@@ -555,8 +697,10 @@ def encode(log, schema):
     n = len(log)
     cat = np.empty((n, len(schema.cat_fields)), dtype=np.int64)
     for j, name in enumerate(schema.cat_fields):
-        lookup = map(schema.vocab[name].get, log.categorical[name], repeat(schema.oov_index(name)))
-        cat[:, j] = np.fromiter(lookup, dtype=np.int64, count=n)
+        tokens = log.tokens[name]
+        lut = np.fromiter(map(schema.vocab[name].get, tokens, repeat(schema.oov_index(name))),
+                          dtype=np.int64, count=len(tokens))
+        cat[:, j] = lut[log.categorical[name]]
     cont = np.empty((n, len(schema.cont_fields)), dtype=np.float64)
     for j, name in enumerate(schema.cont_fields):
         lo, hi, mean = schema.cont_stats[name]

@@ -326,8 +326,11 @@ class BaseNet:
         outputs = [self._forward(batch, want_cache=False)[0] for batch in batches]
         return np.concatenate(outputs) if outputs else np.zeros(0)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def predict_matrix(self, X: DesignMatrix):
-        """Per-row head outputs; pure, no state is mutated."""
+        """Per-row head outputs; pure, no state is mutated. A row that
+        overflows scores NaN or an infinity without a warning; callers
+        check the outputs."""
         return self._predict(self._batches(X))
 
     def eval_loss(self, X, targets, class_weights=None):
@@ -347,6 +350,7 @@ class BaseNet:
             if targets.size and (np.abs(targets) > 1.0).any():
                 raise DataError("regression targets must lie in [-1, 1]")
 
+    @np.errstate(over="ignore", invalid="ignore")
     def fit(self, X, targets, class_weights=None, val=None):
         """Mini-batch training with optional early stopping.
 
@@ -356,7 +360,9 @@ class BaseNet:
         best parameters seen (and their optimizer state) are restored at
         the end; the incoming parameters count as a candidate, so a fit
         that never improves the validation loss is a no-op. Returns a
-        FitHistory; the net is updated in place.
+        FitHistory; the net is updated in place. A fit that diverges raises
+        a TrainingError at its first non-finite batch loss, whatever the
+        warning filters, as numpy's overflow warnings are off inside.
         """
         self._check_matrix(X)
         targets = np.asarray(targets, dtype=np.float64)

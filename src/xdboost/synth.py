@@ -140,17 +140,17 @@ def generate_records(config: SynthConfig):
     probs = 1.0 / (1.0 + np.exp(-score))
     labels = (_rng(config.seed, 3).uniform(size=n) < probs).astype(np.int64)
 
-    def column(prefix, j):
-        """Token strings of column j; rows drawing one token share its str."""
-        return np.array([f"{prefix}{t}" for t in range(v)], dtype=object)[tokens[:, j]]
-
+    # the draws are the codes; planted items take codes past the vocabulary
+    names = field_spec().categorical
     prefixes = ("u", "i", *(f"{name}_" for name in CONTEXT_FIELDS))
-    categorical = {name: column(prefix, j)
-                   for j, (name, prefix) in enumerate(zip(field_spec().categorical, prefixes))}
-    categorical[ITEM_FIELD][novel_rows] = [f"i_new{k}" for k in range(n_novel_rows)]
+    codes = {name: tokens[:, j].copy() for j, name in enumerate(names)}
+    token_tables = {name: tuple(f"{prefix}{t}" for t in range(v))
+                    for name, prefix in zip(names, prefixes)}
+    codes[ITEM_FIELD][novel_rows] = np.arange(v, v + n_novel_rows)
+    token_tables[ITEM_FIELD] += tuple(f"i_new{k}" for k in range(n_novel_rows))
     log = ClickLog(
         timestamp=np.arange(n, dtype=np.float64),
-        categorical=categorical,
+        categorical=codes, tokens=token_tables,
         continuous={name: cont_values[:, j].copy() for j, name in enumerate(CONTINUOUS_FIELDS)},
         label=labels, user_field=USER_FIELD, item_field=ITEM_FIELD)
 
@@ -176,7 +176,8 @@ def write_csv(log, path):
     fields = field_spec()
     header = ["timestamp", *fields.categorical, *fields.continuous, "label"]
     columns = [map(str, log.timestamp.astype(np.int64).tolist()),
-               *(log.categorical[name].tolist() for name in fields.categorical),
+               *(np.array(log.tokens[name], dtype=object)[log.categorical[name]].tolist()
+                 for name in fields.categorical),
                *(map(repr, log.continuous[name].tolist()) for name in fields.continuous),
                map(str, log.label.tolist())]
     with replacing(path, newline="") as fh:

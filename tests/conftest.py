@@ -1,6 +1,7 @@
 """Shared builders for the test suite.
 
-Hand-built schemas and design matrices, a click-log factory, per-tensor
+Hand-built schemas and design matrices, click logs built from token cells
+through read_csv's factorizer, a column's tokens row by row, per-tensor
 views of a net's parameters and gradients, an independent forward-pass
 implementation, a central finite-difference gradient check, a
 reader and writer of model bundle archives for fault injection, a
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import strategies as st
 
 from xdboost import kernels, nn
-from xdboost.data import MISSING_TOKEN, ClickLog, DesignMatrix, FeatureSchema
+from xdboost.data import ClickLog, DesignMatrix, FeatureSchema, _Factorizer
 from xdboost.errors import DataError
 from xdboost.models import BaseNet, BaseNetConfig, _carve
 
@@ -96,24 +97,39 @@ def make_matrix(rng, schema, n_rows, zero_placeholders=True):
     return DesignMatrix(cat, np.ascontiguousarray(cont), schema.n_placeholders)
 
 
-def make_records(n, n_users=5, n_items=4, seed=0, timestamps=None):
+def click_log(timestamp, categorical, continuous, label, user_field=None, item_field=None):
+    """A ClickLog whose categorical columns are given as cells: read_csv's
+    factorizer makes each one's codes and tokens, stripping as it does."""
+    factors = {name: _Factorizer() for name in categorical}
+    codes = {name: factors[name].codes(list(col)) for name, col in categorical.items()}
+    return ClickLog(timestamp, codes, {name: f.tokens() for name, f in factors.items()},
+                    continuous, label, user_field, item_field)
+
+
+def tokens_of(log, name):
+    """The tokens of one categorical column, row by row."""
+    return list(map(log.tokens[name].__getitem__, log.categorical[name].tolist()))
+
+
+def make_records(n, n_users=5, n_items=4, seed=0, timestamps=None, items=None):
     """A ClickLog of n rows; timestamps default to 0..n-1 in order.
 
-    Fields are user, item, categorical c0 and continuous x0. The columns
-    are fresh arrays, so tests may overwrite entries in place.
+    Fields are user, item, categorical c0 and continuous x0; items, when
+    given, replace the drawn item tokens. The numeric columns are fresh
+    arrays, so tests may overwrite entries in place.
     """
     rng = np.random.default_rng(seed)
-    users, items, groups, values, labels = [], [], [], [], []
+    users, drawn, groups, values, labels = [], [], [], [], []
     for _ in range(n):
         users.append(f"u{rng.integers(n_users)}")
-        items.append(f"i{rng.integers(n_items)}")
+        drawn.append(f"i{rng.integers(n_items)}")
         groups.append(f"g{rng.integers(3)}")
         values.append(float(rng.uniform()))
         labels.append(int(rng.integers(2)))
-    return ClickLog(
-        timestamp=np.arange(n, dtype=np.float64) if timestamps is None else timestamps,
-        categorical={"user": users, "item": items, "c0": groups},
-        continuous={"x0": values}, label=labels, user_field="user", item_field="item")
+    return click_log(
+        np.arange(n, dtype=np.float64) if timestamps is None else timestamps,
+        {"user": users, "item": drawn if items is None else items, "c0": groups},
+        {"x0": values}, labels, "user", "item")
 
 
 def log_rows(log):
@@ -122,18 +138,17 @@ def log_rows(log):
     dict, label), with None for a missing user, item or continuous value."""
     n = len(log)
 
-    def plain(col):
-        return [None] * n if col is None else col.tolist()
+    def plain(name):
+        return [None] * n if name is None else tokens_of(log, name)
 
     roles = (log.user_field, log.item_field)
-    cat = {name: col.tolist() for name, col in log.categorical.items() if name not in roles}
+    cat = {name: tokens_of(log, name) for name in log.categorical if name not in roles}
     cont = {name: [None if np.isnan(v) else v for v in col.tolist()]
             for name, col in log.continuous.items()}
     return [(ts, user, item, {name: col[i] for name, col in cat.items()},
              {name: col[i] for name, col in cont.items()}, label)
             for i, (ts, user, item, label) in enumerate(zip(
-                plain(log.timestamp), *(plain(log.categorical.get(role)) for role in roles),
-                plain(log.label)))]
+                log.timestamp.tolist(), *map(plain, roles), log.label.tolist()))]
 
 
 def oracle_forward(net, X):
@@ -264,11 +279,13 @@ def write_bundle(path, manifest, arrays):
 # ---- CSV reading by csv.reader alone -----------------------------------------------
 
 def csv_reader_oracle(path, field_spec, scoring=False):
-    """``data.read_csv`` done with csv.reader and nothing else: (header,
-    padded rows, ClickLog), or the same DataError.
+    """``data.read_csv`` done with csv.reader in one pass over the whole
+    file: (header, padded rows, ClickLog), or the same DataError.
 
-    The reference the reader's plain-text path is held to. Every cell is
-    parsed one by one; errors name the physical line a row starts on.
+    The reference the reader's plain-text path and its chunks are held
+    to. Every numeric cell is parsed one by one, and each categorical
+    column goes whole through read_csv's factorizer; errors name the
+    physical line a row starts on.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -298,9 +315,6 @@ def csv_reader_oracle(path, field_spec, scoring=False):
             return None
         return value if math.isfinite(value) else None
 
-    def strings(name):
-        return [c.strip() or MISSING_TOKEN for c in cells[name]]
-
     def parsed(name, parse, what):
         values = [parse(c.strip()) for c in cells[name]]
         if None in values:
@@ -309,16 +323,16 @@ def csv_reader_oracle(path, field_spec, scoring=False):
         return values
 
     n = len(rows)
-    log = ClickLog(
-        timestamp=(parsed("timestamp", finite, "bad timestamp")
-                   if "timestamp" in cells else np.arange(n)),
-        categorical={name: strings(name) for name in field_spec.categorical},
-        continuous={name: parsed(name, lambda c: finite(c) if c else math.nan,
-                                 f"bad continuous value in {name!r}")
-                    for name in field_spec.continuous},
-        label=(parsed("label", {"0": 0, "1": 1}.get, "non-binary label")
-               if "label" in cells else np.zeros(n)),
-        user_field=field_spec.user_field, item_field=field_spec.item_field)
+    log = click_log(
+        (parsed("timestamp", finite, "bad timestamp") if "timestamp" in cells
+         else np.arange(n)),
+        {name: cells[name] for name in field_spec.categorical},
+        {name: parsed(name, lambda c: finite(c) if c else math.nan,
+                      f"bad continuous value in {name!r}")
+         for name in field_spec.continuous},
+        (parsed("label", {"0": 0, "1": 1}.get, "non-binary label") if "label" in cells
+         else np.zeros(n)),
+        field_spec.user_field, field_spec.item_field)
     return header, rows, log
 
 
@@ -330,23 +344,17 @@ def csv_writer_line(cells):
 
 
 def same_log(a, b):
-    """Whether two logs hold the same columns, numeric ones byte for byte."""
+    """Whether two logs hold the same columns byte for byte and the same
+    token tables."""
     def columns(log):
         return [log.timestamp, log.label, *log.categorical.values(), *log.continuous.values()]
 
     if ((a.user_field, a.item_field) != (b.user_field, b.item_field)
-            or list(a.categorical) != list(b.categorical)
+            or list(a.categorical) != list(b.categorical) or a.tokens != b.tokens
             or list(a.continuous) != list(b.continuous)):
         return False
-    for x, y in zip(columns(a), columns(b)):
-        if x.dtype != y.dtype or x.shape != y.shape:
-            return False
-        elif x.dtype == object:
-            if x.tolist() != y.tolist():
-                return False
-        elif x.tobytes() != y.tobytes():
-            return False
-    return True
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(columns(a), columns(b)))
 
 
 # Cell values by column kind: the first list is well-formed, the second
@@ -409,13 +417,11 @@ def records_hash_oracle(log):
     """records_hash as one json.dumps per row, the form it had while the
     log was a list of rows."""
     roles = (log.user_field, log.item_field)
-    cat = [(name, col.tolist()) for name, col in sorted(log.categorical.items())
-           if name not in roles]
+    cat = [(name, tokens_of(log, name)) for name in sorted(log.categorical) if name not in roles]
     cont = [(name, [None if math.isnan(v) else v for v in col.tolist()])
             for name, col in sorted(log.continuous.items())]
     n = len(log)
-    users, items = ([None] * n if role is None else log.categorical[role].tolist()
-                    for role in roles)
+    users, items = ([None] * n if role is None else tokens_of(log, role) for role in roles)
     h = hashlib.sha256()
     for i, (ts, user, item, label) in enumerate(zip(log.timestamp.tolist(), users, items,
                                                     log.label.tolist())):

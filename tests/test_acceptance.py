@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (SESSION_START, fd_gradcheck, log_rows, random_net_case,
-                      well_conditioned)
+                      tokens_of, well_conditioned)
 from xdboost import cli, synth
 from xdboost.boosting import (append_placeholders, create_xdboost,
                               predict_xdboost, train_unboosted, train_xdboost)
@@ -290,7 +290,7 @@ def test_criterion_08_cold_start_keeps_exactly_the_planted_novel_items(capsys):
     records, meta = synth.generate_records(gen_cfg)
     assert meta["n_novel_item_rows"] == 300  # round(0.3 * 1000)
     train_region, _, test_records = chronological_split(records, SplitSpec())
-    planted = np.array([item.startswith("i_new") for item in test_records.categorical["item"]])
+    planted = np.array([item.startswith("i_new") for item in tokens_of(test_records, "item")])
     assert planted.sum() == 300
 
     # the kept rows are the planted rows: timestamps are row numbers in a

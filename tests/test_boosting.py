@@ -5,6 +5,7 @@ persistence, including a save that fails part-way."""
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -251,7 +252,8 @@ def test_predict_refuses_a_non_finite_probability():
     X_test = append_placeholders(make_matrix(np.random.default_rng(4), schema, 12), 2)
     X_test.cont[[5, 9], 0] = 1e300
     with pytest.raises(DataError, match=r"X_test row 5 \(from 0\) scores nan"), \
-            pytest.warns(RuntimeWarning):
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
         predict_xdboost(model, X_test)
 
 

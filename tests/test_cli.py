@@ -12,13 +12,14 @@ import shutil
 import tempfile
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import (_Unpicklable, click_csv_texts, csv_reader_oracle, read_bundle,
-                      write_bundle)
+                      tokens_of, write_bundle)
 from xdboost import child, cli, data, synth
 from xdboost.boosting import XDBoostModel, append_placeholders, predict_xdboost
 from xdboost.data import (FeatureSchema, FieldSpec, chronological_split, encode, ingest_csv,
@@ -181,9 +182,12 @@ def test_malformed_config_inputs_exit_2(tmp_path, capsys, monkeypatch, overrides
 
 
 def test_a_finite_learning_rate_that_diverges_is_a_training_error(tmp_path, capsys):
-    """1e300 passes every config check; the first epoch's loss is not finite."""
+    """1e300 passes every config check; the first epoch's loss is not finite.
+    Exit 4 holds when warnings are errors: numpy's overflow warnings are
+    off inside a fit."""
     config = write_config(tmp_path, **_net(learning_rate=1e300))
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")])
     assert code == 4
     assert "non-finite training loss" in capsys.readouterr().err
@@ -850,8 +854,8 @@ def test_coldstart_evaluates_only_novel_items(tmp_path):
 def test_coldstart_with_nothing_novel_short_circuits(tmp_path, capsys):
     cfg = synth.SynthConfig(n_rows=400, vocab_size=5, seed=11)
     records, _ = synth.generate_records(cfg)
-    train_items = set(records.categorical["item"][:288])  # the 72% train region
-    test_items = set(records.categorical["item"][320:])
+    train_items = set(tokens_of(records[:288], "item"))  # the 72% train region
+    test_items = set(tokens_of(records[320:], "item"))
     assert test_items <= train_items  # precondition: no natural cold starts
 
     config = write_config(tmp_path, synthetic={"n_rows": 400, "vocab_size": 5})
@@ -1012,7 +1016,8 @@ def test_predict_refuses_a_row_whose_score_overflows(tmp_path, capsys):
                  lambda i, row: row.update({"x0": "1e300"}) if i == 4 else None)
     out = tmp_path / "out.csv"
     out.write_text("previous\n")
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["predict", "--bundle", str(tmp_path / "run" / "model_bundle"),
                          "--input", str(path), "--output", str(out)])
     assert code == 3
@@ -1034,7 +1039,8 @@ def test_predict_names_the_line_of_an_overflowing_row_after_quotes_and_blanks(tm
     header = ",".join(f'"{name}"' for name in lines[0].split(","))
     path = tmp_path / "huge.csv"
     path.write_text("\n".join([header, "", *lines[1:3], "", "", *lines[3:]]) + "\n")
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = cli.main(["predict", "--bundle", str(tmp_path / "run" / "model_bundle"),
                          "--input", str(path), "--output", str(tmp_path / "out.csv")])
     assert code == 3

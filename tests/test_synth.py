@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import log_rows
+from conftest import log_rows, tokens_of
 from xdboost import synth
 from xdboost.data import chronological_split, cold_start_filter, ingest_csv, records_hash
 from xdboost.errors import ConfigError
@@ -39,8 +39,8 @@ def test_generated_shape_and_meta():
     for col in records.continuous.values():
         assert col.dtype == np.float64 and ((0.0 <= col) & (col <= 1.0)).all()
     for col in records.categorical.values():
-        assert col.dtype == object and len(col) == 800
-    assert all(u.startswith("u") for u in records.categorical["user"])
+        assert col.dtype == np.int64 and len(col) == 800
+    assert all(u.startswith("u") for u in tokens_of(records, "user"))
 
 
 def test_field_declarations_cover_the_columns():
@@ -64,17 +64,17 @@ def test_cold_start_planting_counts_and_placement():
     assert meta["n_test_region_rows"] == n_test
     assert meta["n_novel_item_rows"] == planted
 
-    novel = np.array([item.startswith("i_new") for item in records.categorical["item"]])
+    novel = np.array([item.startswith("i_new") for item in tokens_of(records, "item")])
     assert novel.sum() == planted
     assert (records.timestamp[novel] >= 1000 - n_test).all()
     # each planted row carries its own token, never reused, numbered in row order
-    assert records.categorical["item"][novel].tolist() == [f"i_new{k}" for k in range(planted)]
+    assert tokens_of(records[novel], "item") == [f"i_new{k}" for k in range(planted)]
 
 
 def test_cold_start_fraction_zero_plants_nothing():
     records, meta = synth.generate_records(synth.SynthConfig(n_rows=400, seed=9))
     assert meta["n_novel_item_rows"] == 0
-    assert not any(item.startswith("i_new") for item in records.categorical["item"])
+    assert not any(item.startswith("i_new") for item in tokens_of(records, "item"))
 
 
 def test_planted_rows_survive_the_cold_start_filter():
@@ -83,8 +83,8 @@ def test_planted_rows_survive_the_cold_start_filter():
     records, meta = synth.generate_records(config)
     train, _, test = chronological_split(records)
     kept = cold_start_filter(test, train)
-    novel_in_test = {item for item in test.categorical["item"] if item.startswith("i_new")}
-    assert novel_in_test <= set(kept.categorical["item"])
+    novel_in_test = {item for item in tokens_of(test, "item") if item.startswith("i_new")}
+    assert novel_in_test <= set(tokens_of(kept, "item"))
     assert len(novel_in_test) == meta["n_novel_item_rows"]
 
 
@@ -125,7 +125,9 @@ def test_write_csv_bytes_are_pinned(tmp_path):
 
 def test_write_csv_that_fails_partway_keeps_the_previous_file(tmp_path):
     records, _ = synth.generate_records(synth.SynthConfig(n_rows=300, seed=4))
-    records.categorical["user"][200] = None  # a row the writer cannot join
+    # a token the writer cannot join, drawn by row 200 alone
+    records.tokens["user"] += (None,)
+    records.categorical["user"][200] = len(records.tokens["user"]) - 1
     path = tmp_path / "data.csv"
     path.write_bytes(b"previous\r\n")
     with pytest.raises(TypeError):
