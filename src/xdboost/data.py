@@ -4,8 +4,9 @@ A click log is one ClickLog: a column per field (timestamp, categorical
 fields with user and item among them, continuous fields, binary click
 label), one entry per impression. A categorical column holds int64 codes
 into the field's tuple of distinct tokens. Training and scoring parse CSV
-with the one reader here, ``read_csv``, chunk by chunk; the synthetic
-generator builds the same columns directly.
+with the one reader here, ``scan_csv``, chunk by chunk: ``ingest_csv``
+joins the chunks into one log and ``xdboost predict`` scores each as it
+comes. The synthetic generator builds the same columns directly.
 Splits, sub-training sets and the cold-start filter are row selections on
 a log, which share its token tables. Vocabularies and continuous-feature
 statistics are always built from the training split only; unseen tokens
@@ -14,7 +15,6 @@ map to a reserved out-of-vocabulary index per field.
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -32,7 +32,7 @@ MISSING_TOKEN = "__missing__"
 
 FIELD_TYPES = ("user", "item", "categorical", "continuous")
 
-CHUNK_ROWS = 4096  # data rows read_csv parses, factorizes and converts at a time
+CHUNK_ROWS = 4096  # data rows scan_csv parses, factorizes and converts at a time
 HASH_CHUNK_ROWS = 256  # rows per sha256 update in records_hash
 
 
@@ -42,16 +42,18 @@ class ClickLog:
 
     ``categorical`` maps every categorical field, user and item included,
     to its column of int64 codes, and ``tokens`` maps the same fields to
-    the tuple of distinct tokens the codes index; a code outside its tuple
-    is a DataError. Codes are int64, numpy's index type, so indexing a
-    token table or a lookup table by them casts nothing. ``user_field``
-    and ``item_field`` name the user and item columns, or are None when
-    the log has no such field, and a name that is not a categorical column
-    is a DataError. ``continuous`` maps each continuous field to its
-    column. Timestamps and continuous values are float64, with NaN marking
-    a missing continuous value; labels are int64, and a label that is not
-    an integer is a DataError, not truncated. ``log[idx]`` selects rows by
-    slice, index array or boolean mask and shares the token tuples; a
+    the tuple of distinct tokens the codes index; a code outside its table
+    is a DataError. The chunk logs of one scan_csv instead share their
+    factorizer's table, a list that later chunks only append to. Codes
+    are int64, numpy's index type, so indexing a token table or a lookup
+    table by them casts nothing. ``user_field`` and ``item_field`` name
+    the user and item columns, or are None when the log has no such field,
+    and a name that is not a categorical column is a DataError.
+    ``continuous`` maps each continuous field to its column. Timestamps
+    and continuous values are float64, with NaN marking a missing
+    continuous value; labels are int64, and a label that is not an
+    integer is a DataError, not truncated. ``log[idx]`` selects rows by
+    slice, index array or boolean mask and shares the token tables; a
     slice also shares its columns with the log.
     """
 
@@ -79,7 +81,7 @@ class ClickLog:
         if self.tokens.keys() != self.categorical.keys():
             raise DataError(f"token tables for {list(self.tokens)}, "
                             f"categorical columns {list(self.categorical)}")
-        self.tokens = {name: tuple(self.tokens[name]) for name in self.categorical}
+        self.tokens = {name: _table(self.tokens[name]) for name in self.categorical}
         self.categorical = {name: _codes(col, name, len(self.tokens[name]))
                             for name, col in self.categorical.items()}
         for role in (self.user_field, self.item_field):
@@ -96,6 +98,12 @@ class ClickLog:
                         self.tokens,
                         {name: col[idx] for name, col in self.continuous.items()},
                         self.label[idx], self.user_field, self.item_field)
+
+
+def _table(tokens):
+    """A token table as a ClickLog holds it: a factorizer's table as it
+    is, anything else as a tuple."""
+    return tokens if isinstance(tokens, _Table) else tuple(tokens)
 
 
 def _codes(col, name, n_tokens):
@@ -181,62 +189,111 @@ class SplitSpec:
                               f"(0, {100 * self.train:g}]")
 
 
-def read_csv(path, field_spec, scoring=False):
-    r"""The one click-log CSV parser; returns (header, row texts, ClickLog).
+def scan_csv(path, field_spec, consume, scoring=False):
+    r"""The one click-log CSV parser: returns ``consume(header, chunks)``,
+    where chunks yields (ClickLog, row texts) for CHUNK_ROWS data rows at
+    a time, in file order. A caller that keeps nothing of a chunk holds
+    one chunk of the file at a time, and the token tables.
 
-    Rows stay in file order; blank lines are skipped and short rows are
-    padded with blank cells. The log holds the declared fields in the
-    spec's order and names the spec's user and item fields. The header
-    must name every declared field, and ``timestamp`` and ``label`` unless
-    scoring: a scoring file may lack them, and then the row order fills
-    the timestamps and 0 the labels. None of these may be named twice. A
-    categorical cell's token is its text stripped, MISSING_TOKEN when that
-    is blank; a blank continuous cell is missing (NaN). A row with more
-    cells than the header, a non-binary label, or a timestamp or
-    continuous value that is not a finite number raises a DataError naming
-    the physical line the row starts on.
+    Blank lines are skipped and short rows are padded with blank cells.
+    Each log holds the declared fields in the spec's order and names the
+    spec's user and item fields. The header must name every declared
+    field, and ``timestamp`` and ``label`` unless scoring: a scoring file
+    may lack them, and then the row order (from 0 at the file's first
+    row) fills the timestamps and 0 the labels. None of these may be
+    named twice. A categorical cell's token is its text stripped,
+    MISSING_TOKEN when that is blank; a blank continuous cell is missing
+    (NaN). A row with more cells than the header, a non-binary label, or
+    a timestamp or continuous value that is not a finite number raises a
+    DataError naming the physical line the row starts on, when its chunk
+    is reached, so faults come in chunk order.
 
-    The file is read CHUNK_ROWS data rows at a time, so no list of every
-    cell ever exists. Each chunk's categorical columns go through one
-    _Factorizer per field, which strips each distinct raw cell once, and
-    each numeric or label column is converted whole; a column holding a
-    blank, malformed or non-finite value, or a label other than exactly
-    ``0`` or ``1``, is parsed again cell by cell, which fills blanks and
-    names the first bad cell. The first chunk holding a fault raises it.
+    One _Factorizer per categorical field serves the whole file, so the
+    chunks' codes index one token table per field: a list that every
+    chunk's log shares and later chunks only append to, so no chunk copies
+    it. A factorizer strips each distinct raw cell once. Each numeric or
+    label column of a chunk is converted whole; a column holding a blank,
+    malformed or non-finite value, or a label other than exactly ``0`` or
+    ``1``, is parsed again cell by cell, which fills blanks and names the
+    first bad cell.
 
     Plain text takes a fast path: no ``"``, no NUL, no bare ``\r``, and
     exactly ``len(header) - 1`` commas on every non-blank line. One
     ``split`` then cuts a chunk's cells and a column is a strided slice.
     The first line that is not plain sends the whole file to
-    ``csv.reader``. Both paths give the same log, texts and errors.
+    ``csv.reader``: consume is then called again, from the file's start,
+    so it must begin from nothing on each call. Both paths give the same
+    logs, texts and errors.
 
-    The row texts are an iterable to be read once, made from the raw text
-    of each chunk, which read_csv keeps and the iterable drops as it goes.
     A row's text is its cells, padded, as ``csv.writer`` writes them when
     another cell follows, so ``f"{text},{cell}\r\n"`` is the line
-    ``csv.writer`` writes for the row with that cell appended.
+    ``csv.writer`` writes for the row with that cell appended. On the
+    plain path the texts are the chunk's lines, which the parse holds
+    anyway; on the ``csv.reader`` path they are made as they are read.
     """
     if not os.path.exists(path):
         raise DataError(f"CSV file not found: {path}")
     required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
     try:
-        plain, (header, log, blocks) = True, _read_log(path, field_spec, required,
-                                                       _plain_chunks)
+        return _scan(path, field_spec, required, _plain_chunks, consume)
     except _NotPlain:
-        plain, (header, log, blocks) = False, _read_log(path, field_spec, required,
-                                                        _reader_chunks)
-    return header, _row_texts(blocks, plain, len(header)), log
+        return _scan(path, field_spec, required, _reader_chunks, consume)
+
+
+def read_csv(path, field_spec, scoring=False):
+    """(header, row texts, ClickLog) of a whole click-log CSV file: the
+    chunks of scan_csv joined into one log, and the list of their texts."""
+    def whole(header, chunks):
+        logs, texts = [], []
+        for log, rows in chunks:
+            logs.append(log)
+            texts += rows
+        return header, texts, _joined(logs, field_spec)
+
+    return scan_csv(path, field_spec, whole, scoring)
+
+
+def ingest_csv(path, field_spec):
+    """Parse a training click-log CSV into a ClickLog, in file order (see
+    scan_csv: ``timestamp`` and ``label`` are required). No row text is
+    made or kept."""
+    return scan_csv(path, field_spec,
+                    lambda header, chunks: _joined([log for log, _ in chunks], field_spec))
+
+
+def _joined(logs, field_spec):
+    """One ClickLog of the chunk logs of one scan, in order, with its
+    token tables as tuples."""
+    def column(get, dtype=np.float64):
+        return np.concatenate([get(log) for log in logs]) if logs else np.zeros(0, dtype)
+
+    return ClickLog(column(lambda log: log.timestamp),
+                    {name: column(lambda log: log.categorical[name], np.int64)
+                     for name in field_spec.categorical},
+                    {name: tuple(logs[-1].tokens[name]) if logs else ()
+                     for name in field_spec.categorical},
+                    {name: column(lambda log: log.continuous[name])
+                     for name in field_spec.continuous},
+                    column(lambda log: log.label, np.int64),
+                    field_spec.user_field, field_spec.item_field)
+
+
+class _Table(list):
+    """A _Factorizer's tokens by code: a list that only grows, which the
+    chunk logs of one scan share instead of each copying it."""
 
 
 class _Factorizer:
     """Int64 codes of one categorical column, fed a chunk of cells at a
     time. A cell's token is its text stripped, or MISSING_TOKEN when that
     is blank; cells that strip to one token share its code. Codes number
-    the tokens in order of first occurrence, and ``tokens()`` lists them."""
+    the tokens in order of first occurrence, and ``table`` lists them: one
+    list, which new tokens are appended to."""
 
     def __init__(self):
         self._token_codes = {}
         self._cell_codes = {}  # each distinct raw cell, stripped once
+        self.table = _Table()
 
     def codes(self, cells):
         codes = np.fromiter(map(self._cell_codes.get, cells, repeat(-1)), np.int64,
@@ -245,56 +302,52 @@ class _Factorizer:
         if new:
             for cell in dict.fromkeys(map(cells.__getitem__, new)):
                 token = cell.strip() or MISSING_TOKEN
-                self._cell_codes[cell] = self._token_codes.setdefault(token,
-                                                                      len(self._token_codes))
+                code = self._token_codes.setdefault(token, len(self.table))
+                if code == len(self.table):
+                    self.table.append(token)
+                self._cell_codes[cell] = code
             codes[new] = [self._cell_codes[cells[i]] for i in new]
         return codes
-
-    def tokens(self):
-        return tuple(self._token_codes)
 
 
 class _NotPlain(Exception):
     """The file needs csv.reader's quoting rules."""
 
 
-def _read_log(path, field_spec, required, chunks):
-    """(header, ClickLog, raw text blocks) of a CSV file whose rows
-    ``chunks(fh, path, blocks)`` gives as (header, iterable of (row count,
-    {column: cells})), appending the raw text of the rows to blocks."""
-    numeric = [(name, float, _finite_or_blank, f"bad continuous value in {name!r}",
-                np.float64) for name in field_spec.continuous]
+def _scan(path, field_spec, required, chunks, consume):
+    """consume(header, chunks of (ClickLog, row texts)) for a CSV file
+    whose rows ``chunks(fh, path)`` gives as (header, iterable of (row
+    count, {column: cells}, row texts))."""
+    labels = {"0": 0, "1": 1}
+    rules = {"timestamp": (float, _finite, "bad timestamp", np.float64),
+             **{name: (float, _finite_or_blank, f"bad continuous value in {name!r}",
+                       np.float64) for name in field_spec.continuous},
+             "label": (labels.__getitem__, labels.get, "non-binary label", np.int64)}
     with open(path, newline="") as fh:
-        blocks = []
-        header, row_chunks = chunks(fh, path, blocks)
+        header, row_chunks = chunks(fh, path)
         _require_columns(header, required)
-        if "timestamp" in header:
-            numeric.insert(0, ("timestamp", float, _finite, "bad timestamp", np.float64))
-        if "label" in header:
-            labels = {"0": 0, "1": 1}
-            numeric.append(("label", labels.__getitem__, labels.get, "non-binary label",
-                            np.int64))
         factors = {name: _Factorizer() for name in field_spec.categorical}
-        parts = {name: [] for name in [*factors, *(spec[0] for spec in numeric)]}
-        n = 0
-        for rows, columns in row_chunks:
-            for name, factor in factors.items():
-                parts[name].append(factor.codes(columns[name]))
-            for name, *rule in numeric:
-                parts[name].append(_numbers(columns[name], *rule, path, n))
-            n += rows
 
-    def column(name, dtype):
-        return np.concatenate(parts.pop(name)) if n else np.zeros(0, dtype)
+        def logs():
+            n = 0
+            for rows, columns, texts in row_chunks:
+                def numbers(name):
+                    return _numbers(columns[name], *rules[name], path, n)
 
-    log = ClickLog(
-        timestamp=column("timestamp", np.float64) if "timestamp" in header else np.arange(n),
-        categorical={name: column(name, np.int64) for name in factors},
-        tokens={name: factor.tokens() for name, factor in factors.items()},
-        continuous={name: column(name, np.float64) for name in field_spec.continuous},
-        label=column("label", np.int64) if "label" in header else np.zeros(n),
-        user_field=field_spec.user_field, item_field=field_spec.item_field)
-    return header, log, blocks
+                # the keywords run in the order a chunk's faults are raised
+                log = ClickLog(
+                    timestamp=numbers("timestamp") if "timestamp" in header
+                    else np.arange(n, n + rows),
+                    categorical={name: f.codes(columns[name]) for name, f in factors.items()},
+                    tokens={name: f.table for name, f in factors.items()},
+                    continuous={name: numbers(name) for name in field_spec.continuous},
+                    label=numbers("label") if "label" in header else np.zeros(rows, np.int64),
+                    user_field=field_spec.user_field, item_field=field_spec.item_field)
+                del columns  # its cells are not kept while the caller works
+                yield log, texts
+                n += rows
+
+        return consume(header, logs())
 
 
 def _numbers(cells, convert, parse, what, dtype, path, offset):
@@ -318,9 +371,9 @@ def _plain(text):
     return '"' not in text and "\0" not in text and text.count("\r") == text.count("\r\n")
 
 
-def _plain_chunks(fh, path, blocks):
+def _plain_chunks(fh, path):
     """(header, chunks) of a file that needs no CSV quoting rules, for
-    _read_log: a non-blank header and the header's comma count on every
+    _scan: a non-blank header and the header's comma count on every
     non-blank line, none longer than csv's field size limit, so that a file
     ``csv.reader`` refuses is still refused. Raises _NotPlain, at once or
     while the chunks are read, on the first line that breaks a rule."""
@@ -334,17 +387,19 @@ def _plain_chunks(fh, path, blocks):
 
     def columns(rows):
         cells = ",".join(rows).split(",")
-        return len(rows), {name: cells[j::width] for j, name in enumerate(header)}
+        return len(rows), {name: cells[j::width] for j, name in enumerate(header)}, rows
+
+    def checked(text):
+        """The non-blank lines of text, which must keep the rules."""
+        lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
+        if (not _plain(text) or max(map(len, lines), default=0) > limit
+                or not set(map(str.count, lines, repeat(","))) <= {width - 1}):
+            raise _NotPlain
+        return lines
 
     def chunks():
         rows = []
-        for lines in iter(lambda: list(islice(fh, CHUNK_ROWS)), []):
-            text = "".join(lines)
-            new = [line for line in text.replace("\r\n", "\n").split("\n") if line]
-            if (not _plain(text) or max(map(len, new), default=0) > limit
-                    or not set(map(str.count, new, repeat(","))) <= {width - 1}):
-                raise _NotPlain
-            blocks.append(text)
+        for new in map(checked, iter(lambda: "".join(islice(fh, CHUNK_ROWS)), "")):
             rows += new
             # CHUNK_ROWS lines hold at most CHUNK_ROWS rows, so at most one
             # chunk is ready after each read
@@ -357,55 +412,33 @@ def _plain_chunks(fh, path, blocks):
     return header, chunks()
 
 
-def _reader_chunks(fh, path, blocks):
+def _reader_chunks(fh, path):
     """(header, chunks) of any CSV file, read as a stream by csv.reader,
-    for _read_log; a row with more cells than the header raises."""
-    lines = []
-
-    def recorded():
-        for line in fh:
-            lines.append(line)
-            yield line
-
-    reader = csv.reader(recorded())
+    for _scan; a row with more cells than the header raises. Each row's
+    text is made from its padded cells when it is read."""
+    reader = csv.reader(fh)
     header = next(reader, [])
     width = len(header)
     rows = filter(None, reader)
-
-    def chunks():
-        offset = 0
-        lines.clear()
-        while chunk := list(islice(rows, CHUNK_ROWS)):
-            blocks.append("".join(lines))
-            lines.clear()
-            for i, row in enumerate(chunk):
-                if len(row) > width:
-                    raise DataError(f"line {_row_line(path, offset + i)}: {len(row)} cells, "
-                                    f"the header has {width}")
-                row += [""] * (width - len(row))
-            yield len(chunk), dict(zip(header, zip(*chunk)))
-            offset += len(chunk)
-
-    return header, chunks()
-
-
-def _row_texts(blocks, plain, width):
-    """read_csv's row texts, from the raw text blocks of its rows, each
-    dropped once read: on the plain path each row's line, else each row
-    as csv.writer writes it, padded to width cells."""
     # writerow returns what the file's write returns: here the line itself.
     # The appended blank cell keeps a lone blank cell from being written as
     # "" (csv.writer's form of a row that is one empty field); the slice
     # drops it with its comma and the line end.
     writer = csv.writer(types.SimpleNamespace(write=str))
-    blocks.reverse()
-    while blocks:
-        block = blocks.pop()
-        if plain:
-            yield from filter(None, block.replace("\r\n", "\n").split("\n"))
-        else:
-            for row in filter(None, csv.reader(io.StringIO(block, newline=""))):
-                yield writer.writerow(row + [""] * (width - len(row) + 1))[:-3]
+
+    def chunks():
+        offset = 0
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            for i, row in enumerate(chunk):
+                if len(row) > width:
+                    raise DataError(f"line {_row_line(path, offset + i)}: {len(row)} cells, "
+                                    f"the header has {width}")
+                row += [""] * (width - len(row))
+            texts = (writer.writerow(row + [""])[:-3] for row in chunk)
+            yield len(chunk), dict(zip(header, zip(*chunk))), texts
+            offset += len(chunk)
+
+    return header, chunks()
 
 
 def _row_line(path, i):
@@ -444,12 +477,6 @@ def _finite(text):
 
 def _finite_or_blank(text):
     return _finite(text) if text else math.nan
-
-
-def ingest_csv(path, field_spec):
-    """Parse a training click-log CSV into a ClickLog, in file order (see
-    read_csv: ``timestamp`` and ``label`` are required)."""
-    return read_csv(path, field_spec)[2]
 
 
 def chronological_split(log, spec=None):
@@ -681,11 +708,15 @@ def build_schema(train_log, field_spec, normalize=True):
                          0, field_spec.user_field, field_spec.item_field, normalize)
 
 
-def encode(log, schema):
+def encode(log, schema, luts=None):
     """Encode a log against a schema; unseen tokens map to the OOV index.
 
     Each categorical column is one lookup-table index: the table holds the
     vocabulary index, or the OOV index, of each of the log's tokens.
+    ``luts``, a dict the caller keeps, carries the tables from one call to
+    the next for logs whose token tables each extend the previous log's,
+    as the chunk logs of one scan_csv do: a call then looks up only the
+    tokens that are new.
 
     Missing continuous values take the training mean; with normalization,
     values are min-max scaled by the training range and clamped to [0, 1].
@@ -696,10 +727,14 @@ def encode(log, schema):
     """
     n = len(log)
     cat = np.empty((n, len(schema.cat_fields)), dtype=np.int64)
+    luts = {} if luts is None else luts
     for j, name in enumerate(schema.cat_fields):
-        tokens = log.tokens[name]
-        lut = np.fromiter(map(schema.vocab[name].get, tokens, repeat(schema.oov_index(name))),
-                          dtype=np.int64, count=len(tokens))
+        tokens, lut = log.tokens[name], luts.get(name)
+        if lut is None or len(lut) < len(tokens):
+            new = tokens if lut is None else tokens[len(lut):]
+            indices = np.fromiter(map(schema.vocab[name].get, new, repeat(schema.oov_index(name))),
+                                  dtype=np.int64, count=len(new))
+            lut = luts[name] = indices if lut is None else np.concatenate([lut, indices])
         cat[:, j] = lut[log.categorical[name]]
     cont = np.empty((n, len(schema.cont_fields)), dtype=np.float64)
     for j, name in enumerate(schema.cont_fields):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atomic import replacing
-from .data import ClickLog, FieldSpec
+from .data import CHUNK_ROWS, ClickLog, FieldSpec
 from .errors import ConfigError
 
 USER_FIELD = "user"
@@ -171,15 +171,19 @@ def write_csv(log, path):
     Lines are joined here, not by csv.writer: the generator's tokens
     (letters, digits and underscores), integer timestamps and labels and
     ``repr`` floats never need quoting, so the bytes are those csv.writer
-    would write, CRLF line ends included.
+    would write, CRLF line ends included. Rows are formatted and written
+    CHUNK_ROWS at a time, so no list of every cell exists.
     """
     fields = field_spec()
     header = ["timestamp", *fields.categorical, *fields.continuous, "label"]
-    columns = [map(str, log.timestamp.astype(np.int64).tolist()),
-               *(np.array(log.tokens[name], dtype=object)[log.categorical[name]].tolist()
-                 for name in fields.categorical),
-               *(map(repr, log.continuous[name].tolist()) for name in fields.continuous),
-               map(str, log.label.tolist())]
+    tokens = {name: np.array(log.tokens[name], dtype=object) for name in fields.categorical}
     with replacing(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{','.join(row)}\r\n" for row in zip(*columns))
+        for lo in range(0, len(log), CHUNK_ROWS):
+            rows = log[lo:lo + CHUNK_ROWS]
+            columns = [map(str, rows.timestamp.astype(np.int64).tolist()),
+                       *(tokens[name][rows.categorical[name]].tolist()
+                         for name in fields.categorical),
+                       *(map(repr, rows.continuous[name].tolist()) for name in fields.continuous),
+                       map(str, rows.label.tolist())]
+            fh.writelines(f"{','.join(row)}\r\n" for row in zip(*columns))

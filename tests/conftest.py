@@ -1,7 +1,7 @@
 """Shared builders for the test suite.
 
 Hand-built schemas and design matrices, click logs built from token cells
-through read_csv's factorizer, a column's tokens row by row, per-tensor
+through the CSV reader's factorizer, a column's tokens row by row, per-tensor
 views of a net's parameters and gradients, an independent forward-pass
 implementation, a central finite-difference gradient check, a
 reader and writer of model bundle archives for fault injection, a
@@ -98,11 +98,11 @@ def make_matrix(rng, schema, n_rows, zero_placeholders=True):
 
 
 def click_log(timestamp, categorical, continuous, label, user_field=None, item_field=None):
-    """A ClickLog whose categorical columns are given as cells: read_csv's
+    """A ClickLog whose categorical columns are given as cells: the CSV reader's
     factorizer makes each one's codes and tokens, stripping as it does."""
     factors = {name: _Factorizer() for name in categorical}
     codes = {name: factors[name].codes(list(col)) for name, col in categorical.items()}
-    return ClickLog(timestamp, codes, {name: f.tokens() for name, f in factors.items()},
+    return ClickLog(timestamp, codes, {name: tuple(f.table) for name, f in factors.items()},
                     continuous, label, user_field, item_field)
 
 
@@ -284,7 +284,7 @@ def csv_reader_oracle(path, field_spec, scoring=False):
 
     The reference the reader's plain-text path and its chunks are held
     to. Every numeric cell is parsed one by one, and each categorical
-    column goes whole through read_csv's factorizer; errors name the
+    column goes whole through the CSV reader's factorizer; errors name the
     physical line a row starts on.
     """
     with open(path, newline="") as fh:

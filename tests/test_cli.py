@@ -1,6 +1,7 @@
 """End-to-end command tests: config validation, the train/sweep/coldstart
 commands on small synthetic logs, batch scoring, and exit codes."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -11,6 +12,7 @@ import os
 import shutil
 import tempfile
 import time
+import tracemalloc
 import types
 import warnings
 
@@ -721,7 +723,7 @@ def test_bad_boosting_knobs_exit_2_before_any_data_is_read(tmp_path, capsys, mon
         raise AssertionError("data was read")
 
     monkeypatch.setattr(synth, "generate_records", refuse)
-    monkeypatch.setattr(data, "read_csv", refuse)
+    monkeypatch.setattr(data, "scan_csv", refuse)
     model = {**FAST_MODEL, knob: value}
     for source in ({}, {"synthetic": None, "dataset": "data.csv",
                         "fields": synth.field_mapping()}):
@@ -1082,6 +1084,122 @@ def test_predict_output_equals_csv_writer(trained_run, text):
         assert cli.cmd_predict(bundle, src, out) == 0
         with open(out, newline="") as fh:
             assert fh.read() == expected
+
+
+# ---- predict, chunk by chunk -------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def streamed_run(tmp_path_factory):
+    """A bundle whose nets score 5 rows a batch, which chunks of 2 or 3
+    rows do not divide, trained without normalization so that a huge
+    value overflows, and a 40-row log to score."""
+    tmp_path = tmp_path_factory.mktemp("streamed")
+    net = {**FAST_MODEL["net"], "batch_size": 5}
+    config = write_config(tmp_path, normalize_continuous=False,
+                          model={**FAST_MODEL, "net": net})
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert cli.main(["synth-gen", "--output-dir", str(tmp_path / "gen"), "--rows", "40",
+                     "--vocab-size", "8", "--seed", "99"]) == 0
+    bundle = str(tmp_path / "run" / "model_bundle")
+    lines = (tmp_path / "gen" / "data.csv").read_text().splitlines()
+    return bundle, XDBoostModel.load_bundle(bundle), lines
+
+
+def _quoted_last_row(lines):
+    *head, last = lines
+    return [*head, '"' + last.replace(",", '","') + '"']
+
+
+STREAMED_INPUTS = {
+    "plain": lambda lines: [lines[0], "", *lines[1:20], "", *lines[20:]],
+    "fully-quoted": lambda lines: [",".join(f'"{cell}"' for cell in line.split(","))
+                                   for line in lines],
+    "quote-in-last-row": _quoted_last_row,
+    "header-only": lambda lines: lines[:1],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 3])
+@pytest.mark.parametrize("shape", list(STREAMED_INPUTS))
+def test_streamed_predict_writes_the_whole_file_result(streamed_run, tmp_path, monkeypatch,
+                                                      shape, chunk_rows):
+    """In chunks of 2 or 3 rows the output bytes are those of one
+    csv.reader pass and one predict_xdboost call over the whole file. A
+    quote in the last row sends the file to csv.reader after the plain
+    path has scored and written its earlier rows, which are scored again."""
+    bundle, model, lines = streamed_run
+    src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    src.write_text("\n".join(STREAMED_INPUTS[shape](lines)) + "\n")
+    scored = []
+
+    def counted(model, X):
+        scored.append(X.n_rows)
+        return predict_xdboost(model, X)
+
+    monkeypatch.setattr(cli, "predict_xdboost", counted)
+    monkeypatch.setattr(data, "CHUNK_ROWS", chunk_rows)
+    assert cli.cmd_predict(bundle, str(src), str(out)) == 0
+    with open(out, newline="") as fh:
+        assert fh.read() == _csv_writer_predict(model, src)
+    rows = 0 if shape == "header-only" else 40
+    # whole batches of 5, counted from row 0, and rows scored again after a restart
+    assert all(n % 5 == 0 for n in scored)
+    assert sum(scored) > rows if shape == "quote-in-last-row" else sum(scored) == rows
+
+
+@pytest.mark.parametrize("bad_label_after", [False, True], ids=["alone", "then-bad-label"])
+def test_streamed_predict_names_an_overflow_in_a_later_chunk(streamed_run, tmp_path,
+                                                           monkeypatch, capsys,
+                                                           bad_label_after):
+    """Data row 31, on line 35 after two blank lines, overflows in the
+    eleventh chunk of 3 rows, after earlier rows were written: exit 3,
+    naming the line, the previous output kept and no temporary file left.
+    Its batch of 5 ends in the next chunk, so that chunk is read before
+    the row is scored; a bad label there (row 34) is still raised second."""
+    bundle, _, lines = streamed_run
+    lines = list(lines)
+    cells = lines[32].split(",")  # data row 31
+    lines[32] = ",".join([*cells[:-3], "1e300", *cells[-2:]])  # its x0
+    if bad_label_after:
+        lines[35] = lines[35][:-1] + "2"  # data row 34
+    src = tmp_path / "huge.csv"
+    src.write_text("\n".join([lines[0], "", "", *lines[1:]]) + "\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "scored.csv"
+    out.write_bytes(b"previous\r\n")
+    monkeypatch.setattr(data, "CHUNK_ROWS", 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["predict", "--bundle", bundle, "--input", str(src),
+                         "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 35: X_test row ") and "scores nan" in err
+    assert out.read_bytes() == b"previous\r\n"
+    assert os.listdir(out_dir) == ["scored.csv"]
+
+
+def test_predict_memory_does_not_grow_with_the_file(trained_run, tmp_path):
+    """cmd_predict's tracemalloc peak on a log sixteen chunks long is at
+    most 1.2 times its peak on a log four chunks long. Scoring the whole
+    file at once, it grew with the rows."""
+    bundle, _ = trained_run
+    peaks = []
+    for chunks in (4, 16):
+        records, _ = synth.generate_records(
+            synth.SynthConfig(n_rows=chunks * data.CHUNK_ROWS, vocab_size=8, seed=99))
+        src = tmp_path / f"log{chunks}.csv"
+        synth.write_csv(records, src)
+        del records
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.cmd_predict(bundle, str(src), str(tmp_path / "scored.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def _predict_with(bundle, data, out, capsys):
