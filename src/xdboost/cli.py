@@ -30,17 +30,15 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import metrics, synth
 from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        _check_knobs, _checkpoint, create_xdboost, predict_xdboost,
                        train_unboosted, train_xdboost)
 from .child import _Child
-from .data import (DesignMatrix, FieldSpec, SplitSpec, _row_line, build_schema,
-                   chronological_split, class_weights, cold_start_filter, encode, ingest_csv,
-                   records_hash, scan_csv, sub_training)
+from .data import (FieldSpec, SplitSpec, _row_line, build_schema, chronological_split,
+                   class_weights, cold_start_filter, encode, ingest_csv, records_hash, scan_csv,
+                   sub_training)
 from .errors import (ConfigError, DataError, EvaluationError, TrainingError,
                      UsageError, XDBoostError)
 from .models import BaseNetConfig
@@ -435,75 +433,37 @@ def cmd_predict(bundle_path, input_path, output_path):
     (data.scan_csv): each chunk is read, encoded, scored and written
     before the next is read, so memory does not grow with the file.
 
-    Rows are scored a whole number of batches at a time, counted from the
-    first row, for every net's batch size, so each net sees the batches a
-    whole-file predict_xdboost call would and the scores keep their bits.
-    Faults are raised in chunk order: a chunk's first bad cell, or its
-    first row whose score overflows, named by physical line. The output is
-    replaced atomically, so a failure keeps the previous one; when a
-    non-plain line sends the file to csv.reader, what was written is
-    dropped and the file is scored again from its start.
+    Every chunk but the last holds a whole number of batches for every
+    net's batch size, so each net sees the batches a whole-file
+    predict_xdboost call would and the scores keep their bits. Faults are
+    raised in chunk order: a chunk's first bad cell, else its first row
+    whose score overflows, named by physical line and by data row. The
+    output is replaced atomically, so a failure keeps the previous one.
     """
     model = XDBoostModel.load_bundle(bundle_path)
     schema = model.schema
     fields = FieldSpec(schema.user_field, schema.item_field, list(schema.cat_fields),
                        list(schema.cont_fields))
     step = math.lcm(*(net.config.batch_size for net in (model.classifier, *model.regressors)))
-
-    def groups(chunks):
-        """(matrix, row texts) of the chunks' rows, a whole number of steps
-        at a time, then the rest; rows read before a fault come first."""
-        luts, X, texts = {}, None, []  # texts: of the rows not yet given
-        try:
-            for log, chunk_texts in chunks:
-                X = _stacked(X, encode(log, schema, luts)[0])
-                texts += chunk_texts
-                ready = X.n_rows - X.n_rows % step
-                if ready:
-                    yield _rows(X, slice(ready)), texts[:ready]
-                    X, texts = _rows(X, slice(ready, None)), texts[ready:]
-        except DataError:
-            if texts:
-                yield X, texts
-            raise
-        if texts:
-            yield X, texts
-
-    def score(fh, header, chunks):
-        fh.seek(0)  # a file that proves not plain is scored again from its start
-        fh.truncate()
+    luts, done = {}, 0
+    with replacing(output_path, newline="") as fh, \
+            scan_csv(input_path, fields, scoring=True, step=step) as (header, chunks):
         csv.writer(fh).writerow(header + ["predicted_ctr"])
-        done = 0
-        for X, texts in groups(chunks):
+        for log, texts in chunks:
             try:
-                probs = predict_xdboost(model, X)
+                probs = predict_xdboost(model, encode(log, schema, luts)[0])
             except DataError as exc:
                 if not hasattr(exc, "row"):
                     raise
-                raise DataError(f"line {_row_line(input_path, done + exc.row)}: {exc}") from None
+                row = done + exc.row  # the chunk's row, numbered in the file
+                message = str(exc).replace(f"row {exc.row} ", f"row {row} ", 1)
+                raise DataError(f"line {_row_line(input_path, row)}: {message}") from None
             # each text is its row as csv.writer writes it, so appending the
             # cell gives the line csv.writer would write for the scored row
             fh.writelines(f"{text},{p!r}\r\n" for text, p in zip(texts, probs.tolist()))
-            done += len(texts)
-        return done
-
-    with replacing(output_path, newline="") as fh:
-        n = scan_csv(input_path, fields, lambda header, chunks: score(fh, header, chunks),
-                     scoring=True)
-    print(f"predict: scored {n} rows -> {output_path}")
+            done += len(log)
+    print(f"predict: scored {done} rows -> {output_path}")
     return 0
-
-
-def _rows(X, rows):
-    return DesignMatrix(X.cat[rows], X.cont[rows], X.n_placeholders)
-
-
-def _stacked(X, more):
-    """X's rows, then more's; more alone when X is None or empty."""
-    if X is None or not X.n_rows:
-        return more
-    return DesignMatrix(np.concatenate([X.cat, more.cat]), np.concatenate([X.cont, more.cont]),
-                        X.n_placeholders)
 
 
 def cmd_synth_gen(out_dir, synth_cfg):

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import types
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -189,11 +190,15 @@ class SplitSpec:
                               f"(0, {100 * self.train:g}]")
 
 
-def scan_csv(path, field_spec, consume, scoring=False):
-    r"""The one click-log CSV parser: returns ``consume(header, chunks)``,
-    where chunks yields (ClickLog, row texts) for CHUNK_ROWS data rows at
-    a time, in file order. A caller that keeps nothing of a chunk holds
-    one chunk of the file at a time, and the token tables.
+@contextmanager
+def scan_csv(path, field_spec, scoring=False, step=1):
+    r"""The one click-log CSV parser, a context manager: ``with
+    scan_csv(...) as (header, chunks)``, where chunks yields (ClickLog, row
+    texts) for a run of data rows at a time, in file order, and the file is
+    open until the block ends. Every chunk but the last holds the least
+    multiple of ``step`` rows at or above CHUNK_ROWS. A caller that keeps
+    nothing of a chunk holds one chunk of the file at a time, and the token
+    tables.
 
     Blank lines are skipped and short rows are padded with blank cells.
     Each log holds the declared fields in the spec's order and names the
@@ -220,10 +225,10 @@ def scan_csv(path, field_spec, consume, scoring=False):
     Plain text takes a fast path: no ``"``, no NUL, no bare ``\r``, and
     exactly ``len(header) - 1`` commas on every non-blank line. One
     ``split`` then cuts a chunk's cells and a column is a strided slice.
-    The first line that is not plain sends the whole file to
-    ``csv.reader``: consume is then called again, from the file's start,
-    so it must begin from nothing on each call. Both paths give the same
-    logs, texts and errors.
+    From the first read that holds a line that is not plain, the rest of
+    the file goes to ``csv.reader``, which reads plain lines as ``split``
+    does, so no row is read twice. Both paths give the same logs, texts
+    and errors.
 
     A row's text is its cells, padded, as ``csv.writer`` writes them when
     another cell follows, so ``f"{text},{cell}\r\n"`` is the line
@@ -234,31 +239,56 @@ def scan_csv(path, field_spec, consume, scoring=False):
     if not os.path.exists(path):
         raise DataError(f"CSV file not found: {path}")
     required = ([] if scoring else ["timestamp", "label"]) + list(field_spec.to_mapping())
-    try:
-        return _scan(path, field_spec, required, _plain_chunks, consume)
-    except _NotPlain:
-        return _scan(path, field_spec, required, _reader_chunks, consume)
+    size = -(-CHUNK_ROWS // step) * step
+    labels = {"0": 0, "1": 1}
+    rules = {"timestamp": (float, _finite, "bad timestamp", np.float64),
+             **{name: (float, _finite_or_blank, f"bad continuous value in {name!r}",
+                       np.float64) for name in field_spec.continuous},
+             "label": (labels.__getitem__, labels.get, "non-binary label", np.int64)}
+    with open(path, newline="") as fh:
+        header, row_chunks = _plain_chunks(fh, path, size)
+        _require_columns(header, required)
+        factors = {name: _Factorizer() for name in field_spec.categorical}
+
+        def logs():
+            n = 0
+            for rows, columns, texts in row_chunks:
+                def numbers(name):
+                    return _numbers(columns[name], *rules[name], path, n)
+
+                # the keywords run in the order a chunk's faults are raised
+                log = ClickLog(
+                    timestamp=numbers("timestamp") if "timestamp" in header
+                    else np.arange(n, n + rows),
+                    categorical={name: f.codes(columns[name]) for name, f in factors.items()},
+                    tokens={name: f.table for name, f in factors.items()},
+                    continuous={name: numbers(name) for name in field_spec.continuous},
+                    label=numbers("label") if "label" in header else np.zeros(rows, np.int64),
+                    user_field=field_spec.user_field, item_field=field_spec.item_field)
+                del columns  # its cells are not kept while the caller works
+                yield log, texts
+                n += rows
+
+        yield header, logs()
 
 
 def read_csv(path, field_spec, scoring=False):
     """(header, row texts, ClickLog) of a whole click-log CSV file: the
     chunks of scan_csv joined into one log, and the list of their texts."""
-    def whole(header, chunks):
-        logs, texts = [], []
+    logs, texts = [], []
+    with scan_csv(path, field_spec, scoring) as (header, chunks):
         for log, rows in chunks:
             logs.append(log)
             texts += rows
-        return header, texts, _joined(logs, field_spec)
-
-    return scan_csv(path, field_spec, whole, scoring)
+    return header, texts, _joined(logs, field_spec)
 
 
 def ingest_csv(path, field_spec):
     """Parse a training click-log CSV into a ClickLog, in file order (see
     scan_csv: ``timestamp`` and ``label`` are required). No row text is
     made or kept."""
-    return scan_csv(path, field_spec,
-                    lambda header, chunks: _joined([log for log, _ in chunks], field_spec))
+    with scan_csv(path, field_spec) as (_, chunks):
+        return _joined([log for log, _ in chunks], field_spec)
 
 
 def _joined(logs, field_spec):
@@ -310,46 +340,6 @@ class _Factorizer:
         return codes
 
 
-class _NotPlain(Exception):
-    """The file needs csv.reader's quoting rules."""
-
-
-def _scan(path, field_spec, required, chunks, consume):
-    """consume(header, chunks of (ClickLog, row texts)) for a CSV file
-    whose rows ``chunks(fh, path)`` gives as (header, iterable of (row
-    count, {column: cells}, row texts))."""
-    labels = {"0": 0, "1": 1}
-    rules = {"timestamp": (float, _finite, "bad timestamp", np.float64),
-             **{name: (float, _finite_or_blank, f"bad continuous value in {name!r}",
-                       np.float64) for name in field_spec.continuous},
-             "label": (labels.__getitem__, labels.get, "non-binary label", np.int64)}
-    with open(path, newline="") as fh:
-        header, row_chunks = chunks(fh, path)
-        _require_columns(header, required)
-        factors = {name: _Factorizer() for name in field_spec.categorical}
-
-        def logs():
-            n = 0
-            for rows, columns, texts in row_chunks:
-                def numbers(name):
-                    return _numbers(columns[name], *rules[name], path, n)
-
-                # the keywords run in the order a chunk's faults are raised
-                log = ClickLog(
-                    timestamp=numbers("timestamp") if "timestamp" in header
-                    else np.arange(n, n + rows),
-                    categorical={name: f.codes(columns[name]) for name, f in factors.items()},
-                    tokens={name: f.table for name, f in factors.items()},
-                    continuous={name: numbers(name) for name in field_spec.continuous},
-                    label=numbers("label") if "label" in header else np.zeros(rows, np.int64),
-                    user_field=field_spec.user_field, item_field=field_spec.item_field)
-                del columns  # its cells are not kept while the caller works
-                yield log, texts
-                n += rows
-
-        return consume(header, logs())
-
-
 def _numbers(cells, convert, parse, what, dtype, path, offset):
     """One chunk's numeric column, whose first row is data row offset."""
     try:
@@ -371,17 +361,19 @@ def _plain(text):
     return '"' not in text and "\0" not in text and text.count("\r") == text.count("\r\n")
 
 
-def _plain_chunks(fh, path):
-    """(header, chunks) of a file that needs no CSV quoting rules, for
-    _scan: a non-blank header and the header's comma count on every
-    non-blank line, none longer than csv's field size limit, so that a file
-    ``csv.reader`` refuses is still refused. Raises _NotPlain, at once or
-    while the chunks are read, on the first line that breaks a rule."""
+def _plain_chunks(fh, path, size):
+    """(header, chunks) of a CSV file, chunks of ``size`` rows for
+    scan_csv, cut by ``split`` while the lines need no CSV quoting rules: a
+    non-blank header and the header's comma count on every non-blank line,
+    none longer than csv's field size limit, so that a file ``csv.reader``
+    refuses is still refused. From the first read that breaks a rule,
+    _reader_chunks reads the rows not yet given, that read's lines and the
+    rest of the file."""
     limit = csv.field_size_limit()
     first = fh.readline()
     line = first.rstrip("\r\n")
     if not line or not _plain(first) or len(line) > limit:
-        raise _NotPlain
+        return _reader_chunks(chain([first], fh), path, size)
     header = line.split(",")
     width = len(header)
 
@@ -389,35 +381,38 @@ def _plain_chunks(fh, path):
         cells = ",".join(rows).split(",")
         return len(rows), {name: cells[j::width] for j, name in enumerate(header)}, rows
 
-    def checked(text):
-        """The non-blank lines of text, which must keep the rules."""
-        lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
-        if (not _plain(text) or max(map(len, lines), default=0) > limit
-                or not set(map(str.count, lines, repeat(","))) <= {width - 1}):
-            raise _NotPlain
-        return lines
-
     def chunks():
-        rows = []
-        for new in map(checked, iter(lambda: "".join(islice(fh, CHUNK_ROWS)), "")):
-            rows += new
-            # CHUNK_ROWS lines hold at most CHUNK_ROWS rows, so at most one
-            # chunk is ready after each read
-            if len(rows) >= CHUNK_ROWS:
-                yield columns(rows[:CHUNK_ROWS])
-                del rows[:CHUNK_ROWS]
+        rows, given = [], 0
+        while read := list(islice(fh, size)):
+            text = "".join(read)
+            lines = [line for line in text.replace("\r\n", "\n").split("\n") if line]
+            if (not _plain(text) or max(map(len, lines), default=0) > limit
+                    or not set(map(str.count, lines, repeat(","))) <= {width - 1}):
+                rest = chain((row + "\n" for row in rows), read, fh)
+                del rows, read, text, lines
+                yield from _reader_chunks(rest, path, size, header, given)[1]
+                return
+            del read, text  # a read's raw text is not kept while the caller works
+            rows += lines
+            # size lines hold at most size rows, so at most one chunk is
+            # ready after each read
+            if len(rows) >= size:
+                yield columns(rows[:size])
+                del rows[:size]
+                given += size
         if rows:
             yield columns(rows)
 
     return header, chunks()
 
 
-def _reader_chunks(fh, path):
-    """(header, chunks) of any CSV file, read as a stream by csv.reader,
-    for _scan; a row with more cells than the header raises. Each row's
-    text is made from its padded cells when it is read."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
+def _reader_chunks(lines, path, size, header=None, offset=0):
+    """(header, chunks) of CSV lines, read as a stream by csv.reader, for
+    scan_csv: the header is the first row unless given, and the first row
+    read is data row offset. A row with more cells than the header raises.
+    Each row's text is made from its padded cells when it is read."""
+    reader = csv.reader(lines)
+    header = next(reader, []) if header is None else header
     width = len(header)
     rows = filter(None, reader)
     # writerow returns what the file's write returns: here the line itself.
@@ -427,16 +422,16 @@ def _reader_chunks(fh, path):
     writer = csv.writer(types.SimpleNamespace(write=str))
 
     def chunks():
-        offset = 0
-        while chunk := list(islice(rows, CHUNK_ROWS)):
+        n = offset
+        while chunk := list(islice(rows, size)):
             for i, row in enumerate(chunk):
                 if len(row) > width:
-                    raise DataError(f"line {_row_line(path, offset + i)}: {len(row)} cells, "
+                    raise DataError(f"line {_row_line(path, n + i)}: {len(row)} cells, "
                                     f"the header has {width}")
                 row += [""] * (width - len(row))
             texts = (writer.writerow(row + [""])[:-3] for row in chunk)
             yield len(chunk), dict(zip(header, zip(*chunk))), texts
-            offset += len(chunk)
+            n += len(chunk)
 
     return header, chunks()
 

@@ -1123,10 +1123,11 @@ STREAMED_INPUTS = {
 @pytest.mark.parametrize("shape", list(STREAMED_INPUTS))
 def test_streamed_predict_writes_the_whole_file_result(streamed_run, tmp_path, monkeypatch,
                                                       shape, chunk_rows):
-    """In chunks of 2 or 3 rows the output bytes are those of one
-    csv.reader pass and one predict_xdboost call over the whole file. A
-    quote in the last row sends the file to csv.reader after the plain
-    path has scored and written its earlier rows, which are scored again."""
+    """In chunks of 2 or 3 rows, rounded up to the batch size of 5, the
+    output bytes are those of one csv.reader pass and one predict_xdboost
+    call over the whole file. A quote in the last row hands the rest of
+    the file to csv.reader after the plain path has scored and written its
+    earlier rows, which are not scored again."""
     bundle, model, lines = streamed_run
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
     src.write_text("\n".join(STREAMED_INPUTS[shape](lines)) + "\n")
@@ -1142,9 +1143,9 @@ def test_streamed_predict_writes_the_whole_file_result(streamed_run, tmp_path, m
     with open(out, newline="") as fh:
         assert fh.read() == _csv_writer_predict(model, src)
     rows = 0 if shape == "header-only" else 40
-    # whole batches of 5, counted from row 0, and rows scored again after a restart
+    # whole batches of 5, counted from row 0, and each row scored once
     assert all(n % 5 == 0 for n in scored)
-    assert sum(scored) > rows if shape == "quote-in-last-row" else sum(scored) == rows
+    assert sum(scored) == rows
 
 
 @pytest.mark.parametrize("bad_label_after", [False, True], ids=["alone", "then-bad-label"])
@@ -1152,10 +1153,11 @@ def test_streamed_predict_names_an_overflow_in_a_later_chunk(streamed_run, tmp_p
                                                            monkeypatch, capsys,
                                                            bad_label_after):
     """Data row 31, on line 35 after two blank lines, overflows in the
-    eleventh chunk of 3 rows, after earlier rows were written: exit 3,
-    naming the line, the previous output kept and no temporary file left.
-    Its batch of 5 ends in the next chunk, so that chunk is read before
-    the row is scored; a bad label there (row 34) is still raised second."""
+    seventh chunk of 3 rows rounded up to the batch size of 5, after
+    earlier rows were written: exit 3, naming the line and the file's data
+    row, the previous output kept and no temporary file left. A bad label
+    in the same chunk (row 34, line 38) is raised first, as when the whole
+    file is one chunk."""
     bundle, _, lines = streamed_run
     lines = list(lines)
     cells = lines[32].split(",")  # data row 31
@@ -1175,7 +1177,10 @@ def test_streamed_predict_names_an_overflow_in_a_later_chunk(streamed_run, tmp_p
                          "--output", str(out)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: line 35: X_test row ") and "scores nan" in err
+    if bad_label_after:
+        assert err.startswith("error: line 38: non-binary label: '2'")
+    else:
+        assert err.startswith("error: line 35: X_test row 31 (from 0) scores nan")
     assert out.read_bytes() == b"previous\r\n"
     assert os.listdir(out_dir) == ["scored.csv"]
 

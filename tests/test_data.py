@@ -345,15 +345,40 @@ def test_scan_csv_chunks_share_one_growing_token_table(tmp_path):
     path = tmp_path / "log.csv"
     _write_log(path, [[i, f"u{i}", "i1", "g0", 0.5, i % 2] for i in range(7)])
 
-    def tables(header, chunks):
-        return [(len(log), log.tokens["user"]) for log, _ in chunks]
-
     with patch.object(data, "CHUNK_ROWS", 2):
-        chunks = data.scan_csv(path, _SPEC, tables)
+        with data.scan_csv(path, _SPEC) as (_, logs):
+            chunks = [(len(log), log.tokens["user"]) for log, _ in logs]
         log = ingest_csv(path, _SPEC)
     assert [n for n, _ in chunks] == [2, 2, 2, 1]
     assert all(table is chunks[0][1] for _, table in chunks)
     assert log.tokens["user"] == tuple(chunks[0][1]) == tuple(f"u{i}" for i in range(7))
+
+
+def test_a_quote_in_the_last_row_parses_each_row_once(tmp_path):
+    """In chunks of two rows, a quote in the seventh and last row hands
+    the rest of the file to csv.reader without reading the first six rows
+    again: each field's factorizer is given 7 cells, and the log is the
+    one csv.reader alone reads."""
+    rows = [[i, f"u{i}", "i1", "g0", 0.5, i % 2] for i in range(7)]
+    rows[6][1] = '"u6"'
+    path = tmp_path / "log.csv"
+    _write_log(path, rows)
+    given = {}
+    codes = data._Factorizer.codes
+
+    def counted(self, cells):
+        given[self] = given.get(self, 0) + len(cells)
+        return codes(self, cells)
+
+    with patch.object(data, "CHUNK_ROWS", 2), patch.object(data._Factorizer, "codes", counted):
+        header, texts, log = read_csv(path, _SPEC)
+    assert sorted(given.values()) == [7] * len(_SPEC.categorical)
+    want_header, want_rows, want_log = csv_reader_oracle(path, _SPEC)
+    assert header == want_header
+    assert [f"{text},p\r\n" for text in texts] == [csv_writer_line(row + ["p"])
+                                                   for row in want_rows]
+    assert same_log(log, want_log)
+
 
 def test_read_csv_peak_memory_is_a_small_multiple_of_the_file(tmp_path):
     """No str per cell outlives its chunk: on a generated log eight chunks
