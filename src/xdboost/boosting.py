@@ -13,6 +13,7 @@ component predictions are never summed; the regressors only ever speak to
 the classifier through the placeholder columns.
 """
 
+import dataclasses
 import json
 import os
 import zipfile
@@ -55,30 +56,25 @@ def _check_knobs(n_iterations=1, error_lr=0.0):
 
 
 class XDBoostModel:
-    """One classifier, N error regressors, and the boosting knobs."""
+    """One classifier, N error regressors, and the boosting knobs; untrained.
 
-    def __init__(self, schema: FeatureSchema, n_iterations, error_lr,
-                 classifier, regressors, seed=0, cold_restart=False,
-                 trained=False):
+    The model makes its nets from one config and one master seed, on the
+    schema with one placeholder column per iteration added."""
+
+    def __init__(self, schema: FeatureSchema, config: BaseNetConfig,
+                 n_iterations=DEFAULT_N_ITERATIONS, error_lr=DEFAULT_ERROR_LR,
+                 seed=0, cold_restart=False):
         _check_knobs(n_iterations, error_lr)
-        if schema.n_placeholders != n_iterations:
-            raise ConfigError(
-                f"schema has {schema.n_placeholders} placeholder columns for "
-                f"{n_iterations} iterations")
-        if len(regressors) != n_iterations:
-            raise ConfigError(f"{len(regressors)} regressors for {n_iterations} iterations")
-        if classifier.config.head != "sigmoid":
-            raise ConfigError("the classifier must use a sigmoid head")
-        if any(r.config.head != "tanh" for r in regressors):
-            raise ConfigError("every error regressor must use a tanh head")
-        self.schema = schema
+        self.schema = schema.with_placeholders(n_iterations)
         self.n_iterations = n_iterations
         self.error_lr = float(error_lr)
-        self.classifier = classifier
-        self.regressors = list(regressors)
+        self.classifier = BaseNet(self.schema, config.as_classifier(),
+                                  seed=classifier_seed(seed))
+        self.regressors = [BaseNet(self.schema, config.as_regressor(),
+                                   seed=regressor_seed(seed, i)) for i in range(n_iterations)]
         self.seed = seed
         self.cold_restart = cold_restart
-        self.trained = trained
+        self.trained = False
         self.training_log = []
 
     # ---- persistence --------------------------------------------------------
@@ -118,8 +114,13 @@ class XDBoostModel:
     @classmethod
     def load_bundle(cls, path):
         """Read a bundle written by save_bundle; a missing, unreadable,
-        damaged or inconsistent bundle is a DataError naming path. Each
-        net's vectors are checked and restored by BaseNet.load_fit_state."""
+        damaged or inconsistent bundle is a DataError naming path.
+
+        The constructor rebuilds the model from the manifest's knobs and
+        master seed, the classifier's config and the schema without its
+        placeholder block. A manifest whose nets differ from the ones that
+        gives, in number, config or seed, is refused. Each net's vectors
+        are checked and restored by BaseNet.load_fit_state."""
         if os.path.isdir(path):
             raise DataError(f"{path} is a directory, as version-1 model bundles were; "
                             "retrain to write a one-file bundle")
@@ -134,19 +135,30 @@ class XDBoostModel:
             schema = FeatureSchema.from_dict(manifest["schema"])
             if schema.hash() != manifest["schema_hash"]:
                 raise DataError("schema hash mismatch")
-            nets = []
-            for i, spec in enumerate(manifest["nets"]):
-                net = BaseNet(schema, BaseNetConfig.from_dict(spec["config"]), seed=spec["seed"])
+            n_iterations, specs = manifest["n_iterations"], manifest["nets"]
+            if schema.n_placeholders != n_iterations:
+                raise DataError(f"schema has {schema.n_placeholders} placeholder columns for "
+                                f"{n_iterations} iterations")
+            if not specs:
+                raise DataError("the manifest lists no nets")
+            model = cls(dataclasses.replace(schema, n_placeholders=0),
+                        BaseNetConfig.from_dict(specs[0]["config"]), n_iterations,
+                        manifest["error_lr"], manifest["seed"], manifest["cold_restart"])
+            nets = [model.classifier, *model.regressors]
+            if len(specs) != len(nets):
+                raise DataError(f"{len(specs)} nets for {n_iterations} iterations")
+            for i, (net, spec) in enumerate(zip(nets, specs)):
+                stored = BaseNetConfig.from_dict(spec["config"]), spec["seed"]
+                if stored != (net.config, net.seed):
+                    raise DataError(f"net {i}: its config or seed is not the one the "
+                                    "model's config and master seed give")
                 adam = int(spec["adam_t"]), arrays[f"adam_m_{i}"], arrays[f"adam_v_{i}"]
                 try:
                     net.load_fit_state((arrays[f"flat_{i}"], adam, None))
                 except UsageError as exc:
                     raise DataError(f"net {i}: {exc}") from exc
-                nets.append(net)
-            classifier, *regressors = nets
-            return cls(schema, manifest["n_iterations"], manifest["error_lr"],
-                       classifier, regressors, seed=manifest["seed"],
-                       cold_restart=manifest["cold_restart"], trained=manifest["trained"])
+            model.trained = manifest["trained"]
+            return model
         except KeyError as exc:
             raise DataError(f"model bundle {path} lacks {exc}") from exc
         except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile,
@@ -154,18 +166,8 @@ class XDBoostModel:
             raise DataError(f"cannot load model bundle {path}: {exc}") from exc
 
 
-def create_xdboost(schema: FeatureSchema, config: BaseNetConfig,
-                   n_iterations=DEFAULT_N_ITERATIONS, error_lr=DEFAULT_ERROR_LR,
-                   seed=0, cold_restart=False):
-    """Untrained model: schema gains one placeholder column per iteration,
-    and every sub-net gets its own seed derived from the master seed."""
-    _check_knobs(n_iterations, error_lr)
-    ph_schema = schema.with_placeholders(n_iterations)
-    classifier = BaseNet(ph_schema, config.as_classifier(), seed=classifier_seed(seed))
-    regressors = [BaseNet(ph_schema, config.as_regressor(), seed=regressor_seed(seed, i))
-                  for i in range(n_iterations)]
-    return XDBoostModel(ph_schema, n_iterations, error_lr, classifier, regressors,
-                        seed=seed, cold_restart=cold_restart)
+# the documented name of the constructor: an untrained model for schema
+create_xdboost = XDBoostModel
 
 
 def _check_boosting_matrix(X, n_iterations, name):

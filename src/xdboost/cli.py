@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from . import metrics, synth
 from .atomic import replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
-                       _check_knobs, _checkpoint, create_xdboost, predict_xdboost,
+                       _check_knobs, _checkpoint, predict_xdboost,
                        train_unboosted, train_xdboost)
 from .child import _Child
 from .data import (FieldSpec, SplitSpec, _row_line, build_schema, chronological_split,
@@ -222,21 +222,20 @@ def load_records(cfg):
     return log, spec, {"source": cfg.dataset, "n_rows": len(log)}
 
 
-def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
-                   command="train", test_set_hash=None):
+def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None):
     """One boosted-vs-reference run; returns (result dict, trained model).
 
-    eval_test substitutes the rows metrics are computed on (the cold-start
-    command passes the filtered test set); training data is unaffected.
-    test_set_hash, when given, is the known records_hash of those rows.
+    cut is the command's chronological split of log, (train region,
+    validation rows, test rows), optionally followed by the test rows'
+    records_hash; it is made here when not given. Metrics are computed on
+    its test rows, which the cold-start command filters.
     """
     timings = {}
     t0 = time.perf_counter()
-    train_region, val_log, test_log = chronological_split(log, cfg.split)
+    train_region, val_log, test_log, *test_hash = cut or chronological_split(log, cfg.split)
     sub = (sub_training(log, train_region, sub_percent, cfg.split)
            if sub_percent is not None else train_region)
-    test_eval = eval_test if eval_test is not None else test_log
-    if command == "sweep" and not len(test_eval):
+    if command == "sweep" and not len(test_log):
         # a sweep compares budgets by their test metrics; train reports
         # validation metrics alone
         raise DataError("the test split is empty; a sweep needs test rows to score")
@@ -244,11 +243,11 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
 
     t0 = time.perf_counter()
     schema = build_schema(sub, field_spec, cfg.normalize_continuous)
-    model = create_xdboost(schema, cfg.net, cfg.n_iterations, cfg.error_lr,
-                           seed=cfg.seed, cold_restart=cfg.cold_restart)
+    model = XDBoostModel(schema, cfg.net, cfg.n_iterations, cfg.error_lr,
+                         seed=cfg.seed, cold_restart=cfg.cold_restart)
     # each split once, zeroed placeholders included: one set feeds both
     # models and the scores, as no entry point writes it
-    train, val, test = [encode(part, model.schema)[:2] for part in (sub, val_log, test_eval)]
+    train, val, test = [encode(part, model.schema)[:2] for part in (sub, val_log, test_log)]
     if not val[0].n_rows:
         val = None, None
     weights = class_weights(train[1])
@@ -301,10 +300,10 @@ def run_experiment(cfg, log, field_spec, sub_percent, eval_test=None,
         "n_rows_total": len(log),
         "n_train_rows": len(sub),
         "n_val_rows": len(val_log),
-        "n_test_rows": len(test_eval),
+        "n_test_rows": len(test_log),
         "class_weights": {"nonclick": weights.weight_nonclick,
                           "click": weights.weight_click},
-        "test_set_hash": test_set_hash or records_hash(test_eval),
+        "test_set_hash": test_hash[0] if test_hash else records_hash(test_log),
         "schema_hash": schema.hash(),
         "metrics": result_metrics,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
@@ -352,18 +351,18 @@ def cmd_sweep(cfg):
     failures = []
     kinds = set()  # the classes of the failures, to raise when every run fails
     results = []
-    test_set_hash = None  # the test split is the same for every budget
+    train_region, val_log, test_log = chronological_split(log, cfg.split)
+    test_hash = records_hash(test_log)  # every budget is scored on these rows
+    cut = train_region, val_log, test_log, test_hash
     for pct in cfg.sub_training_percentages:
         try:
-            result, _ = run_experiment(cfg, log, field_spec, pct, command="sweep",
-                                       test_set_hash=test_set_hash)
+            result, _ = run_experiment(cfg, log, field_spec, pct, command="sweep", cut=cut)
         except XDBoostError as exc:
             logger.warning("sweep run at %s%% failed: %s", pct, exc)
             failures.append({"percentage": pct, "type": type(exc).__name__,
                              "error": str(exc)})
             kinds.add(type(exc))
             continue
-        test_set_hash = result["test_set_hash"]
         result["data_source"] = source
         _write_json(os.path.join(cfg.output_dir, f"sweep_p{pct:g}.json"), result)
         for model_name, label in (("boosted", "xdboost"), ("baseline", "base")):
@@ -382,7 +381,7 @@ def cmd_sweep(cfg):
         "command": "sweep",
         "config": cfg.snapshot(),
         "percentages": list(cfg.sub_training_percentages),
-        "test_set_hash": test_set_hash,
+        "test_set_hash": test_hash if results else None,
         "failures": failures,
         "csv": csv_path if results else None,
     }
@@ -397,7 +396,7 @@ def cmd_sweep(cfg):
 
 def cmd_coldstart(cfg):
     log, field_spec, source = load_records(cfg)
-    train_region, _, test_log = chronological_split(log, cfg.split)
+    train_region, val_log, test_log = chronological_split(log, cfg.split)
     sub = (sub_training(log, train_region, cfg.sub_training_percent, cfg.split)
            if cfg.sub_training_percent is not None else train_region)
     filtered = cold_start_filter(test_log, sub)
@@ -415,7 +414,7 @@ def cmd_coldstart(cfg):
         print("coldstart: no cold-start items in the test set; nothing to evaluate")
         return 0
     result, model = run_experiment(cfg, log, field_spec, cfg.sub_training_percent,
-                                   eval_test=filtered, command="coldstart")
+                                   command="coldstart", cut=(train_region, val_log, filtered))
     result["data_source"] = source
     result["no_cold_start_items"] = False
     result["n_unfiltered_test_rows"] = len(test_log)
@@ -433,8 +432,8 @@ def cmd_predict(bundle_path, input_path, output_path):
     (data.scan_csv): each chunk is read, encoded, scored and written
     before the next is read, so memory does not grow with the file.
 
-    Every chunk but the last holds a whole number of batches for every
-    net's batch size, so each net sees the batches a whole-file
+    Every chunk but the last holds a whole number of batches of the batch
+    size the model's nets share, so each net sees the batches a whole-file
     predict_xdboost call would and the scores keep their bits. Faults are
     raised in chunk order: a chunk's first bad cell, else its first row
     whose score overflows, named by physical line and by data row. The
@@ -444,10 +443,10 @@ def cmd_predict(bundle_path, input_path, output_path):
     schema = model.schema
     fields = FieldSpec(schema.user_field, schema.item_field, list(schema.cat_fields),
                        list(schema.cont_fields))
-    step = math.lcm(*(net.config.batch_size for net in (model.classifier, *model.regressors)))
     luts, done = {}, 0
     with replacing(output_path, newline="") as fh, \
-            scan_csv(input_path, fields, scoring=True, step=step) as (header, chunks):
+            scan_csv(input_path, fields, scoring=True,
+                     step=model.classifier.config.batch_size) as (header, chunks):
         csv.writer(fh).writerow(header + ["predicted_ctr"])
         for log, texts in chunks:
             try:

@@ -272,17 +272,6 @@ def scan_csv(path, field_spec, scoring=False, step=1):
         yield header, logs()
 
 
-def read_csv(path, field_spec, scoring=False):
-    """(header, row texts, ClickLog) of a whole click-log CSV file: the
-    chunks of scan_csv joined into one log, and the list of their texts."""
-    logs, texts = [], []
-    with scan_csv(path, field_spec, scoring) as (header, chunks):
-        for log, rows in chunks:
-            logs.append(log)
-            texts += rows
-    return header, texts, _joined(logs, field_spec)
-
-
 def ingest_csv(path, field_spec):
     """Parse a training click-log CSV into a ClickLog, in file order (see
     scan_csv: ``timestamp`` and ``label`` are required). No row text is

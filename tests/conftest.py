@@ -5,7 +5,8 @@ through the CSV reader's factorizer, a column's tokens row by row, per-tensor
 views of a net's parameters and gradients, an independent forward-pass
 implementation, a central finite-difference gradient check, a
 reader and writer of model bundle archives for fault injection, a
-csv.reader-only click-log reader with a strategy for awkward CSV files,
+whole-file click-log reader built on the chunked one, a csv.reader-only
+click-log reader with a strategy for awkward CSV files,
 the per-row ``json.dumps`` form of ``records_hash``, the forward and
 backward passes in the broadcast form they had before they were made
 broadcast-free, an exception that does not survive a pickle round trip,
@@ -27,7 +28,8 @@ import pytest
 from hypothesis import strategies as st
 
 from xdboost import kernels, nn
-from xdboost.data import ClickLog, DesignMatrix, FeatureSchema, _Factorizer
+from xdboost.data import (ClickLog, DesignMatrix, FeatureSchema, _Factorizer, _joined,
+                          scan_csv)
 from xdboost.errors import DataError
 from xdboost.models import BaseNet, BaseNetConfig, _carve
 
@@ -276,10 +278,22 @@ def write_bundle(path, manifest, arrays):
         np.savez(fh, manifest=np.frombuffer(raw, dtype=np.uint8), **arrays)
 
 
-# ---- CSV reading by csv.reader alone -----------------------------------------------
+# ---- CSV reading -------------------------------------------------------------------
+
+def read_csv(path, field_spec, scoring=False):
+    """(header, row texts, ClickLog) of a whole click-log CSV file: the
+    chunks of ``data.scan_csv`` joined into one log, and the list of their
+    texts, for the tests that hold the reader to ``csv_reader_oracle``."""
+    logs, texts = [], []
+    with scan_csv(path, field_spec, scoring) as (header, chunks):
+        for log, rows in chunks:
+            logs.append(log)
+            texts += rows
+    return header, texts, _joined(logs, field_spec)
+
 
 def csv_reader_oracle(path, field_spec, scoring=False):
-    """``data.read_csv`` done with csv.reader in one pass over the whole
+    """``read_csv`` done with csv.reader in one pass over the whole
     file: (header, padded rows, ClickLog), or the same DataError.
 
     The reference the reader's plain-text path and its chunks are held

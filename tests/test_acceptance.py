@@ -289,7 +289,7 @@ def test_criterion_08_cold_start_keeps_exactly_the_planted_novel_items(capsys):
                                 seed=808)
     records, meta = synth.generate_records(gen_cfg)
     assert meta["n_novel_item_rows"] == 300  # round(0.3 * 1000)
-    train_region, _, test_records = chronological_split(records, SplitSpec())
+    train_region, val_records, test_records = chronological_split(records, SplitSpec())
     planted = np.array([item.startswith("i_new") for item in tokens_of(test_records, "item")])
     assert planted.sum() == 300
 
@@ -302,8 +302,8 @@ def test_criterion_08_cold_start_keeps_exactly_the_planted_novel_items(capsys):
 
     cfg = cli.ExperimentConfig(seed=88, split=SplitSpec(), n_iterations=1,
                                error_lr=0.5, net=FAST_NET)
-    result, _ = cli.run_experiment(cfg, records, synth.field_spec(), None,
-                                   eval_test=filtered, command="coldstart")
+    result, _ = cli.run_experiment(cfg, records, synth.field_spec(), None, command="coldstart",
+                                   cut=(train_region, val_records, filtered))
     assert result["n_test_rows"] == 300
     assert result["metrics"]["boosted"]["test"]["n_instances"] == 300
     assert result["test_set_hash"] == records_hash(filtered)

@@ -99,7 +99,7 @@ def test_create_validates_the_knobs():
     # one rule, one message, wherever the iteration count comes in
     messages = set()
     for build in (lambda: create_xdboost(schema, NET, n_iterations=0),
-                  lambda: XDBoostModel(schema, 0, 0.5, None, [])):
+                  lambda: XDBoostModel(schema, NET, 0, 0.5)):
         with pytest.raises(ConfigError) as excinfo:
             build()
         messages.add(str(excinfo.value))

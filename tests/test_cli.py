@@ -632,6 +632,28 @@ def test_sweep_hashes_the_test_split_once(tmp_path, monkeypatch):
     assert read_json(out / "sweep_summary.json")["test_set_hash"] == fresh
 
 
+def test_coldstart_and_sweep_split_the_log_once(tmp_path, monkeypatch):
+    """A command splits its log once and hands the split to each run: a
+    coldstart run that evaluates, and a sweep over three budgets."""
+    calls = []
+
+    def counted(log, spec):
+        calls.append(len(log))
+        return chronological_split(log, spec)
+
+    monkeypatch.setattr(cli, "chronological_split", counted)
+    config = write_config(
+        tmp_path, synthetic={"n_rows": 500, "vocab_size": 10, "cold_start_fraction": 0.3})
+    out = tmp_path / "cold"
+    assert cli.main(["coldstart", "--config", config, "--output-dir", str(out)]) == 0
+    assert read_json(out / "coldstart_result.json")["n_test_rows"] == 30
+    assert calls == [500]
+    calls.clear()
+    assert cli.main(["sweep", "--config", config, "--output-dir", str(tmp_path / "sweep"),
+                     "--percentages", "5,10,20"]) == 0
+    assert calls == [500]
+
+
 def test_sweep_with_an_empty_percentage_list_exits_2_before_reading_data(tmp_path, capsys,
                                                                        monkeypatch):
     monkeypatch.setattr(cli, "load_records", lambda cfg: pytest.fail("data was read"))
@@ -1267,6 +1289,12 @@ BUNDLE_FAULTS = {
     "tanh-classifier": _edited(lambda manifest, arrays: manifest["nets"][0]["config"].update(
         head="tanh")),
     "regressor-dropped-from-manifest": _edited(lambda manifest, arrays: manifest["nets"].pop()),
+    "no-nets": _edited(lambda manifest, arrays: manifest["nets"].clear()),
+    # nets that the model's one config and master seed do not make
+    "regressor-0-batch-size-1023": _edited(
+        lambda manifest, arrays: manifest["nets"][1]["config"].update(batch_size=1023)),
+    "regressor-0-seed-edited": _edited(
+        lambda manifest, arrays: manifest["nets"][1].update(seed=manifest["nets"][1]["seed"] + 1)),
     "net-for-another-schema": _edited(_schema_with_one_more_token),
     "manifest-not-json": lambda bundle: write_bundle(bundle, b"{not json",
                                                      read_bundle(bundle)[1]),

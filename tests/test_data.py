@@ -20,12 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (click_csv_texts, click_log, csv_reader_oracle, csv_writer_line,
-                      log_rows, make_records, records_hash_oracle, same_log, tokens_of)
+                      log_rows, make_records, read_csv, records_hash_oracle, same_log,
+                      tokens_of)
 from xdboost import boosting, data, synth
 from xdboost.data import (ClickLog, FeatureSchema, FieldSpec, SplitSpec,
                           build_schema, chronological_split, class_weights,
-                          cold_start_filter, encode, ingest_csv, read_csv,
-                          records_hash, sub_training)
+                          cold_start_filter, encode, ingest_csv, records_hash,
+                          sub_training)
 from xdboost.errors import ConfigError, DataError, UsageError
 
 
