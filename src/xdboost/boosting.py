@@ -88,9 +88,6 @@ class XDBoostModel:
         and renamed over it, so path holds the old bundle or the new one,
         never a mix. The manifest is strict JSON: a NaN in it is a ValueError.
         """
-        path = os.fspath(path)
-        if os.path.isdir(path):
-            raise UsageError(f"{path} is a directory; remove it to save a model bundle there")
         nets = [self.classifier, *self.regressors]
         manifest = {
             "format_version": BUNDLE_FORMAT_VERSION,

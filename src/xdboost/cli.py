@@ -222,19 +222,26 @@ def load_records(cfg):
     return log, spec, {"source": cfg.dataset, "n_rows": len(log)}
 
 
+def _cut(cfg, log, sub_percent):
+    """log's chronological split, its train region cut to sub_percent
+    unless that is None: (training rows, validation rows, test rows)."""
+    train_region, val_log, test_log = chronological_split(log, cfg.split)
+    if sub_percent is not None:
+        train_region = sub_training(log, train_region, sub_percent, cfg.split)
+    return train_region, val_log, test_log
+
+
 def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None):
     """One boosted-vs-reference run; returns (result dict, trained model).
 
-    cut is the command's chronological split of log, (train region,
-    validation rows, test rows), optionally followed by the test rows'
-    records_hash; it is made here when not given. Metrics are computed on
-    its test rows, which the cold-start command filters.
+    cut is the command's (training rows, validation rows, test rows),
+    optionally followed by the test rows' records_hash, its training rows
+    already cut to sub_percent; _cut makes it when not given. Metrics are
+    computed on its test rows, which the cold-start command filters.
     """
     timings = {}
     t0 = time.perf_counter()
-    train_region, val_log, test_log, *test_hash = cut or chronological_split(log, cfg.split)
-    sub = (sub_training(log, train_region, sub_percent, cfg.split)
-           if sub_percent is not None else train_region)
+    sub, val_log, test_log, *test_hash = cut or _cut(cfg, log, sub_percent)
     if command == "sweep" and not len(test_log):
         # a sweep compares budgets by their test metrics; train reports
         # validation metrics alone
@@ -353,9 +360,9 @@ def cmd_sweep(cfg):
     results = []
     train_region, val_log, test_log = chronological_split(log, cfg.split)
     test_hash = records_hash(test_log)  # every budget is scored on these rows
-    cut = train_region, val_log, test_log, test_hash
     for pct in cfg.sub_training_percentages:
         try:
+            cut = sub_training(log, train_region, pct, cfg.split), val_log, test_log, test_hash
             result, _ = run_experiment(cfg, log, field_spec, pct, command="sweep", cut=cut)
         except XDBoostError as exc:
             logger.warning("sweep run at %s%% failed: %s", pct, exc)
@@ -396,9 +403,7 @@ def cmd_sweep(cfg):
 
 def cmd_coldstart(cfg):
     log, field_spec, source = load_records(cfg)
-    train_region, val_log, test_log = chronological_split(log, cfg.split)
-    sub = (sub_training(log, train_region, cfg.sub_training_percent, cfg.split)
-           if cfg.sub_training_percent is not None else train_region)
+    sub, val_log, test_log = _cut(cfg, log, cfg.sub_training_percent)
     filtered = cold_start_filter(test_log, sub)
     os.makedirs(cfg.output_dir, exist_ok=True)
     result_path = os.path.join(cfg.output_dir, "coldstart_result.json")
@@ -414,7 +419,7 @@ def cmd_coldstart(cfg):
         print("coldstart: no cold-start items in the test set; nothing to evaluate")
         return 0
     result, model = run_experiment(cfg, log, field_spec, cfg.sub_training_percent,
-                                   command="coldstart", cut=(train_region, val_log, filtered))
+                                   command="coldstart", cut=(sub, val_log, filtered))
     result["data_source"] = source
     result["no_cold_start_items"] = False
     result["n_unfiltered_test_rows"] = len(test_log)

@@ -246,14 +246,10 @@ class BaseNet:
         n, k, n_cat = cont.shape[0], self.config.embedding_dim, self.n_cat
         split = n * n_cat * k
         gathered = self.flat[idx]
-        emb = gathered[:split].reshape(n, n_cat, k)
-        if self.n_cont:
-            V = np.empty((n, self.n_fields, k))
-            V[:, :n_cat] = emb
-            np.multiply(np.repeat(cont, k, axis=1).reshape(n, self.n_cont, k), self.cont_proj,
-                        out=V[:, n_cat:])
-        else:
-            V = emb
+        V = np.empty((n, self.n_fields, k))
+        V[:, :n_cat] = gathered[:split].reshape(n, n_cat, k)
+        np.multiply(np.repeat(cont, k, axis=1).reshape(n, self.n_cont, k), self.cont_proj,
+                    out=V[:, n_cat:])
 
         # Bit for bit V.sum(axis=1), which adds the fields one by one into
         # zeros, as einsum does five times faster; at k == 1 the fields are
@@ -264,8 +260,7 @@ class BaseNet:
         linear = np.full(n, self.bias[0])
         for w in gathered[split:].reshape(n_cat, n):
             linear += w
-        if self.n_cont:
-            linear += cont @ self.lin_cont
+        linear += cont @ self.lin_cont
 
         h = V.reshape(n, self.n_fields * k)
         caches = []
@@ -304,9 +299,8 @@ class BaseNet:
         kernels.scatter_add_scalars(
             grad[:self._n_cat_params], idx,
             np.concatenate([dV[:, :self.n_cat, :].ravel(), np.tile(dlogit, self.n_cat)]))
-        if self.n_cont:
-            dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
-            dlin_cont[...] = cont.T @ dlogit
+        dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
+        dlin_cont[...] = cont.T @ dlogit
         dbias[0] = dlogit.sum()
         return grad
 
@@ -344,11 +338,10 @@ class BaseNet:
 
     def _check_targets(self, targets):
         if self.config.head == "sigmoid":
-            if targets.size and not np.isin(targets, (0.0, 1.0)).all():
+            if not np.isin(targets, (0.0, 1.0)).all():
                 raise DataError("classification targets must be binary")
-        else:
-            if targets.size and (np.abs(targets) > 1.0).any():
-                raise DataError("regression targets must lie in [-1, 1]")
+        elif (np.abs(targets) > 1.0).any():
+            raise DataError("regression targets must lie in [-1, 1]")
 
     @np.errstate(over="ignore", invalid="ignore")
     def fit(self, X, targets, class_weights=None, val=None):

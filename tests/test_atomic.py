@@ -6,6 +6,7 @@ import os
 import pytest
 
 from xdboost.atomic import replacing
+from xdboost.errors import UsageError
 
 
 def test_a_replacement_nested_in_one_of_the_same_path_keeps_both_writes(tmp_path):
@@ -38,3 +39,12 @@ def test_the_file_has_the_mode_a_plain_open_gives(tmp_path):
     with open(tmp_path / "plain", "wb") as fh:
         fh.write(b"x")
     assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_a_directory_is_refused_before_anything_is_created(tmp_path):
+    (tmp_path / "out").mkdir()
+    with pytest.raises(UsageError, match="is a directory"):
+        with replacing(tmp_path / "out") as fh:
+            fh.write("never")
+    assert os.listdir(tmp_path) == ["out"]
+    assert os.listdir(tmp_path / "out") == []

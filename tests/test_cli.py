@@ -25,7 +25,7 @@ from conftest import (_Unpicklable, click_csv_texts, csv_reader_oracle, read_bun
 from xdboost import child, cli, data, synth
 from xdboost.boosting import XDBoostModel, append_placeholders, predict_xdboost
 from xdboost.data import (FeatureSchema, FieldSpec, chronological_split, encode, ingest_csv,
-                          records_hash)
+                          records_hash, sub_training)
 from xdboost.errors import (ConfigError, DataError, EvaluationError, TrainingError,
                             UsageError)
 from xdboost.metrics import evaluate
@@ -312,6 +312,16 @@ def test_train_leaves_a_bundle_directory_alone(tmp_path, capsys):
     assert "is a directory" in capsys.readouterr().err
     assert os.listdir(out / "model_bundle") == ["manifest.json"]
     assert not (out / "train_result.json").exists()  # the result follows the bundle
+
+
+def test_train_refuses_a_result_path_that_is_a_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "train_result.json").mkdir(parents=True)
+    assert cli.main(["train", "--config", write_config(tmp_path),
+                     "--output-dir", str(out)]) == 2
+    assert f"{out / 'train_result.json'} is a directory" in capsys.readouterr().err
+    assert os.listdir(out / "train_result.json") == []
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 def test_an_interrupted_result_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -634,7 +644,9 @@ def test_sweep_hashes_the_test_split_once(tmp_path, monkeypatch):
 
 def test_coldstart_and_sweep_split_the_log_once(tmp_path, monkeypatch):
     """A command splits its log once and hands the split to each run: a
-    coldstart run that evaluates, and a sweep over three budgets."""
+    coldstart run that evaluates, and a sweep over three budgets. Each run
+    cuts its sub-training rows once: a coldstart run, with a budget and
+    without, and each budget of the sweep."""
     calls = []
 
     def counted(log, spec):
@@ -642,16 +654,33 @@ def test_coldstart_and_sweep_split_the_log_once(tmp_path, monkeypatch):
         return chronological_split(log, spec)
 
     monkeypatch.setattr(cli, "chronological_split", counted)
+    cuts = []
+
+    def counted_cut(log, train_region, x_percent, split=None):
+        cuts.append(x_percent)
+        return sub_training(log, train_region, x_percent, split)
+
+    monkeypatch.setattr(cli, "sub_training", counted_cut)
     config = write_config(
         tmp_path, synthetic={"n_rows": 500, "vocab_size": 10, "cold_start_fraction": 0.3})
     out = tmp_path / "cold"
     assert cli.main(["coldstart", "--config", config, "--output-dir", str(out)]) == 0
     assert read_json(out / "coldstart_result.json")["n_test_rows"] == 30
     assert calls == [500]
+    assert cuts == []
+    # the run trains on the very rows its test rows were filtered against
     calls.clear()
+    assert cli.main(["coldstart", "--config", config, "--output-dir", str(out),
+                     "--sub-training-percent", "40"]) == 0
+    assert read_json(out / "coldstart_result.json")["n_train_rows"] == 200
+    assert calls == [500]
+    assert cuts == [40]
+    calls.clear()
+    cuts.clear()
     assert cli.main(["sweep", "--config", config, "--output-dir", str(tmp_path / "sweep"),
                      "--percentages", "5,10,20"]) == 0
     assert calls == [500]
+    assert cuts == [5, 10, 20]
 
 
 def test_sweep_with_an_empty_percentage_list_exits_2_before_reading_data(tmp_path, capsys,
@@ -940,6 +969,19 @@ def test_a_predict_that_fails_partway_keeps_the_previous_output(trained_run, tmp
         cli.cmd_predict(bundle, data, str(out_path))
     assert out_path.read_bytes() == b"previous\r\n"
     assert os.listdir(tmp_path) == ["scored.csv"]
+
+
+def test_predict_refuses_an_output_directory_before_reading_its_input(trained_run, tmp_path,
+                                                                     capsys, monkeypatch):
+    bundle, data = trained_run
+    out_dir = tmp_path / "scored"
+    out_dir.mkdir()
+    monkeypatch.setattr(cli, "scan_csv", lambda *a, **k: pytest.fail("the input was read"))
+    assert cli.main(["predict", "--bundle", bundle, "--input", data,
+                     "--output", str(out_dir)]) == 2
+    assert f"{out_dir} is a directory" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scored"]
+    assert os.listdir(out_dir) == []
 
 
 def test_predict_handles_an_empty_input(trained_run, tmp_path):
