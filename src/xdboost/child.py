@@ -1,11 +1,13 @@
-"""A job run in a forked child process beside its caller.
+"""A job run in a forked child process beside its caller, as a stream.
 
-``_Child`` forks, runs a job in the child and reads the job's pickled
-outcome back through a pipe; where it cannot fork, or where the process
-may run on one CPU only, so that the two would only take turns, it runs
-the job in-process when the outcome is asked for. The experiment harness
-runs the unboosted reference's fits this way while the boosting loop
-goes on.
+``_Child`` forks, runs a job in the child and reads each item the job
+yields back through a pipe, pickled, while the caller works on the items
+before; where it cannot fork, or where the process may run on one CPU
+only, so that the two would only take turns, it runs the job in-process
+as its items are asked for. The experiment harness runs the unboosted
+reference's fits this way while the boosting loop goes on, as a stream of
+one item, and ``predict`` reads and encodes its CSV this way while it
+scores and writes the chunks before.
 
 On Python 3.12 and later os.fork warns when the process runs other
 threads. OpenBLAS stops its thread pool before a fork, so a process
@@ -18,7 +20,10 @@ import pickle
 import signal
 import traceback
 
-from .errors import TrainingError
+# A pipe's buffer is 64 KiB by default, so a child that writes a chunk of
+# megabytes blocks at each 64 KiB and the scheduler keeps both processes
+# on one CPU; 1 MiB is the size an unprivileged process may ask for.
+PIPE_BYTES = 1 << 20
 
 
 def _cpus():
@@ -29,21 +34,24 @@ def _cpus():
 
 
 class _Child:
-    """``job()`` run in a forked child beside the caller; ``result`` reads
-    its pickled outcome back through a pipe. Where ``_cpus`` reports one
-    CPU, where os.fork does not exist, or where the pipe or the fork
-    fails, ``result`` runs the job in-process instead.
+    """The items of the iterable ``job()``, made in a forked child beside
+    the caller: iterating the _Child yields them in order, each pickled
+    through a pipe. Where ``_cpus`` reports one CPU, where os.fork does
+    not exist, or where the pipe or the fork fails, the job runs
+    in-process instead, as its items are asked for.
 
-    ``result`` returns what the job returned or raises what it raised, with
-    its class and message and the child's traceback as its cause (an
-    exception that cannot be pickled comes back as a RuntimeError naming
-    its class); a child that dies or sends nothing is a TrainingError
-    naming its exit status. ``close`` kills and reaps a child whose result
-    was never read.
+    An exception the job raises is raised after the items before it, with
+    its class and message and the child's traceback as its cause (one that
+    cannot be pickled comes back as a RuntimeError naming its class). A
+    child that dies before its end message is ``error`` naming ``name``
+    and its exit status, never the stream's end. ``result`` reads a job of
+    one item; ``close`` kills and reaps a child whose stream was not read
+    to its end.
     """
 
-    def __init__(self, job):
-        self._job, self._pid, self._fd = job, None, None
+    def __init__(self, job, name, error):
+        self._name, self._error, self._pid, self._fh = name, error, None, None
+        self._items = self._in_process(job)
         if not (hasattr(os, "fork") and _cpus() > 1):
             return
         fds = ()
@@ -58,56 +66,85 @@ class _Child:
             os.close(read_fd)
             _send_and_exit(job, write_fd)
         os.close(write_fd)
-        self._pid, self._fd = pid, read_fd
+        self._pid, self._fh, self._items = pid, os.fdopen(read_fd, "rb"), self._read()
+
+    def __iter__(self):
+        return self._items
 
     def result(self):
-        if self._pid is None:
-            return self._job()
-        # read to EOF before waiting, or a child blocked on a full pipe never exits
-        with os.fdopen(self._fd, "rb") as fh:
-            self._fd = None
-            data = fh.read()
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code or not data:
-            raise TrainingError(f"the reference's training process exited with status "
-                                f"{code} without a result")
-        ok, value, child_traceback = pickle.loads(data)
-        if not ok:
-            raise value from _ChildTraceback(child_traceback)
+        (value,) = self
         return value
 
     def close(self):
+        self._items.close()
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+            self._reap()
+
+    @staticmethod
+    def _in_process(job):
+        yield from job()
+
+    def _read(self):
+        while True:
+            try:
+                message = pickle.load(self._fh)
+            except (EOFError, pickle.UnpicklingError):  # the pipe's end, or a message cut short
+                code = self._reap()
+                raise self._error(f"{self._name} exited with status {code} "
+                                  "before the end of its output") from None
+            if message is None:
+                self._reap()
+                return
+            ok, value, child_traceback = message
+            if not ok:
+                self._reap()
+                raise value from _ChildTraceback(child_traceback)
+            yield value
+
+    def _reap(self):
+        """Close the pipe and wait for the child; its exit status."""
+        self._fh.close()
+        self._fh = None
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        return os.waitstatus_to_exitcode(status)
 
 
 class _ChildTraceback(Exception):
     """The traceback of an exception raised in the child, as text; the
-    cause of the exception ``_Child.result`` raises again."""
+    cause of the exception the parent raises again."""
 
     def __str__(self):
         return f"raised in the forked child:\n{self.args[0]}"
 
 
 def _send_and_exit(job, write_fd):
-    """In a forked child: pickle (True, job(), None) or (False, its
-    exception, its formatted traceback) to write_fd and exit at once, so
-    none of the parent's cleanup runs here."""
+    """In a forked child: pickle (True, item, None) to write_fd for each
+    item of job(), then the end message None, or, where the job raises,
+    (False, its exception, its formatted traceback); then exit at once, so
+    none of the parent's cleanup runs here. Each message is pickled whole
+    before it is written, so a failed pickle writes nothing."""
+    import fcntl  # POSIX only, as os.fork is
+
     status = 1
     try:
         try:
-            outcome = (True, job(), None)
-        except BaseException as exc:  # raised again in the parent
-            outcome = (False, _portable(exc), traceback.format_exc())
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except (AttributeError, OSError):  # no such setting here: the default buffer serves
+            pass
         with os.fdopen(write_fd, "wb") as fh:
-            pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            def send(message):
+                fh.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                fh.flush()
+
+            try:
+                for item in job():
+                    send((True, item, None))
+                end = None
+            except BaseException as exc:  # raised again in the parent
+                end = (False, _portable(exc), traceback.format_exc())
+            send(end)
         status = 0
     finally:
         os._exit(status)

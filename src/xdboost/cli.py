@@ -8,10 +8,12 @@ weights, then train the boosted model and its unboosted reference under
 the same seed and evaluate both on the validation and test splits. The
 reference's fits after the first, which it shares with the boosted
 classifier, run in a forked child (see ``child``) while the boosting loop
-goes on, given a second CPU to run on. Results are written as one JSON
-file per run, after the run's model bundle; sweeps additionally emit a
-plot-ready CSV. Every output file is replaced atomically (see
-``atomic``). Exit codes distinguish configuration (2),
+goes on, given a second CPU to run on; so does ``predict``'s reading.
+Results are written as one JSON file per run, after the run's model
+bundle; sweeps additionally emit a plot-ready CSV. Every output file is
+replaced atomically (see ``atomic``), and a command refuses a directory
+at any of its output paths before it reads or generates data. Exit
+codes distinguish configuration (2),
 data (3), training (4) and evaluation (5) failures; anything unexpected
 exits 1.
 """
@@ -28,10 +30,11 @@ import time
 import traceback
 import types
 import typing
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from . import metrics, synth
-from .atomic import replacing
+from .atomic import refuse_directories, replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        _check_knobs, _checkpoint, predict_xdboost,
                        train_unboosted, train_xdboost)
@@ -273,7 +276,8 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
         # them while the loop goes on.
         if event["event"] == "residual_fit" and event["iteration"] == 0:
             start = model.classifier.fit_state(), [event["classifier_history"]]
-            children.append(_Child(lambda: _checkpoint(*train_reference(start))))
+            children.append(_Child(lambda: [_checkpoint(*train_reference(start))],
+                                   "the reference's training process", TrainingError))
 
     try:
         train_xdboost(model, *train, *val, class_weights=weights, observer=fork_reference)
@@ -335,12 +339,13 @@ def _print_metrics(result):
 
 
 def cmd_train(cfg):
+    result_path = os.path.join(cfg.output_dir, "train_result.json")
+    bundle_path = os.path.join(cfg.output_dir, "model_bundle")
+    refuse_directories(bundle_path, result_path)
     log, field_spec, source = load_records(cfg)
     result, model = run_experiment(cfg, log, field_spec, cfg.sub_training_percent)
     result["data_source"] = source
     os.makedirs(cfg.output_dir, exist_ok=True)
-    result_path = os.path.join(cfg.output_dir, "train_result.json")
-    bundle_path = os.path.join(cfg.output_dir, "model_bundle")
     model.save_bundle(bundle_path)
     _write_json(result_path, result)
     print(f"train: {result['n_train_rows']} train rows, seed {cfg.seed}")
@@ -352,6 +357,11 @@ def cmd_train(cfg):
 def cmd_sweep(cfg):
     if not cfg.sub_training_percentages:
         raise ConfigError("sweep needs a non-empty sub-training percentage list")
+    run_paths = {pct: os.path.join(cfg.output_dir, f"sweep_p{pct:g}.json")
+                 for pct in cfg.sub_training_percentages}
+    csv_path = os.path.join(cfg.output_dir, "sweep.csv")
+    summary_path = os.path.join(cfg.output_dir, "sweep_summary.json")
+    refuse_directories(*run_paths.values(), csv_path, summary_path)
     log, field_spec, source = load_records(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     rows = []
@@ -371,14 +381,13 @@ def cmd_sweep(cfg):
             kinds.add(type(exc))
             continue
         result["data_source"] = source
-        _write_json(os.path.join(cfg.output_dir, f"sweep_p{pct:g}.json"), result)
+        _write_json(run_paths[pct], result)
         for model_name, label in (("boosted", "xdboost"), ("baseline", "base")):
             report = result["metrics"][model_name]["test"]
             rows.append([pct, label, report["auc"], report["log_loss"]])
         results.append(result)
         print(f"sweep {pct:g}%: done ({result['n_train_rows']} train rows)")
 
-    csv_path = os.path.join(cfg.output_dir, "sweep.csv")
     if results:  # else the previous sweep's CSV stays; the summary lists the failures
         with replacing(csv_path, newline="") as fh:
             writer = csv.writer(fh)
@@ -392,7 +401,7 @@ def cmd_sweep(cfg):
         "failures": failures,
         "csv": csv_path if results else None,
     }
-    _write_json(os.path.join(cfg.output_dir, "sweep_summary.json"), summary)
+    _write_json(summary_path, summary)
     if not results:
         error = kinds.pop() if len(kinds) == 1 else TrainingError
         raise error(f"every sweep run failed: {failures}")
@@ -402,11 +411,13 @@ def cmd_sweep(cfg):
 
 
 def cmd_coldstart(cfg):
+    result_path = os.path.join(cfg.output_dir, "coldstart_result.json")
+    bundle_path = os.path.join(cfg.output_dir, "model_bundle")
+    refuse_directories(bundle_path, result_path)
     log, field_spec, source = load_records(cfg)
     sub, val_log, test_log = _cut(cfg, log, cfg.sub_training_percent)
     filtered = cold_start_filter(test_log, sub)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    result_path = os.path.join(cfg.output_dir, "coldstart_result.json")
     if not len(filtered):
         result = {
             "command": "coldstart",
@@ -424,7 +435,7 @@ def cmd_coldstart(cfg):
     result["no_cold_start_items"] = False
     result["n_unfiltered_test_rows"] = len(test_log)
     result["n_filtered_test_rows"] = len(filtered)
-    model.save_bundle(os.path.join(cfg.output_dir, "model_bundle"))
+    model.save_bundle(bundle_path)
     _write_json(result_path, result)
     print(f"coldstart: {len(filtered)} of {len(test_log)} test rows kept")
     _print_metrics(result)
@@ -434,28 +445,42 @@ def cmd_coldstart(cfg):
 
 def cmd_predict(bundle_path, input_path, output_path):
     """Score a CSV with a saved bundle, one chunk of data rows at a time
-    (data.scan_csv): each chunk is read, encoded, scored and written
-    before the next is read, so memory does not grow with the file.
+    (data.scan_csv), so memory does not grow with the file. A reader in a
+    forked child (child._Child) parses and encodes the chunks and pickles
+    each to this process, which scores and writes it meanwhile; on one CPU
+    the reader runs in-process, a chunk at a time.
 
     Every chunk but the last holds a whole number of batches of the batch
     size the model's nets share, so each net sees the batches a whole-file
     predict_xdboost call would and the scores keep their bits. Faults are
     raised in chunk order: a chunk's first bad cell, else its first row
-    whose score overflows, named by physical line and by data row. The
-    output is replaced atomically, so a failure keeps the previous one.
+    whose score overflows, named by physical line and by data row. A
+    reader that dies before the end of the file is an XDBoostError (exit
+    1). The output is refused when it is a directory before the input is
+    read, and replaced atomically, so a failure keeps the previous one.
     """
     model = XDBoostModel.load_bundle(bundle_path)
     schema = model.schema
     fields = FieldSpec(schema.user_field, schema.item_field, list(schema.cat_fields),
                        list(schema.cont_fields))
-    luts, done = {}, 0
+
+    def read():
+        """The header, then each chunk's (DesignMatrix, row texts)."""
+        luts = {}
+        with scan_csv(input_path, fields, scoring=True,
+                      step=model.classifier.config.batch_size) as (header, chunks):
+            yield header
+            for log, texts in chunks:
+                yield encode(log, schema, luts)[0], list(texts)
+
+    done = 0
     with replacing(output_path, newline="") as fh, \
-            scan_csv(input_path, fields, scoring=True,
-                     step=model.classifier.config.batch_size) as (header, chunks):
-        csv.writer(fh).writerow(header + ["predicted_ctr"])
-        for log, texts in chunks:
+            closing(_Child(read, "predict's reader", XDBoostError)) as reader:
+        chunks = iter(reader)
+        csv.writer(fh).writerow(next(chunks) + ["predicted_ctr"])
+        for X, texts in chunks:
             try:
-                probs = predict_xdboost(model, encode(log, schema, luts)[0])
+                probs = predict_xdboost(model, X)
             except DataError as exc:
                 if not hasattr(exc, "row"):
                     raise
@@ -465,18 +490,20 @@ def cmd_predict(bundle_path, input_path, output_path):
             # each text is its row as csv.writer writes it, so appending the
             # cell gives the line csv.writer would write for the scored row
             fh.writelines(f"{text},{p!r}\r\n" for text, p in zip(texts, probs.tolist()))
-            done += len(log)
+            done += X.n_rows
     print(f"predict: scored {done} rows -> {output_path}")
     return 0
 
 
 def cmd_synth_gen(out_dir, synth_cfg):
+    data_path, fields_path, meta_path = (os.path.join(out_dir, name)
+                                         for name in ("data.csv", "fields.json", "meta.json"))
+    refuse_directories(data_path, fields_path, meta_path)
     log, meta = synth.generate_records(synth_cfg)
     os.makedirs(out_dir, exist_ok=True)
-    data_path = os.path.join(out_dir, "data.csv")
     synth.write_csv(log, data_path)
-    _write_json(os.path.join(out_dir, "fields.json"), synth.field_mapping())
-    _write_json(os.path.join(out_dir, "meta.json"), meta)
+    _write_json(fields_path, synth.field_mapping())
+    _write_json(meta_path, meta)
     print(f"synth-gen: {meta['n_rows']} rows (ctr {meta['ctr']:.4f}, "
           f"{meta['n_novel_item_rows']} novel-item test rows) -> {data_path}")
     return 0

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import tempfile
 import time
 import tracemalloc
@@ -322,6 +323,40 @@ def test_train_refuses_a_result_path_that_is_a_directory(tmp_path, capsys):
     assert f"{out / 'train_result.json'} is a directory" in capsys.readouterr().err
     assert os.listdir(out / "train_result.json") == []
     assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("command", ["train", "coldstart"])
+def test_a_refused_result_path_keeps_the_old_bundle_and_reads_no_data(tmp_path, capsys,
+                                                                       monkeypatch, command):
+    """Every output path is checked before the data is read, so a
+    directory at the result path leaves the previous run's bundle as it
+    was."""
+    out = tmp_path / "run"
+    (out / f"{command}_result.json").mkdir(parents=True)
+    (out / "model_bundle").write_bytes(b"the previous bundle")
+    monkeypatch.setattr(cli, "load_records", lambda cfg: pytest.fail("the data was read"))
+    assert cli.main([command, "--config", write_config(tmp_path),
+                     "--output-dir", str(out)]) == 2
+    assert f"{out / f'{command}_result.json'} is a directory" in capsys.readouterr().err
+    assert (out / "model_bundle").read_bytes() == b"the previous bundle"
+    assert sorted(os.listdir(out)) == sorted([f"{command}_result.json", "model_bundle"])
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["sweep", "--percentages", "5,10"], "sweep_p10.json"),
+    (["sweep", "--percentages", "5,10"], "sweep_summary.json"),
+    (["synth-gen", "--rows", "40"], "meta.json"),
+], ids=["sweep-run", "sweep-summary", "synth-gen"])
+def test_sweep_and_synth_gen_refuse_a_directory_before_any_data(tmp_path, capsys, monkeypatch,
+                                                                 argv, refused):
+    out = tmp_path / "run"
+    (out / refused).mkdir(parents=True)
+    monkeypatch.setattr(cli, "load_records", lambda cfg: pytest.fail("the data was read"))
+    monkeypatch.setattr(synth, "generate_records", lambda cfg: pytest.fail("data was made"))
+    config = [] if argv[0] == "synth-gen" else ["--config", write_config(tmp_path)]
+    assert cli.main([*argv, *config, "--output-dir", str(out)]) == 2
+    assert f"{out / refused} is a directory" in capsys.readouterr().err
+    assert os.listdir(out) == [refused]
 
 
 def test_an_interrupted_result_write_keeps_the_previous_file(tmp_path, monkeypatch):
@@ -977,6 +1012,8 @@ def test_predict_refuses_an_output_directory_before_reading_its_input(trained_ru
     out_dir = tmp_path / "scored"
     out_dir.mkdir()
     monkeypatch.setattr(cli, "scan_csv", lambda *a, **k: pytest.fail("the input was read"))
+    monkeypatch.setattr(child, "_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("the reader was forked"))
     assert cli.main(["predict", "--bundle", bundle, "--input", data,
                      "--output", str(out_dir)]) == 2
     assert f"{out_dir} is a directory" in capsys.readouterr().err
@@ -1183,33 +1220,42 @@ STREAMED_INPUTS = {
 }
 
 
+# predict reads in a forked child given a second CPU and in-process on
+# one; the tests of its output run once with each count. The counts are a
+# loop in the test, not a parameter, so the tests keep their ids.
+CPU_COUNTS = (1, 2)
+
+
 @pytest.mark.parametrize("chunk_rows", [2, 3])
 @pytest.mark.parametrize("shape", list(STREAMED_INPUTS))
 def test_streamed_predict_writes_the_whole_file_result(streamed_run, tmp_path, monkeypatch,
                                                       shape, chunk_rows):
     """In chunks of 2 or 3 rows, rounded up to the batch size of 5, the
     output bytes are those of one csv.reader pass and one predict_xdboost
-    call over the whole file. A quote in the last row hands the rest of
-    the file to csv.reader after the plain path has scored and written its
-    earlier rows, which are not scored again."""
+    call over the whole file, on one CPU and on two. A quote in the last
+    row hands the rest of the file to csv.reader after the plain path has
+    scored and written its earlier rows, which are not scored again."""
     bundle, model, lines = streamed_run
     src, out = tmp_path / "in.csv", tmp_path / "out.csv"
     src.write_text("\n".join(STREAMED_INPUTS[shape](lines)) + "\n")
-    scored = []
-
-    def counted(model, X):
-        scored.append(X.n_rows)
-        return predict_xdboost(model, X)
-
-    monkeypatch.setattr(cli, "predict_xdboost", counted)
+    expected = _csv_writer_predict(model, src)
     monkeypatch.setattr(data, "CHUNK_ROWS", chunk_rows)
-    assert cli.cmd_predict(bundle, str(src), str(out)) == 0
-    with open(out, newline="") as fh:
-        assert fh.read() == _csv_writer_predict(model, src)
-    rows = 0 if shape == "header-only" else 40
-    # whole batches of 5, counted from row 0, and each row scored once
-    assert all(n % 5 == 0 for n in scored)
-    assert sum(scored) == rows
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(child, "_cpus", lambda: cpus)
+        scored = []
+
+        def counted(model, X):
+            scored.append(X.n_rows)
+            return predict_xdboost(model, X)
+
+        monkeypatch.setattr(cli, "predict_xdboost", counted)
+        assert cli.cmd_predict(bundle, str(src), str(out)) == 0
+        with open(out, newline="") as fh:
+            assert fh.read() == expected
+        rows = 0 if shape == "header-only" else 40
+        # whole batches of 5, counted from row 0, and each row scored once
+        assert all(n % 5 == 0 for n in scored)
+        assert sum(scored) == rows
 
 
 @pytest.mark.parametrize("bad_label_after", [False, True], ids=["alone", "then-bad-label"])
@@ -1221,7 +1267,8 @@ def test_streamed_predict_names_an_overflow_in_a_later_chunk(streamed_run, tmp_p
     earlier rows were written: exit 3, naming the line and the file's data
     row, the previous output kept and no temporary file left. A bad label
     in the same chunk (row 34, line 38) is raised first, as when the whole
-    file is one chunk."""
+    file is one chunk. On one CPU and on two, where the bad label is
+    raised in the reader's child and arrives after the chunks before."""
     bundle, _, lines = streamed_run
     lines = list(lines)
     cells = lines[32].split(",")  # data row 31
@@ -1235,25 +1282,61 @@ def test_streamed_predict_names_an_overflow_in_a_later_chunk(streamed_run, tmp_p
     out = out_dir / "scored.csv"
     out.write_bytes(b"previous\r\n")
     monkeypatch.setattr(data, "CHUNK_ROWS", 3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["predict", "--bundle", bundle, "--input", str(src),
-                         "--output", str(out)])
-    assert code == 3
-    err = capsys.readouterr().err
-    if bad_label_after:
-        assert err.startswith("error: line 38: non-binary label: '2'")
-    else:
-        assert err.startswith("error: line 35: X_test row 31 (from 0) scores nan")
+    for cpus in CPU_COUNTS:
+        monkeypatch.setattr(child, "_cpus", lambda: cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["predict", "--bundle", bundle, "--input", str(src),
+                             "--output", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        if bad_label_after:
+            assert err.startswith("error: line 38: non-binary label: '2'")
+        else:
+            assert err.startswith("error: line 35: X_test row 31 (from 0) scores nan")
+        assert out.read_bytes() == b"previous\r\n"
+        assert os.listdir(out_dir) == ["scored.csv"]
+
+
+def test_a_reader_killed_mid_file_fails_predict(streamed_run, tmp_path, monkeypatch, capsys):
+    """A reader killed after some chunks, as the OOM killer would, ends
+    predict with exit 1 and a message naming it, not with a short file:
+    the previous output is kept and no temporary file is left."""
+    bundle, _, lines = streamed_run
+    src = tmp_path / "in.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "scored.csv"
+    out.write_bytes(b"previous\r\n")
+    parent, encoded = os.getpid(), []
+
+    def dying_encode(log, schema, luts):
+        assert os.getpid() != parent, "the reader ran in-process"
+        encoded.append(len(log))
+        if len(encoded) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return encode(log, schema, luts)
+
+    monkeypatch.setattr(child, "_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "encode", dying_encode)
+    monkeypatch.setattr(data, "CHUNK_ROWS", 5)
+    assert cli.main(["predict", "--bundle", bundle, "--input", str(src),
+                     "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: predict's reader exited with status -9 before the end of its output")
     assert out.read_bytes() == b"previous\r\n"
     assert os.listdir(out_dir) == ["scored.csv"]
 
 
-def test_predict_memory_does_not_grow_with_the_file(trained_run, tmp_path):
+def test_predict_memory_does_not_grow_with_the_file(trained_run, tmp_path, monkeypatch):
     """cmd_predict's tracemalloc peak on a log sixteen chunks long is at
     most 1.2 times its peak on a log four chunks long. Scoring the whole
-    file at once, it grew with the rows."""
+    file at once, it grew with the rows. tracemalloc sees this process
+    only, and given a second CPU the reading and encoding run in a forked
+    child, so the test pins the count to one CPU, where they run here."""
     bundle, _ = trained_run
+    monkeypatch.setattr(child, "_cpus", lambda: 1)
     peaks = []
     for chunks in (4, 16):
         records, _ = synth.generate_records(
