@@ -11,6 +11,12 @@ new column. Prediction replays the same column writes on the test matrix
 before asking the classifier for probabilities. Unlike gradient boosting,
 component predictions are never summed; the regressors only ever speak to
 the classifier through the placeholder columns.
+
+A classifier fit on the same matrices as the fit before it, from where
+that fit left the net, can have an outcome that fit already determines
+(``_replayed``): each iteration's fit after the first, and every fit of
+the unboosted reference after its first. Such a fit is not run; its
+history is derived and the net is left as it is, to the same bits.
 """
 
 import dataclasses
@@ -149,7 +155,7 @@ class XDBoostModel:
                 if stored != (net.config, net.seed):
                     raise DataError(f"net {i}: its config or seed is not the one the "
                                     "model's config and master seed give")
-                adam = int(spec["adam_t"]), arrays[f"adam_m_{i}"], arrays[f"adam_v_{i}"]
+                adam = spec["adam_t"], arrays[f"adam_m_{i}"], arrays[f"adam_v_{i}"]
                 try:
                     net.load_fit_state((arrays[f"flat_{i}"], adam, None))
                 except UsageError as exc:
@@ -188,16 +194,58 @@ def _training_inputs(n_iterations, X_train, y_train, X_val, y_val):
     return np.asarray(y_train, dtype=np.float64), y_val
 
 
-def _classifier_fit(net, fit, X, y, class_weights, val, cold_restart, observer=None):
+def _classifier_fit(net, fit, X, y, class_weights, val, cold_restart, observer=None,
+                    previous=None):
     """Fit number ``fit`` of the classifier's 2n-fit schedule (iteration
     fit // 2, the refit when fit is odd), from a fresh net of the same seed
-    under cold_restart. Returns (the fitted net, its FitHistory)."""
+    under cold_restart. Returns (the fitted net, its FitHistory).
+
+    ``previous`` is the FitHistory of the fit just before this one, on the
+    same inputs, or None. Where ``_replayed`` derives this fit's history
+    from it, no fit runs and net is returned as it is."""
     iteration, stage = fit // 2, "refit" if fit % 2 else "fit"
-    if cold_restart:
-        net = BaseNet(net.schema, net.config, seed=net.seed)
     if observer is not None:
         observer({"event": "classifier_fit", "iteration": iteration, "stage": stage})
+    known = _replayed(net, previous, cold_restart, val)
+    if known is not None:
+        return net, known
+    if cold_restart:
+        net = BaseNet(net.schema, net.config, seed=net.seed)
     return net, _fit_stage(net, X, y, class_weights, val, iteration, "classifier " + stage)
+
+
+def _replayed(net, previous, cold_restart, val):
+    """The FitHistory of a classifier fit whose run is already determined,
+    or None. net is the state the fit is asked to start from: the outcome
+    of the fit ``previous`` reports, on the same inputs.
+
+    Under cold_restart both fits run a fresh net of the same seed on the
+    same inputs, so they are one run. Warm, with validation rows and
+    without shuffling, the new fit starts from the state after the
+    previous fit's best epoch b (Adam's included) and repeats the epochs
+    that fit ran after b, none of which improved on b. Where there are at
+    least m of them, m being the epochs a fit may run without improving
+    (patience, at least 1, capped by the epoch budget), the new fit stops
+    after its first m and rolls back to where it started, leaving net as
+    it is. In every other case, such as a fit that ran out of epochs while
+    still improving, the outcome is unknown."""
+    if previous is None:
+        return None
+    if cold_restart:
+        return FitHistory(**previous.to_dict())
+    config = net.config
+    if val is None or config.shuffle:
+        return None
+    b = previous.best_epoch
+    m = min(max(config.patience, 1), config.epochs)
+    if previous.epochs_run - 1 - b < m:
+        return None
+    tail = slice(b + 1, b + 1 + m)
+    return FitHistory(epochs_run=m, best_epoch=-1,
+                      initial_val_loss=(previous.val_losses[b] if b >= 0
+                                        else previous.initial_val_loss),
+                      train_losses=previous.train_losses[tail],
+                      val_losses=previous.val_losses[tail])
 
 
 def _fit_stage(net, X, y, class_weights, val, iteration, stage):
@@ -236,10 +284,11 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     cls_val = (X_val, y_val) if X_val is not None else None
 
     model.training_log = []
+    refit_hist = None  # nothing is written between a refit and the next fit
     for i in range(model.n_iterations):
         model.classifier, fit_hist = _classifier_fit(
             model.classifier, 2 * i, X_train, y_train, class_weights, cls_val,
-            model.cold_restart, observer)
+            model.cold_restart, observer, previous=refit_hist)
 
         predicted = model.classifier.predict_matrix(X_train)
         residual = y_train - predicted
@@ -335,7 +384,9 @@ def train_unboosted(model: XDBoostModel, X_train, y_train, X_val=None, y_val=Non
     it and runs only the fits after them, so a checkpoint of every fit
     (``_checkpoint``) runs none. The checkpoint of the first fit, which
     the two nets share bit for bit, comes from train_xdboost's first
-    residual_fit event.
+    residual_fit event. The inputs never change, so each fit is handed the
+    history of the one before it, the checkpoint's last included, and one
+    whose outcome that history determines runs no fit (``_replayed``).
     """
     n_iterations = model.n_iterations
     y_train, y_val = _training_inputs(n_iterations, X_train, y_train, X_val, y_val)
@@ -352,7 +403,7 @@ def train_unboosted(model: XDBoostModel, X_train, y_train, X_val=None, y_val=Non
         net.load_fit_state(state)
     for fit in range(len(hists), 2 * n_iterations):
         net, hist = _classifier_fit(net, fit, X_train, y_train, class_weights, val,
-                                    model.cold_restart)
+                                    model.cold_restart, previous=hists[-1] if hists else None)
         hists.append(hist)
     log = [{"iteration": i, "classifier_fit": hists[2 * i].to_dict(),
             "classifier_refit": hists[2 * i + 1].to_dict()} for i in range(n_iterations)]

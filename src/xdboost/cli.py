@@ -8,7 +8,10 @@ weights, then train the boosted model and its unboosted reference under
 the same seed and evaluate both on the validation and test splits. The
 reference's fits after the first, which it shares with the boosted
 classifier, run in a forked child (see ``child``) while the boosting loop
-goes on, given a second CPU to run on; so does ``predict``'s reading.
+goes on, given a second CPU to run on and a fit left to run: where the
+reference's second fit is known from its first (``boosting._replayed``),
+so is every later one, and the reference is rebuilt in-process without a
+fit. ``predict``'s reading runs in a forked child too.
 Results are written as one JSON file per run, after the run's model
 bundle; sweeps additionally emit a plot-ready CSV. Every output file is
 replaced atomically (see ``atomic``), and a command refuses a directory
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from . import metrics, synth
 from .atomic import refuse_directories, replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
-                       _check_knobs, _checkpoint, predict_xdboost,
+                       _check_knobs, _checkpoint, _replayed, predict_xdboost,
                        train_unboosted, train_xdboost)
 from .child import _Child
 from .data import (FieldSpec, SplitSpec, _row_line, build_schema, chronological_split,
@@ -273,11 +276,17 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     def fork_reference(event):
         # After the first fit, which the two classifiers share, the
         # reference's fits share nothing with the loop's, so a child runs
-        # them while the loop goes on.
+        # them while the loop goes on. Where the reference's second fit is
+        # known from its first, so is every later one, which repeats the
+        # fit before it: no fit is left to run, and nothing forks.
         if event["event"] == "residual_fit" and event["iteration"] == 0:
-            start = model.classifier.fit_state(), [event["classifier_history"]]
+            first = event["classifier_history"]
+            start = model.classifier.fit_state(), [first]
+            known = _replayed(model.classifier, first, cfg.cold_restart,
+                              None if val[0] is None else val)
             children.append(_Child(lambda: [_checkpoint(*train_reference(start))],
-                                   "the reference's training process", TrainingError))
+                                   "the reference's training process", TrainingError,
+                                   fork=known is None))
 
     try:
         train_xdboost(model, *train, *val, class_weights=weights, observer=fork_reference)

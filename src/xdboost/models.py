@@ -428,9 +428,13 @@ class BaseNet:
     def load_fit_state(self, state):
         """Resume from a fit_state (arena, (adam_t, m, v), rng_state), a
         checkpoint's or a bundle's: the one check of a saved net. A vector
-        of another shape than the arena, or holding a NaN or infinity, is a
+        of another shape than the arena, or holding a NaN or infinity, or a
+        step count that is not a non-negative int (a bool is not), is a
         UsageError; an rng_state of None keeps the seeded shuffle RNG."""
-        flat, (_, m, v), rng_state = state
+        flat, (t, m, v), rng_state = state
+        if type(t) is not int or t < 0:
+            raise UsageError(f"the checkpoint's Adam step count is {t!r}, "
+                             "not a non-negative integer")
         for name, vector in (("arena", flat), ("Adam m", m), ("Adam v", v)):
             if np.shape(vector) != self.flat.shape:
                 raise UsageError(f"the checkpoint's {name} has {np.size(vector)} entries in "

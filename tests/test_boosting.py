@@ -1,7 +1,8 @@
 """Boosting loop contracts: seed derivation, placeholder column discipline,
 the error-learning-rate collapse to the unboosted reference, a reference
-forked from the boosted model's first fit, determinism and bundle
-persistence, including a save that fails part-way."""
+forked from the boosted model's first fit, fits whose outcome the fit
+before them determines, determinism and bundle persistence, including a
+save that fails part-way."""
 
 import dataclasses
 import json
@@ -11,15 +12,20 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix, make_schema, read_bundle, write_bundle
-from xdboost.boosting import (XDBoostModel, append_placeholders, classifier_seed,
-                              create_xdboost, derive_seed, predict_xdboost,
-                              regressor_seed, train_unboosted, train_xdboost)
+from xdboost import boosting
+from xdboost.boosting import (XDBoostModel, _replayed, append_placeholders,
+                              classifier_seed, create_xdboost, derive_seed,
+                              predict_xdboost, regressor_seed, train_unboosted,
+                              train_xdboost)
 from xdboost.data import class_weights
 from xdboost.errors import ConfigError, DataError, TrainingError, UsageError
 from xdboost.models import BaseNet, BaseNetConfig, FitHistory
 
 NET = BaseNetConfig(embedding_dim=2, hidden_layers=(4,), learning_rate=1e-2,
                     epochs=3, patience=2, batch_size=64)
+# the acceptance gate's net: on these rows its fits stop by patience
+GATE = BaseNetConfig(embedding_dim=2, hidden_layers=(), learning_rate=3e-2,
+                     epochs=400, patience=30, batch_size=4096)
 
 
 def _training_setup(n_train=120, n_val=30, n_iterations=2, seed=31):
@@ -317,7 +323,7 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
                                                     cold_restart, with_val):
     """Resumed from the boosted classifier's state after its first fit, the
     reference runs one fit fewer and ends with the arena, Adam state,
-    shuffle RNG state and training log of one that runs every fit."""
+    shuffle RNG state and training log of one that starts from scratch."""
     config = dataclasses.replace(NET, shuffle=shuffle)
     schema, X_train, y_train, X_val, y_val = _training_setup(n_iterations=n_iterations)
     if not with_val:
@@ -335,17 +341,158 @@ def test_a_forked_reference_equals_one_from_scratch(monkeypatch, n_iterations, s
     fit, fits = BaseNet.fit, []
     monkeypatch.setattr(BaseNet, "fit",
                         lambda net, *a, **kw: fits.append(net) or fit(net, *a, **kw))
-    (scratch, scratch_log), (forked, forked_log) = (
-        train_unboosted(model, X_train, y_train, X_val, y_val, class_weights=weights,
-                        start=start)
-        for start in (None, fitted[0]))
-    assert len(fits) == 2 * n_iterations + (2 * n_iterations - 1)  # scratch, then forked
+    runs = []
+    for start in (None, fitted[0]):
+        fits.clear()
+        runs.append((*train_unboosted(model, X_train, y_train, X_val, y_val,
+                                      class_weights=weights, start=start), len(fits)))
+    (scratch, scratch_log, scratch_fits), (forked, forked_log, forked_fits) = runs
+    assert forked_fits == scratch_fits - 1
     assert json.dumps(forked_log) == json.dumps(scratch_log)
     for a, b in ((forked.flat, scratch.flat), (forked.optimizer.m, scratch.optimizer.m),
                  (forked.optimizer.v, scratch.optimizer.v)):
         assert a.tobytes() == b.tobytes()
     assert forked.optimizer.t == scratch.optimizer.t > 0
     assert forked._shuffle_rng.bit_generator.state == scratch._shuffle_rng.bit_generator.state
+
+
+# ---- fits whose outcome is known from the fit before -------------------------------
+
+def _first_fit(config, with_val=True, start=None):
+    """A classifier net of config fitted once on one placeholder-column
+    setup, from start's fit state when given: (net, its FitHistory, X, y,
+    val)."""
+    schema, X, y, X_val, y_val = _training_setup(n_iterations=1, seed=53)
+    val = (X_val, y_val) if with_val else None
+    net = BaseNet(schema.with_placeholders(1), config, seed=5)
+    if start is not None:
+        net.load_fit_state(start.fit_state())
+    return net, net.fit(X, y, val=val), X, y, val
+
+
+def _copy(net):
+    """A net of net's seed holding all a fit starts from: arena, Adam
+    state and shuffle RNG. (copy.deepcopy would cut the parameter views
+    loose from the arena.)"""
+    again = BaseNet(net.schema, net.config, seed=net.seed)
+    again.load_fit_state(net.fit_state())
+    return again
+
+
+def _state(net):
+    flat, (t, m, v), rng_state = net.fit_state()
+    return flat.tobytes(), t, m.tobytes(), v.tobytes(), rng_state
+
+
+def _tail(previous, m):
+    """The history of a warm fit that replays the m epochs after
+    previous's best one and rolls back."""
+    b = previous.best_epoch
+    return FitHistory(m, -1, previous.val_losses[b] if b >= 0 else previous.initial_val_loss,
+                      previous.train_losses[b + 1:b + 1 + m],
+                      previous.val_losses[b + 1:b + 1 + m])
+
+
+def _stopped(case):
+    """A first fit that stopped without improving for its last m epochs."""
+    if case == "patience":
+        return _first_fit(GATE)
+    if case == "patience-0":
+        return _first_fit(dataclasses.replace(GATE, patience=0))
+    # from the best state of a fit stopped by patience, the next 5 epochs
+    # do not improve: a fit of 5 epochs runs them all and rolls back
+    started, *_ = _first_fit(GATE)
+    return _first_fit(dataclasses.replace(GATE, epochs=5, patience=10), start=started)
+
+
+@pytest.mark.parametrize("case", ["patience", "epoch-budget", "patience-0"])
+def test_a_warm_fit_after_one_that_ended_without_improving_is_known(case):
+    """Unshuffled, with validation rows, a fit that starts where the one
+    before left the net repeats that fit's epochs after its best one: the
+    rule gives its history, and the fit leaves the net as it found it."""
+    net, first, X, y, val = _stopped(case)
+    m = min(max(net.config.patience, 1), net.config.epochs)
+    assert first.epochs_run - 1 - first.best_epoch >= m
+    if case == "epoch-budget":
+        assert (first.epochs_run, first.best_epoch) == (net.config.epochs, -1)
+    else:
+        assert first.epochs_run < net.config.epochs
+    known = _replayed(net, first, False, val)
+    again = _copy(net)
+    second = again.fit(X, y, val=val)
+    assert known.to_dict() == second.to_dict()
+    assert (second.epochs_run, second.best_epoch) == (m, -1)
+    assert _state(again) == _state(net)
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_a_cold_restart_after_a_fit_on_the_same_rows_is_known(shuffle, with_val):
+    """A fresh net of the same seed on the same rows runs the fit before
+    again: the rule gives a copy of its history, and the net it left is
+    the one the fit gives."""
+    net, first, X, y, val = _first_fit(dataclasses.replace(NET, shuffle=shuffle), with_val)
+    known = _replayed(net, first, True, val)
+    fresh = BaseNet(net.schema, net.config, seed=net.seed)
+    second = fresh.fit(X, y, val=val)
+    assert known.to_dict() == second.to_dict() == first.to_dict()
+    assert known is not first and known.train_losses is not first.train_losses
+    assert _state(fresh) == _state(net)
+
+
+@pytest.mark.parametrize("case", ["shuffle", "no-val", "short-tail", "tail-one-short"])
+def test_a_warm_fit_the_fit_before_does_not_determine_is_unknown(case):
+    """Shuffled batches, no validation rows to roll back to, or fewer
+    epochs after the best one than the fit may run without improving:
+    the second fit is none of the histories the rule derives."""
+    if case == "tail-one-short":
+        # the run of a fit that patience stops, cut one epoch short
+        _, stopped, *_ = _first_fit(GATE)
+        config = dataclasses.replace(GATE, epochs=stopped.epochs_run - 1)
+    else:
+        config = {"shuffle": dataclasses.replace(GATE, shuffle=True, batch_size=32),
+                  "no-val": dataclasses.replace(GATE, epochs=20),
+                  # runs out of epochs while still improving
+                  "short-tail": dataclasses.replace(GATE, epochs=5)}[case]
+    net, first, X, y, val = _first_fit(config, with_val=case != "no-val")
+    m = min(max(config.patience, 1), config.epochs)
+    tail = first.epochs_run - 1 - first.best_epoch
+    if case == "short-tail":
+        assert tail < m
+    elif case == "tail-one-short":
+        assert (first.epochs_run, tail) == (config.epochs, m - 1)
+    assert _replayed(net, first, False, val) is None
+    second = _copy(net).fit(X, y, val=val)
+    for derived in (first, _tail(first, m)):
+        assert second.to_dict() != derived.to_dict()
+
+
+@pytest.mark.parametrize("n_iterations", [2, 3])
+def test_at_the_gate_net_only_fits_of_unknown_outcome_run(monkeypatch, n_iterations):
+    """Each iteration's first fit after the first repeats the refit before
+    it, and every reference fit after the first repeats the fit before it.
+    Those run no BaseNet.fit, and the logs and nets are the bits of a run
+    that derives nothing."""
+    schema, X_train, y_train, X_val, y_val = _training_setup(n_iterations=n_iterations)
+
+    def train():
+        model = create_xdboost(schema, GATE, n_iterations, error_lr=0.5, seed=47)
+        train_xdboost(model, X_train, y_train, X_val, y_val)
+        boosted_fits = len(fits)
+        reference, log = train_unboosted(model, X_train, y_train, X_val, y_val)
+        return (boosted_fits, len(fits) - boosted_fits, json.dumps(model.training_log),
+                json.dumps(log), _state(model.classifier), _state(reference))
+
+    fit, fits = BaseNet.fit, []
+    monkeypatch.setattr(BaseNet, "fit",
+                        lambda net, *a, **kw: fits.append(net) or fit(net, *a, **kw))
+    derived = train()
+    fits.clear()
+    monkeypatch.setattr(boosting, "_replayed", lambda *args: None)
+    every = train()
+    assert derived[:2] == (3 * n_iterations - (n_iterations - 1), 1)
+    assert every[:2] == (3 * n_iterations, 2 * n_iterations)
+    assert derived[2:] == every[2:]
 
 
 def test_a_checkpoint_of_every_fit_rebuilds_the_reference_without_fitting(monkeypatch):

@@ -40,6 +40,11 @@ FAST_MODEL = {
 }
 
 
+# A net whose reference refit really trains: with shuffled batches no fit
+# is known from the one before it, so the reference has fits to fork for.
+FORKING_MODEL = {**FAST_MODEL, "net": {**FAST_MODEL["net"], "shuffle": True}}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     raw = {"seed": 11, "synthetic": {"n_rows": 400, "vocab_size": 8},
            "model": dict(FAST_MODEL)}
@@ -433,7 +438,7 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     """Where os.fork does not exist or fails, or with one CPU, the reference
     trains in-process, to the same bytes, and a failed fork leaks no pipe."""
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
-    config = write_config(tmp_path)
+    config = write_config(tmp_path, model=FORKING_MODEL)
     pipe, close = os.pipe, os.close
     pipes, closed = [], []
     for name in ("forked", "in_process", "fork_fails", "one_cpu"):
@@ -459,6 +464,34 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     assert forked == _result_files(tmp_path / "one_cpu")
     assert len(pipes) == 3  # one per experiment
     assert {fd for fds in pipes for fd in fds} <= set(closed)
+
+
+# The acceptance gate's net: its first classifier fit stops by patience
+GATE_MODEL = {"n_iterations": 2, "error_lr": 0.5,
+              "net": {"embedding_dim": 2, "hidden_layers": [], "learning_rate": 0.03,
+                      "epochs": 400, "patience": 30, "batch_size": 4096}}
+
+
+def test_a_reference_with_no_fit_left_to_run_does_not_fork(tmp_path, monkeypatch, two_cpus):
+    """Every reference fit after the first is known from the one before
+    it, so the reference trains in-process though two CPUs are free, to
+    the bytes of a run where os.fork does not exist."""
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+    config = write_config(tmp_path, model=GATE_MODEL)
+    for name in ("fork_refused", "no_fork"):
+        with monkeypatch.context() as patch:
+            if name == "fork_refused":
+                patch.setattr(os, "fork", lambda: pytest.fail("forked for no fit"))
+            else:
+                patch.delattr(os, "fork")
+            (tmp_path / name).mkdir()
+            patch.chdir(tmp_path / name)  # the results embed the output directory
+            assert cli.main(["train", "--config", config, "--output-dir", "run"]) == 0
+    refused = _result_files(tmp_path / "fork_refused")
+    assert len(refused) == 1
+    assert refused == _result_files(tmp_path / "no_fork")
+    result = read_json(tmp_path / "no_fork" / "run" / "train_result.json")
+    assert result["baseline_training_log"][0]["classifier_refit"]["best_epoch"] == -1
 
 
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
@@ -496,7 +529,7 @@ def test_an_experiment_takes_one_fit_state_in_the_parent(tmp_path, monkeypatch, 
     monkeypatch.setattr(BaseNet, "fit_state", lambda net: taken.append(net) or fit_state(net))
     if not forked:
         monkeypatch.delattr(os, "fork")
-    config = write_config(tmp_path, model={**FAST_MODEL, "n_iterations": n_iterations})
+    config = write_config(tmp_path, model={**FORKING_MODEL, "n_iterations": n_iterations})
     assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
     assert len(taken) == fit_states
 
@@ -527,7 +560,7 @@ def test_the_parent_s_last_reference_scores_the_reported_baseline(tmp_path, monk
                         lambda *a, **kw: returned.append(train(*a, **kw)) or returned[-1])
     if not forked:
         monkeypatch.delattr(os, "fork")
-    cfg = cli.load_config(write_config(tmp_path), output_dir=str(tmp_path))
+    cfg = cli.load_config(write_config(tmp_path, model=FORKING_MODEL), output_dir=str(tmp_path))
     log, field_spec, _ = cli.load_records(cfg)
     result, model = cli.run_experiment(cfg, log, field_spec, None)
     reference = returned[-1][0]
@@ -854,7 +887,7 @@ def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monk
     before, zeroed_fits = _fail_the_reference_refit(
         TrainingError("non-finite training loss at epoch 0, batch row 0"))
     _patch_fit(monkeypatch, before)
-    config = write_config(tmp_path)
+    config = write_config(tmp_path, model=FORKING_MODEL)
     errors, forks = [], []
     fork = os.fork
     for name in ("forked", "in_process"):
@@ -883,7 +916,7 @@ def test_an_unexpected_reference_failure_exits_1_forked_or_not(tmp_path, capsys,
     and a traceback that reaches the frame which raised, forked or not."""
     before, zeroed_fits = _fail_the_reference_refit(exc)
     _patch_fit(monkeypatch, before)
-    config = write_config(tmp_path)
+    config = write_config(tmp_path, model=FORKING_MODEL)
     for name in ("forked", "in_process"):
         with monkeypatch.context() as patch:
             if name == "in_process":
@@ -912,7 +945,7 @@ def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatc
 
     _patch_fit(monkeypatch, fail_both_sides)
     t0 = time.monotonic()
-    assert cli.main(["train", "--config", write_config(tmp_path),
+    assert cli.main(["train", "--config", write_config(tmp_path, model=FORKING_MODEL),
                      "--output-dir", str(tmp_path / "run")]) == 4
     assert time.monotonic() - t0 < 30
     assert capsys.readouterr().err == (
@@ -1427,6 +1460,11 @@ BUNDLE_FAULTS = {
     "version-1-directory": _version_1_directory,
     "nan-in-classifier-arena": _first_entry("flat_0", np.nan),
     "inf-in-regressor-arena": _first_entry("flat_1", np.inf),
+    # a step count that is not a non-negative int: a negative one turns
+    # Adam's bias corrections negative on continued training
+    **{f"adam-step-count-{value!r}": _edited(
+        lambda manifest, arrays, value=value: manifest["nets"][1].update(adam_t=value))
+       for value in (-5, 1.5, True, 1e30)},
 }
 
 
