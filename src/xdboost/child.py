@@ -2,13 +2,12 @@
 
 ``_Child`` forks, runs a job in the child and reads each item the job
 yields back through a pipe, pickled, while the caller works on the items
-before; where it cannot fork, where the process may run on one CPU
-only, so that the two would only take turns, or where the caller asks it
-not to fork, it runs the job in-process as its items are asked for. The
-experiment harness runs the unboosted reference's fits this way while the
-boosting loop goes on, as a stream of one item, and forks only when a
-reference fit is left to run; ``predict`` reads and encodes its CSV this
-way while it scores and writes the chunks before.
+before; where it cannot fork, or where the process may run on one CPU
+only, so that the two would only take turns, it runs the job in-process
+as its items are asked for. The experiment harness runs the unboosted
+reference's fits this way while the boosting loop goes on, as a stream
+of one item, when a reference fit is left to run; ``predict`` reads and
+encodes its CSV this way while it scores and writes the chunks before.
 
 On Python 3.12 and later os.fork warns when the process runs other
 threads. OpenBLAS stops its thread pool before a fork, so a process
@@ -37,10 +36,9 @@ def _cpus():
 class _Child:
     """The items of the iterable ``job()``, made in a forked child beside
     the caller: iterating the _Child yields them in order, each pickled
-    through a pipe. Where the caller passes ``fork=False`` (the job is too
-    cheap to be worth a process), where ``_cpus`` reports one CPU, where
-    os.fork does not exist, or where the pipe or the fork fails, the job
-    runs in-process instead, as its items are asked for.
+    through a pipe. Where ``_cpus`` reports one CPU, where os.fork does
+    not exist, or where the pipe or the fork fails, the job runs
+    in-process instead, as its items are asked for.
 
     An exception the job raises is raised after the items before it, with
     its class and message and the child's traceback as its cause (one that
@@ -51,10 +49,10 @@ class _Child:
     to its end.
     """
 
-    def __init__(self, job, name, error, fork=True):
+    def __init__(self, job, name, error):
         self._name, self._error, self._pid, self._fh = name, error, None, None
         self._items = self._in_process(job)
-        if not (fork and hasattr(os, "fork") and _cpus() > 1):
+        if not (hasattr(os, "fork") and _cpus() > 1):
             return
         fds = ()
         try:

@@ -271,7 +271,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     def train_reference(start):
         return train_unboosted(model, *train, *val, class_weights=weights, start=start)
 
-    children = []
+    children, known = [], []
 
     def fork_reference(event):
         # After the first fit, which the two classifiers share, the
@@ -282,22 +282,23 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
         if event["event"] == "residual_fit" and event["iteration"] == 0:
             first = event["classifier_history"]
             start = model.classifier.fit_state(), [first]
-            known = _replayed(model.classifier, first, cfg.cold_restart,
-                              None if val[0] is None else val)
-            children.append(_Child(lambda: [_checkpoint(*train_reference(start))],
-                                   "the reference's training process", TrainingError,
-                                   fork=known is None))
+            if _replayed(model.classifier, first, cfg.cold_restart,
+                         None if val[0] is None else val) is not None:
+                known.append(start)
+            else:
+                children.append(_Child(lambda: [_checkpoint(*train_reference(start))],
+                                       "the reference's training process", TrainingError))
 
     try:
         train_xdboost(model, *train, *val, class_weights=weights, observer=fork_reference)
         timings["train_boosted"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        checkpoint = children[0].result()
+        checkpoint = children[0].result() if children else known[0]
     finally:
         for child in children:
             child.close()
-    # resumes at the end of the schedule: rebuilds the net, runs no fit
+    # resumes at the end of the schedule, run or derived: rebuilds the net, runs no fit
     reference, reference_log = train_reference(checkpoint)
     timings["train_baseline"] = time.perf_counter() - t0
 

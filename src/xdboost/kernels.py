@@ -1,8 +1,9 @@
 """The two inner-loop kernels of training, in numpy.
 
-``scatter_add_scalars`` accumulates every categorical gradient of a batch
-(embedding tables and first-order weights alike) with one ``np.bincount``
-over flat bucket indices, so each training step makes one call.
+``scatter_add_scalars`` accumulates the categorical gradients of a batch
+with one ``np.bincount`` over bucket indices: a training step makes one
+call per column of the stacked embedding tables and one for the
+first-order tables, k + 1 calls in all.
 ``adam_update`` is the fused Adam step over a whole parameter vector.
 ``BACKEND`` is reported in run provenance; it is always ``"numpy"``.
 """

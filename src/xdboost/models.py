@@ -15,14 +15,13 @@ vector, its parameter arena, in one fixed layout. The gradient of a batch
 is a vector in the same layout, and Adam's two moment vectors match it
 too, so an optimizer step is one fused update over the whole vector and
 an early-stopping snapshot is one copy per vector. The categorical tables
-lead the layout, so one scatter-add over flat bucket indices fills the
-gradient of every embedding and first-order table. A model bundle stores
-each net as the same three vectors.
+lead the layout, embeddings first, so they stack into one (rows, k) view
+and one vector view. A model bundle stores each net as the same three
+vectors.
 
 Rows reach the forward pass as prepared batches: each batch's continuous
-columns plus the arena index of every categorical parameter its rows
-read. One gather from the arena with those indices replaces the per-table
-lookups, and the backward pass scatters into the same indices. A fit
+columns plus each categorical cell's row in the stacked tables, which the
+forward pass gathers from and the backward pass scatters into. A fit
 prepares its validation batches once and, unless batches are shuffled,
 its training batches once too, and reuses them every epoch; prediction
 prepares each batch as it goes. The prepared form changes no bit of any
@@ -163,9 +162,7 @@ class BaseNet:
         self.n_fields = self.n_cat + self.n_cont
 
         vocab = [schema.vocab_size(name) for name in schema.cat_fields]
-        starts = np.cumsum([0, *vocab])[:-1]
-        self._emb_starts, self._lin_starts = k * starts, k * sum(vocab) + starts
-        self._n_cat_params = (k + 1) * sum(vocab)
+        self._starts = np.cumsum([0, *vocab])[:-1]
         dims = [self.n_fields * k, *config.hidden_layers, 1]
         self._shapes = ([(v, k) for v in vocab] + [(v,) for v in vocab]
                         + [(self.n_cont, k), (self.n_cont,), (1,)]
@@ -174,6 +171,7 @@ class BaseNet:
         self.flat = np.zeros(sum(math.prod(shape) for shape in self._shapes))
         (self.embeddings, self.lin_cat, (self.cont_proj, self.lin_cont, self.bias),
          layer_params) = self._group(self.flat)
+        self._emb, self._lin = self._stacked(self.flat)
 
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0]))
         for table in self.embeddings:
@@ -199,6 +197,17 @@ class BaseNet:
         return (views[:n], views[n:2 * n], views[2 * n:2 * n + 3],
                 list(zip(dense[::2], dense[1::2])))
 
+    def _stacked(self, buffer):
+        """A layout-shaped vector's categorical tables stacked: (embeddings
+        as one (rows, k) view, first-order weights as one vector)."""
+        k, rows = self.config.embedding_dim, sum(map(len, self.embeddings))
+        return buffer[:k * rows].reshape(rows, k), buffer[k * rows:(k + 1) * rows]
+
+    def __reduce__(self):
+        # a copy or a pickle is rebuilt and resumed, so its tensors stay
+        # views of its own arena
+        return BaseNet, (self.schema, self.config, self.seed), self.fit_state()
+
     # ---- forward / backward -------------------------------------------------
 
     def _check_matrix(self, X: DesignMatrix):
@@ -217,21 +226,9 @@ class BaseNet:
                     raise DataError(f"categorical index out of range in field {name!r}")
 
     def _batch(self, cat, cont):
-        """The prepared form of a batch of rows: (cont, idx).
-
-        ``idx`` holds the arena index of every categorical parameter the
-        rows read, embedding entries (row, field, c) row-major, then
-        first-order weights (field, row) field-major. The forward pass
-        gathers them from ``flat`` in one call and the backward pass
-        scatters into the same buckets of the gradient.
-        """
-        (n, n_cat), k = cat.shape, self.config.embedding_dim
-        idx = np.empty(n * n_cat * (k + 1), dtype=np.int64)
-        split = n * n_cat * k
-        starts = np.repeat(self._emb_starts + k * cat, k, axis=1)
-        np.add(starts, np.tile(np.arange(k), n_cat), out=idx[:split].reshape(n, n_cat * k))
-        np.add(self._lin_starts[:, None], cat.T, out=idx[split:].reshape(n_cat, n))
-        return cont, idx
+        """The prepared form of a batch of rows: (cont, rows), where
+        ``rows[i, j]`` is the row of cell (i, j) in the stacked tables."""
+        return cont, cat + self._starts
 
     def _batches(self, X):
         """Prepared batches of X's rows in order, ``batch_size`` rows each,
@@ -242,12 +239,10 @@ class BaseNet:
                 for lo in range(0, X.n_rows, bs))
 
     def _forward(self, batch, want_cache):
-        cont, idx = batch
+        cont, rows = batch
         n, k, n_cat = cont.shape[0], self.config.embedding_dim, self.n_cat
-        split = n * n_cat * k
-        gathered = self.flat[idx]
         V = np.empty((n, self.n_fields, k))
-        V[:, :n_cat] = gathered[:split].reshape(n, n_cat, k)
+        V[:, :n_cat] = np.take(self._emb, rows, axis=0)
         np.multiply(np.repeat(cont, k, axis=1).reshape(n, self.n_cont, k), self.cont_proj,
                     out=V[:, n_cat:])
 
@@ -258,7 +253,7 @@ class BaseNet:
         fm = 0.5 * ((total * total).sum(axis=1) - (V * V).sum(axis=(1, 2)))
 
         linear = np.full(n, self.bias[0])
-        for w in gathered[split:].reshape(n_cat, n):
+        for w in np.take(self._lin, rows.T):
             linear += w
         linear += cont @ self.lin_cont
 
@@ -276,7 +271,7 @@ class BaseNet:
     def _backward(self, cache, dlogit):
         """Gradient of the scalar loss given dL/dlogit, as one vector laid
         out like ``flat``."""
-        V, total, caches, (cont, idx) = cache
+        V, total, caches, (cont, rows) = cache
         n, k = V.shape[0], self.config.embedding_dim
         grad = np.zeros_like(self.flat)
         _, _, (dcont_proj, dlin_cont, dbias), dlayers = self._group(grad)
@@ -292,13 +287,13 @@ class BaseNet:
         dh += pairwise
         dV = dh.reshape(n, self.n_fields, k)
 
-        # The categorical tables lead the layout, embeddings first, so one
-        # scatter into the buckets the forward pass gathered from fills
-        # them all. Each bucket belongs to one field and receives its rows
-        # in order, so the sums equal a per-table scatter bit for bit.
-        kernels.scatter_add_scalars(
-            grad[:self._n_cat_params], idx,
-            np.concatenate([dV[:, :self.n_cat, :].ravel(), np.tile(dlogit, self.n_cat)]))
+        # Each stacked row belongs to one field and receives the batch's
+        # rows in order, so the sums equal a per-table scatter bit for bit.
+        demb, dlin = self._stacked(grad)
+        cells = rows.ravel()
+        for c in range(k):
+            kernels.scatter_add_scalars(demb[:, c], cells, dV[:, :self.n_cat, c].ravel())
+        kernels.scatter_add_scalars(dlin, cells, np.repeat(dlogit, self.n_cat))
         dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
         dlin_cont[...] = cont.T @ dlogit
         dbias[0] = dlogit.sum()
@@ -445,9 +440,12 @@ class BaseNet:
         if rng_state is not None:
             self._shuffle_rng.bit_generator.state = rng_state
 
+    __setstate__ = load_fit_state
+
     def _snapshot(self):
         return self.flat.copy(), self.optimizer.state_copy()
 
     def _restore(self, state):
         self.flat[...] = state[0]
         self.optimizer.load_state(state[1])
+

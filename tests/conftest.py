@@ -8,9 +8,9 @@ reader and writer of model bundle archives for fault injection, a
 whole-file click-log reader built on the chunked one, a csv.reader-only
 click-log reader with a strategy for awkward CSV files,
 the per-row ``json.dumps`` form of ``records_hash``, the forward and
-backward passes in the broadcast form they had before they were made
-broadcast-free, an exception that does not survive a pickle round trip,
-and a guard that fails any test leaving a child process unreaped.
+backward passes in the per-table, broadcast form they had before they
+were made broadcast-free, an exception that does not survive a pickle
+round trip, and a guard that fails any test leaving a child process unreaped.
 The forward pass here is written from the model definition, not from the
 package source, so the two implementations verify each other. The gradient
 check is shared between the unit tests and the acceptance gate.
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from xdboost import kernels, nn
+from xdboost import nn
 from xdboost.data import (ClickLog, DesignMatrix, FeatureSchema, _Factorizer, _joined,
                           scan_csv)
 from xdboost.errors import DataError
@@ -445,14 +445,14 @@ def records_hash_oracle(log):
     return h.hexdigest()
 
 
-def broadcast_forward(net, batch):
+def broadcast_forward(net, cat, cont):
     """BaseNet._forward as it was with k-wide broadcasts: the continuous
-    fields scaled by ``cont[:, :, None]``. Returns (outputs, V, total)."""
-    cont, idx = batch
+    fields scaled by ``cont[:, :, None]``, each categorical field looked up
+    in its own tables. Returns (outputs, V, total)."""
     n, k, n_cat = cont.shape[0], net.config.embedding_dim, net.n_cat
-    split = n * n_cat * k
-    gathered = net.flat[idx]
-    emb = gathered[:split].reshape(n, n_cat, k)
+    emb = np.empty((n, n_cat, k))
+    for j, table in enumerate(net.embeddings):
+        emb[:, j] = table[cat[:, j]]
     if net.n_cont:
         V = np.empty((n, net.n_fields, k))
         V[:, :n_cat] = emb
@@ -462,8 +462,8 @@ def broadcast_forward(net, batch):
     total = np.einsum("nfk->nk", V) if k > 1 else V.sum(axis=1)
     fm = 0.5 * ((total * total).sum(axis=1) - (V * V).sum(axis=(1, 2)))
     linear = np.full(n, net.bias[0])
-    for w in gathered[split:].reshape(n_cat, n):
-        linear += w
+    for j, table in enumerate(net.lin_cat):
+        linear += table[cat[:, j]]
     if net.n_cont:
         linear += cont @ net.lin_cont
     h = V.reshape(n, net.n_fields * k)
@@ -472,13 +472,14 @@ def broadcast_forward(net, batch):
     return nn.activation_apply(net.config.head, h[:, 0] + fm + linear), V, total
 
 
-def broadcast_backward(net, cache, dlogit):
+def broadcast_backward(net, cat, cache, dlogit):
     """BaseNet._backward as it was with the pairwise term's gradient
-    broadcast as ``total[:, None, :] - V``."""
-    V, total, caches, (cont, idx) = cache
+    broadcast as ``total[:, None, :] - V`` and one ``np.add.at`` per
+    embedding table and per first-order table."""
+    V, total, caches, (cont, _) = cache
     n, k = V.shape[0], net.config.embedding_dim
     grad = np.zeros_like(net.flat)
-    _, _, (dcont_proj, dlin_cont, dbias), dlayers = net._group(grad)
+    demb, dlin_cat, (dcont_proj, dlin_cont, dbias), dlayers = net._group(grad)
     dh = dlogit[:, None]
     for layer, layer_cache, (dw, db) in zip(reversed(net.layers), reversed(caches),
                                             reversed(dlayers)):
@@ -487,9 +488,9 @@ def broadcast_backward(net, cache, dlogit):
     pairwise = total[:, None, :] - V
     pairwise *= dlogit[:, None, None]
     dV += pairwise
-    kernels.scatter_add_scalars(
-        grad[:net._n_cat_params], idx,
-        np.concatenate([dV[:, :net.n_cat, :].ravel(), np.tile(dlogit, net.n_cat)]))
+    for j in range(net.n_cat):
+        np.add.at(demb[j], cat[:, j], dV[:, j, :])
+        np.add.at(dlin_cat[j], cat[:, j], dlogit)
     if net.n_cont:
         dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, net.n_cat:, :], cont)
         dlin_cont[...] = cont.T @ dlogit

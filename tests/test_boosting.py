@@ -4,6 +4,7 @@ forked from the boosted model's first fit, fits whose outcome the fit
 before them determines, determinism and bundle persistence, including a
 save that fails part-way."""
 
+import copy
 import dataclasses
 import json
 import warnings
@@ -370,15 +371,6 @@ def _first_fit(config, with_val=True, start=None):
     return net, net.fit(X, y, val=val), X, y, val
 
 
-def _copy(net):
-    """A net of net's seed holding all a fit starts from: arena, Adam
-    state and shuffle RNG. (copy.deepcopy would cut the parameter views
-    loose from the arena.)"""
-    again = BaseNet(net.schema, net.config, seed=net.seed)
-    again.load_fit_state(net.fit_state())
-    return again
-
-
 def _state(net):
     flat, (t, m, v), rng_state = net.fit_state()
     return flat.tobytes(), t, m.tobytes(), v.tobytes(), rng_state
@@ -418,7 +410,7 @@ def test_a_warm_fit_after_one_that_ended_without_improving_is_known(case):
     else:
         assert first.epochs_run < net.config.epochs
     known = _replayed(net, first, False, val)
-    again = _copy(net)
+    again = copy.deepcopy(net)
     second = again.fit(X, y, val=val)
     assert known.to_dict() == second.to_dict()
     assert (second.epochs_run, second.best_epoch) == (m, -1)
@@ -462,7 +454,7 @@ def test_a_warm_fit_the_fit_before_does_not_determine_is_unknown(case):
     elif case == "tail-one-short":
         assert (first.epochs_run, tail) == (config.epochs, m - 1)
     assert _replayed(net, first, False, val) is None
-    second = _copy(net).fit(X, y, val=val)
+    second = copy.deepcopy(net).fit(X, y, val=val)
     for derived in (first, _tail(first, m)):
         assert second.to_dict() != derived.to_dict()
 

@@ -494,6 +494,21 @@ def test_a_reference_with_no_fit_left_to_run_does_not_fork(tmp_path, monkeypatch
     assert result["baseline_training_log"][0]["classifier_refit"]["best_epoch"] == -1
 
 
+def test_a_reference_with_no_fit_left_to_run_resumes_the_first_checkpoint(
+        tmp_path, monkeypatch, two_cpus):
+    """With no reference fit left to run, the first fit's checkpoint is
+    resumed once, after the loop: one train_unboosted call, and the fit
+    state taken at the first fit is the only one."""
+    train, calls = cli.train_unboosted, []
+    monkeypatch.setattr(cli, "train_unboosted",
+                        lambda *a, **kw: calls.append(1) or train(*a, **kw))
+    fit_state, taken = BaseNet.fit_state, []
+    monkeypatch.setattr(BaseNet, "fit_state", lambda net: taken.append(net) or fit_state(net))
+    config = write_config(tmp_path, model=GATE_MODEL)
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert (len(calls), len(taken)) == (1, 1)
+
+
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
 def test_train_on_a_split_without_validation_rows(tmp_path, monkeypatch, two_cpus, forked):
     """Both models train without early stopping and are scored on the test

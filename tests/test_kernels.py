@@ -1,5 +1,5 @@
-"""The numpy kernels: the one categorical scatter must add in index order,
-bit for bit, and the forward and backward passes built on prepared batches
+"""The numpy kernels: the categorical scatter must add in index order, bit
+for bit, and the forward and backward passes built on prepared batches
 must equal the per-field and broadcast formulations they replaced."""
 
 import numpy as np
@@ -21,13 +21,13 @@ def test_backend_is_reported():
 
 
 def test_scatter_add_rows_accumulates_duplicates():
-    """Rows scatter through the scalar kernel as flat buckets
-    ``idx * k + c``, the way the backward pass fills embedding tables."""
+    """Rows scatter through the scalar kernel one column at a time, the
+    way the backward pass fills the stacked embedding tables."""
     out = np.zeros((2, 2))
     idx = np.array([1, 1, 0], dtype=np.int64)
     rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    kernels.scatter_add_scalars(out.reshape(-1), (idx[:, None] * 2 + np.arange(2)).ravel(),
-                                rows.ravel())
+    for c in range(2):
+        kernels.scatter_add_scalars(out[:, c], idx, rows[:, c])
     assert np.array_equal(out, [[5.0, 6.0], [4.0, 6.0]])
 
 
@@ -98,29 +98,6 @@ def test_forward_equals_the_per_field_gather(vocab_sizes, n_cont, n_placeholders
     assert net._forward(net._batch(X.cat, X.cont), want_cache=False)[0].tobytes() == out.tobytes()
 
 
-def _per_field_backward(net, cat, cache, dlogit):
-    """The backward pass as it was before the single scatter: one
-    ``np.add.at`` per embedding table and per first-order table."""
-    V, total, caches, (cont, _) = cache
-    n, k = cat.shape[0], net.config.embedding_dim
-    grad = np.zeros_like(net.flat)
-    demb, dlin_cat, (dcont_proj, dlin_cont, dbias), dlayers = net._group(grad)
-    dh = dlogit[:, None]
-    for layer, layer_cache, (dw, db) in zip(reversed(net.layers), reversed(caches),
-                                            reversed(dlayers)):
-        dh, dw[...], db[...] = layer.backward(layer_cache, dh)
-    dV = dh.reshape(n, net.n_fields, k)
-    dV = dV + dlogit[:, None, None] * (total[:, None, :] - V)
-    for j in range(net.n_cat):
-        np.add.at(demb[j], cat[:, j], dV[:, j, :])
-        np.add.at(dlin_cat[j], cat[:, j], dlogit)
-    if net.n_cont:
-        dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, net.n_cat:, :], cont)
-        dlin_cont[...] = cont.T @ dlogit
-    dbias[0] = dlogit.sum()
-    return grad
-
-
 @settings(max_examples=40, deadline=None)
 @given(vocab_sizes=st.sampled_from([(3, 2, 1), (1,), ()]), n_rows=st.integers(0, 48),
        k=st.integers(1, 4), hidden=st.sampled_from([(), (5,)]),
@@ -135,7 +112,7 @@ def test_backward_equals_the_per_field_scatter(vocab_sizes, n_rows, k, hidden, s
     _, cache = net._forward(net._batch(X.cat, X.cont), want_cache=True)
     dlogit = scale * rng.standard_normal(n_rows)
     got = net._backward(cache, dlogit)
-    assert got.tobytes() == _per_field_backward(net, X.cat, cache, dlogit).tobytes()
+    assert got.tobytes() == broadcast_backward(net, X.cat, cache, dlogit).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,13 +139,12 @@ def test_passes_equal_the_broadcast_lines(vocab_sizes, n_cont, n_rows, k, hidden
     net.flat[rng.random(net.flat.size) < zero_share] = -0.0
     X = make_matrix(rng, schema, n_rows)
     X.cont[rng.random(X.cont.shape) < zero_share] = -0.0
-    batch = net._batch(X.cat, X.cont)
-    out, cache = net._forward(batch, want_cache=True)
-    for got, expected in zip((out, *cache[:2]), broadcast_forward(net, batch)):
+    out, cache = net._forward(net._batch(X.cat, X.cont), want_cache=True)
+    for got, expected in zip((out, *cache[:2]), broadcast_forward(net, X.cat, X.cont)):
         assert got.tobytes() == expected.tobytes()
     dlogit = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 9, n_rows)
     dlogit[rng.random(n_rows) < zero_share] = -0.0
-    expected = broadcast_backward(net, cache, dlogit)
+    expected = broadcast_backward(net, X.cat, cache, dlogit)
     assert net._backward(cache, dlogit).tobytes() == expected.tobytes()
 
 

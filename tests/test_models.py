@@ -4,12 +4,15 @@ against finite differences, fit/early-stopping behavior and the model
 bundle that stores every net.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import pickle
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -501,6 +504,59 @@ def test_a_net_without_continuous_inputs_fits_to_the_recorded_bits(head):
         digest.update(array.tobytes())
     digest.update(json.dumps(history.to_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == NO_CONT_FIT_DIGESTS[head]
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copied_or_pickled_net_fits_as_the_original(how):
+    """A copy is the net rebuilt from its seed and fit state, so its tensors
+    are views of its own arena and a later fit of the two, shuffled, gives
+    the same bits."""
+    schema, X, y, val_X, val_y = _fit_case()
+    config = BaseNetConfig(embedding_dim=3, hidden_layers=(5,), learning_rate=0.05,
+                           epochs=4, batch_size=16, shuffle=True)
+    net = BaseNet(schema, config, seed=29)
+    net.fit(X, y, val=(val_X, val_y))
+    again = (copy.deepcopy(net) if how == "deepcopy"
+             else pickle.loads(pickle.dumps(net, pickle.HIGHEST_PROTOCOL)))
+    views = [*params(again), *again.embeddings, *again.lin_cat, again.cont_proj,
+             again.lin_cont, again.bias, again._emb, again._lin,
+             *[a for layer in again.layers for a in (layer.weights, layer.bias)]]
+    assert all(np.shares_memory(view, again.flat) for view in views)
+    assert not np.shares_memory(again.flat, net.flat)
+    for fitted in (net, again):
+        fitted.fit(X, y, val=(val_X, val_y))
+    flat, (t, m, v), _ = net.fit_state()
+    copied, (t_copied, m_copied, v_copied), _ = again.fit_state()
+    assert t == t_copied > 0
+    for a, b in ((flat, copied), (m, m_copied), (v, v_copied),
+                 (net.predict_matrix(val_X), again.predict_matrix(val_X))):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 8, 64])
+def test_a_prepared_batch_holds_one_row_per_cell(k):
+    """A prepared batch is one stacked-table row per categorical cell,
+    whatever k; a 2-epoch unshuffled fit at k == 64, which prepares its
+    4 000 training rows once, allocates less than the k + 1 arena indices
+    per cell that form held."""
+    schema = make_schema((4, 3, 2), n_cont=1)
+    rng = np.random.default_rng(31)
+    X = make_matrix(rng, schema, 4000)
+    y = (X.cat[:, 0] >= 2).astype(np.float64)
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=k, hidden_layers=(), epochs=2,
+                                        batch_size=64), seed=33)
+    cont, rows = net._batch(X.cat, X.cont)
+    assert rows.shape == X.cat.shape and cont is X.cont
+    assert [rows[:, j].min() for j in range(3)] == [0, 5, 9]  # one OOV slot per field
+    if k == 64:
+        indices_bytes = X.n_rows * net.n_cat * (k + 1) * 8
+        tracemalloc.start()
+        try:
+            net.fit(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < indices_bytes
 
 
 def _wrong_placeholders(val_X, val_y):
