@@ -195,7 +195,7 @@ def _training_inputs(n_iterations, X_train, y_train, X_val, y_val):
 
 
 def _classifier_fit(net, fit, X, y, class_weights, val, cold_restart, observer=None,
-                    previous=None):
+                    previous=None, validator=None):
     """Fit number ``fit`` of the classifier's 2n-fit schedule (iteration
     fit // 2, the refit when fit is odd), from a fresh net of the same seed
     under cold_restart. Returns (the fitted net, its FitHistory).
@@ -211,7 +211,8 @@ def _classifier_fit(net, fit, X, y, class_weights, val, cold_restart, observer=N
         return net, known
     if cold_restart:
         net = BaseNet(net.schema, net.config, seed=net.seed)
-    return net, _fit_stage(net, X, y, class_weights, val, iteration, "classifier " + stage)
+    return net, _fit_stage(net, X, y, class_weights, val, iteration, "classifier " + stage,
+                           validator)
 
 
 def _replayed(net, previous, cold_restart, val):
@@ -248,15 +249,15 @@ def _replayed(net, previous, cold_restart, val):
                       val_losses=previous.val_losses[tail])
 
 
-def _fit_stage(net, X, y, class_weights, val, iteration, stage):
+def _fit_stage(net, X, y, class_weights, val, iteration, stage, validator=None):
     try:
-        return net.fit(X, y, class_weights=class_weights, val=val)
+        return net.fit(X, y, class_weights=class_weights, val=val, validator=validator)
     except TrainingError as exc:
         raise TrainingError(f"iteration {iteration}, stage {stage!r}: {exc}") from exc
 
 
 def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
-                  class_weights=None, observer=None):
+                  class_weights=None, observer=None, validator=None):
     """Run the full boosting loop; the model is trained in place.
 
     Each iteration i performs three stages: fit the classifier, fit
@@ -277,6 +278,9 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     residual_fit event carries the FitHistory of the fit just run;
     iteration 0's ``model.classifier.fit_state()`` and that history, taken
     during the event, are the checkpoint train_unboosted starts from.
+
+    ``validator`` (a ``child._Validator`` or None) is handed to every fit;
+    while its process runs, the fits validate there (``BaseNet.fit``).
     """
     y_train, y_val = _training_inputs(model.n_iterations, X_train, y_train, X_val, y_val)
     X_train = _working_copy(X_train)
@@ -288,7 +292,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     for i in range(model.n_iterations):
         model.classifier, fit_hist = _classifier_fit(
             model.classifier, 2 * i, X_train, y_train, class_weights, cls_val,
-            model.cold_restart, observer, previous=refit_hist)
+            model.cold_restart, observer, previous=refit_hist, validator=validator)
 
         predicted = model.classifier.predict_matrix(X_train)
         residual = y_train - predicted
@@ -302,7 +306,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
         if X_val is not None:
             reg_val = (X_val, y_val - model.classifier.predict_matrix(X_val))
         reg_hist = _fit_stage(model.regressors[i], X_train, residual, None,
-                              reg_val, i, "residual fit")
+                              reg_val, i, "residual fit", validator)
 
         written = _write_column(model, i, X_train, "train", observer)
         if X_val is not None:
@@ -310,7 +314,7 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
 
         model.classifier, refit_hist = _classifier_fit(
             model.classifier, 2 * i + 1, X_train, y_train, class_weights, cls_val,
-            model.cold_restart, observer)
+            model.cold_restart, observer, validator=validator)
 
         model.training_log.append({
             "iteration": i,
@@ -340,6 +344,12 @@ def predict_xdboost(model: XDBoostModel, X_test, observer=None):
     X = _working_copy(X_test)
     for i in range(model.n_iterations):
         _write_column(model, i, X, "predict", observer)
+    return _classifier_scores(model, X)
+
+
+def _classifier_scores(model, X):
+    """The classifier's probabilities for X, its placeholder columns
+    written; a row scored NaN or infinite is a DataError naming it."""
     probs = model.classifier.predict_matrix(X)
     bad = np.flatnonzero(~np.isfinite(probs))
     if bad.size:

@@ -1,4 +1,4 @@
-"""A job run in a forked child process beside its caller, as a stream.
+"""Work run in a forked child process beside its caller.
 
 ``_Child`` forks, runs a job in the child and reads each item the job
 yields back through a pipe, pickled, while the caller works on the items
@@ -9,6 +9,12 @@ reference's fits this way while the boosting loop goes on, as a stream
 of one item, when a reference fit is left to run; ``predict`` reads and
 encodes its CSV this way while it scores and writes the chunks before.
 
+``_Validator`` is a _Child whose job also reads requests: the validation
+process an experiment forks once, so that each epoch of a fit is
+validated there while the next epoch trains (``BaseNet.fit``). Where it
+cannot fork, or on one CPU, it starts nothing and every fit validates
+in-process, each loss before the next epoch.
+
 On Python 3.12 and later os.fork warns when the process runs other
 threads. OpenBLAS stops its thread pool before a fork, so a process
 whose only other threads are OpenBLAS's sees no warning; a caller with
@@ -18,7 +24,13 @@ threads of its own will.
 import os
 import pickle
 import signal
+import struct
 import traceback
+
+import numpy as np
+
+from .errors import TrainingError
+from .models import BaseNet
 
 # A pipe's buffer is 64 KiB by default, so a child that writes a chunk of
 # megabytes blocks at each 64 KiB and the scheduler keeps both processes
@@ -31,6 +43,12 @@ def _cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _may_fork():
+    """Whether a forked child could run beside this process: os.fork
+    exists and a second CPU is there to run it."""
+    return hasattr(os, "fork") and _cpus() > 1
 
 
 class _Child:
@@ -52,7 +70,7 @@ class _Child:
     def __init__(self, job, name, error):
         self._name, self._error, self._pid, self._fh = name, error, None, None
         self._items = self._in_process(job)
-        if not (hasattr(os, "fork") and _cpus() > 1):
+        if not _may_fork():
             return
         fds = ()
         try:
@@ -101,6 +119,11 @@ class _Child:
                 self._reap()
                 raise value from _ChildTraceback(child_traceback)
             yield value
+
+    @property
+    def forked(self):
+        """Whether a child runs the job (until the stream is read to its end)."""
+        return self._pid is not None
 
     def _reap(self):
         """Close the pipe and wait for the child; its exit status."""
@@ -159,3 +182,138 @@ def _portable(exc):
     except Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
     return exc
+
+
+class _Validator:
+    """The validation process of one experiment's fits: each epoch's
+    validation loss is computed in a forked child while the fit trains
+    its next epoch (see ``BaseNet.fit``).
+
+    ``begin`` sends a fit's prepared validation batches, targets, class
+    weights, schema and config; ``submit`` sends an arena and ``loss``
+    reads back its float64 loss, by the same ``eval_loss`` under fit's
+    error state, so no bit differs from an in-process loss. Requests go
+    through a pipe of their own: an arena as its raw bytes, read straight
+    into the process's net; a fit's inputs as a small pickle followed by
+    its arrays' raw bytes (protocol 5's out-of-band buffers). So no
+    message is copied into a byte string; the losses come back as a
+    _Child stream.
+    Where ``_cpus`` reports one CPU, where os.fork does not exist, or
+    where a pipe or the fork fails, no process starts, and ``begin``
+    returns False, as it does after ``close``. A process that dies is a
+    TrainingError naming it, raised by the call that finds it gone.
+    """
+
+    NAME = "the validation process"
+
+    def __init__(self):
+        self._child = self._requests = None
+        self._pending = 0
+        if not _may_fork():
+            return
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:  # e.g. a descriptor limit: validate in-process
+            return
+        child = _Child(lambda: _validations(read_fd, write_fd), self.NAME, TrainingError)
+        os.close(read_fd)
+        if not child.forked:  # the fork failed; nothing runs the job
+            child.close()
+            os.close(write_fd)
+            return
+        self._child, self._losses = child, iter(child)
+        self._requests = os.fdopen(write_fd, "wb")
+
+    def begin(self, net, batches, targets, class_weights):
+        """Send a fit's validation inputs; whether the process validates
+        this fit's epochs. Losses a failed fit left unread are read first."""
+        if self._child is None:
+            return False
+        while self._pending:
+            self.loss()
+        self._send((net.schema, net.config, batches, targets, class_weights))
+        return True
+
+    def submit(self, flat):
+        """Send an arena to validate; ``loss`` reads its loss."""
+        self._send(flat)
+        self._pending += 1
+
+    def loss(self):
+        """The loss of the earliest arena submitted and not yet read."""
+        try:
+            value = next(self._losses)
+        except BaseException:
+            self.close()
+            raise
+        self._pending -= 1
+        return value
+
+    def close(self):
+        """Kill and reap the process; later fits validate in-process."""
+        if self._child is None:
+            return
+        child, requests, self._child, self._requests = self._child, self._requests, None, None
+        child.close()
+        try:
+            requests.close()
+        except BrokenPipeError:  # a request cut short by the process's death
+            pass
+
+    def _send(self, request):
+        try:
+            _write_request(self._requests, request)
+        except BrokenPipeError:  # the process is gone; its stream says how
+            try:
+                for _ in self._losses:
+                    pass
+            finally:
+                self.close()
+            raise TrainingError(f"{self.NAME} stopped reading its requests") from None
+
+
+def _write_request(fh, request):
+    """Write request to fh. An arena is the count -1, then its raw bytes,
+    written from the array itself. A fit's inputs are pickled with their
+    arrays out of band: the count of arrays, the pickle's size and each
+    array's, the pickle, then each array's raw bytes."""
+    if isinstance(request, np.ndarray):
+        fh.write(struct.pack("<q", -1))
+        fh.write(request)
+    else:
+        buffers = []
+        head = pickle.dumps(request, 5, buffer_callback=buffers.append)
+        views = [buffer.raw() for buffer in buffers]
+        fh.write(struct.pack(f"<{2 + len(views)}q", len(views), len(head),
+                             *(view.nbytes for view in views)))
+        fh.write(head)
+        for view in views:
+            fh.write(view)
+    fh.flush()
+
+
+def _read_inputs(fh, count):
+    """A fit's inputs, after their count of out-of-band arrays."""
+    head_size, *sizes = struct.unpack(f"<{1 + count}q", fh.read(8 * (1 + count)))
+    head = fh.read(head_size)
+    buffers = [bytearray(size) for size in sizes]
+    for buffer in buffers:
+        fh.readinto(buffer)
+    return pickle.loads(head, buffers=buffers)
+
+
+def _validations(read_fd, write_fd):
+    """In the validation process: the loss of each arena requested, on the
+    inputs of the fit last begun, until the parent closes the pipe. An
+    arena is read straight into the net built for the fit."""
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as requests:
+        while count := requests.read(8):
+            (count,) = struct.unpack("<q", count)
+            if count >= 0:
+                schema, config, batches, targets, class_weights = _read_inputs(requests, count)
+                net = BaseNet(schema, config)
+                continue
+            requests.readinto(net.flat)
+            with np.errstate(over="ignore", invalid="ignore"):  # as in BaseNet.fit
+                yield net.eval_loss(batches, targets, class_weights)

@@ -11,7 +11,10 @@ classifier, run in a forked child (see ``child``) while the boosting loop
 goes on, given a second CPU to run on and a fit left to run: where the
 reference's second fit is known from its first (``boosting._replayed``),
 so is every later one, and the reference is rebuilt in-process without a
-fit. ``predict``'s reading runs in a forked child too.
+fit. Where fits run more than one epoch, a validation process forked
+once per experiment (``child._Validator``) computes each epoch's
+validation loss while the next epoch trains, until the reference's child
+takes the second CPU. ``predict``'s reading runs in a forked child too.
 Results are written as one JSON file per run, after the run's model
 bundle; sweeps additionally emit a plot-ready CSV. Every output file is
 replaced atomically (see ``atomic``), and a command refuses a directory
@@ -39,9 +42,9 @@ from dataclasses import dataclass, field
 from . import metrics, synth
 from .atomic import refuse_directories, replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
-                       _check_knobs, _checkpoint, _replayed, predict_xdboost,
-                       train_unboosted, train_xdboost)
-from .child import _Child
+                       _check_knobs, _checkpoint, _classifier_scores, _replayed,
+                       _working_copy, predict_xdboost, train_unboosted, train_xdboost)
+from .child import _Child, _Validator
 from .data import (FieldSpec, SplitSpec, _row_line, build_schema, chronological_split,
                    class_weights, cold_start_filter, encode, ingest_csv, records_hash, scan_csv,
                    sub_training)
@@ -244,6 +247,16 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     optionally followed by the test rows' records_hash, its training rows
     already cut to sub_percent; _cut makes it when not given. Metrics are
     computed on its test rows, which the cold-start command filters.
+
+    Where the fits have validation rows and more than one epoch, the run
+    forks a validation process (``child._Validator``; none on one CPU or
+    without os.fork) and hands it to the boosting loop. It is closed
+    before the reference's child forks, whose fits then own the second
+    CPU, once the loop returns, and when the run fails; a validation
+    process that dies is a TrainingError naming it. The boosted model's
+    validation scores come from the placeholder columns the loop wrote
+    into its validation copy, which the observer collects, so the
+    classifier alone scores them: the bits predict_xdboost gives.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -271,9 +284,17 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     def train_reference(start):
         return train_unboosted(model, *train, *val, class_weights=weights, start=start)
 
-    children, known = [], []
+    validator = _Validator() if val[0] is not None and cfg.net.epochs > 1 else None
+    children, known, val_columns = [], [], {}
 
-    def fork_reference(event):
+    def stop_validating():
+        if validator is not None:
+            validator.close()
+
+    def observe(event):
+        # The loop's validation columns, for the validation scores.
+        if event["event"] == "placeholder_write" and event["phase"] == "val":
+            val_columns[event["column"]] = event["values"]
         # After the first fit, which the two classifiers share, the
         # reference's fits share nothing with the loop's, so a child runs
         # them while the loop goes on. Where the reference's second fit is
@@ -286,16 +307,20 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
                          None if val[0] is None else val) is not None:
                 known.append(start)
             else:
+                stop_validating()
                 children.append(_Child(lambda: [_checkpoint(*train_reference(start))],
                                        "the reference's training process", TrainingError))
 
     try:
-        train_xdboost(model, *train, *val, class_weights=weights, observer=fork_reference)
+        train_xdboost(model, *train, *val, class_weights=weights, observer=observe,
+                      validator=validator)
+        stop_validating()
         timings["train_boosted"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         checkpoint = children[0].result() if children else known[0]
     finally:
+        stop_validating()
         for child in children:
             child.close()
     # resumes at the end of the schedule, run or derived: rebuilds the net, runs no fit
@@ -307,8 +332,14 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     for split_name, X, y in (("val", *val), ("test", *test)):
         if X is None or X.n_rows == 0:
             continue
-        result_metrics["boosted"][split_name] = metrics.evaluate(
-            predict_xdboost(model, X), y).to_dict()
+        if split_name == "val":  # the loop wrote its columns: the classifier alone scores it
+            written = _working_copy(X)
+            for i, values in val_columns.items():
+                written.placeholder_block()[:, i] = values
+            boosted = _classifier_scores(model, written)
+        else:
+            boosted = predict_xdboost(model, X)
+        result_metrics["boosted"][split_name] = metrics.evaluate(boosted, y).to_dict()
         result_metrics["baseline"][split_name] = metrics.evaluate(
             reference.predict_matrix(X), y).to_dict()
     timings["evaluate"] = time.perf_counter() - t0

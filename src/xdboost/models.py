@@ -268,41 +268,85 @@ class BaseNet:
             return out, None
         return out, (V, total, caches, batch)
 
-    def _backward(self, cache, dlogit):
+    def _gradient(self):
+        """A gradient vector laid out like ``flat`` with the views
+        ``_backward`` writes: (vector, stacked embeddings, stacked
+        first-order weights, [cont_proj, lin_cont, bias], per-layer
+        [weights, bias] pairs). A fit makes one and reuses it every step."""
+        grad = np.empty_like(self.flat)
+        _, _, rest, layers = self._group(grad)
+        return (grad, *self._stacked(grad), rest, layers)
+
+    def _backward(self, cache, dlogit, gradient=None):
         """Gradient of the scalar loss given dL/dlogit, as one vector laid
-        out like ``flat``."""
+        out like ``flat``: written into ``gradient``, a ``_gradient()``,
+        or into a new one. Every entry is written; only the scatter
+        targets are zeroed first."""
         V, total, caches, (cont, rows) = cache
         n, k = V.shape[0], self.config.embedding_dim
-        grad = np.zeros_like(self.flat)
-        _, _, (dcont_proj, dlin_cont, dbias), dlayers = self._group(grad)
+        width = self.n_fields * k
+        grad, demb, dlin, (dcont_proj, dlin_cont, dbias), dlayers = (
+            self._gradient() if gradient is None else gradient)
+        dbias[0] = dlogit.sum()
 
-        dh = dlogit[:, None]
-        for layer, layer_cache, (dw, db) in zip(reversed(self.layers), reversed(caches),
-                                                reversed(dlayers)):
+        def pairwise(repeated):
+            # the pairwise term's gradient, (total - V) scaled by dlogit
+            out = np.tile(total, self.n_fields)
+            out -= V.reshape(n, width)
+            out *= repeated
+            return out
+
+        # dlogit repeated along each row, times the head's weights in place,
+        # is the head's input gradient dlogit[i] * w[j]; it also scales the
+        # pairwise term. Flat products on it keep the bits of the rows x 1
+        # by 1 x d product and the (rows, 1) broadcast they replace. Without
+        # a hidden layer one repeated vector serves both, the pairwise term
+        # first; with one, the pairwise term waits for the hidden layers, so
+        # that no step holds more rows x width arrays at once than before.
+        head, (dw, db) = self.layers[-1], dlayers[-1]
+        dw[0] = dlogit @ caches[-1][0]
+        db[0] = dbias[0]
+        dh = np.repeat(dlogit, head.in_dim).reshape(n, head.in_dim)
+        hidden = len(self.layers) > 1
+        term = None if hidden else pairwise(dh)
+        dh *= head.weights
+        for layer, layer_cache, (dw, db) in zip(reversed(self.layers[:-1]),
+                                                reversed(caches[:-1]), reversed(dlayers[:-1])):
             dh, dw[...], db[...] = layer.backward(layer_cache, dh)
-
-        # dh is a fresh array, so the pairwise term's gradient is added in place
-        pairwise = np.tile(total, self.n_fields) - V.reshape(n, self.n_fields * k)
-        pairwise *= dlogit[:, None]
-        dh += pairwise
+        if hidden:
+            term = pairwise(np.repeat(dlogit, width).reshape(n, width))
+        dh += term
         dV = dh.reshape(n, self.n_fields, k)
 
         # Each stacked row belongs to one field and receives the batch's
         # rows in order, so the sums equal a per-table scatter bit for bit.
-        demb, dlin = self._stacked(grad)
+        demb.fill(0.0)
+        dlin.fill(0.0)
         cells = rows.ravel()
         for c in range(k):
             kernels.scatter_add_scalars(demb[:, c], cells, dV[:, :self.n_cat, c].ravel())
         kernels.scatter_add_scalars(dlin, cells, np.repeat(dlogit, self.n_cat))
         dcont_proj[...] = np.einsum("bgk,bg->gk", dV[:, self.n_cat:, :], cont)
         dlin_cont[...] = cont.T @ dlogit
-        dbias[0] = dlogit.sum()
         return grad
 
-    def _dlogit(self, out, targets, class_weights):
+    def _terms(self, targets, class_weights=None):
+        """The label terms a batch's loss and its gradient read, derived
+        once per batch: nn.bce_terms for the sigmoid head, the targets
+        themselves for the tanh head."""
         if self.config.head == "sigmoid":
-            return nn.bce_dlogit(out, targets, class_weights)
-        return nn.mae_dlogit_tanh(out, targets)
+            return nn.bce_terms(targets, class_weights)
+        return targets
+
+    def _loss(self, out, terms):
+        if self.config.head == "sigmoid":
+            return nn.bce_loss_of_terms(out, terms)
+        return nn.mae_loss(out, terms)
+
+    def _dlogit(self, out, terms):
+        if self.config.head == "sigmoid":
+            return nn.bce_dlogit_of_terms(out, terms)
+        return nn.mae_dlogit_tanh(out, terms)
 
     def batch_loss(self, out, targets, class_weights=None):
         if self.config.head == "sigmoid":
@@ -339,18 +383,29 @@ class BaseNet:
             raise DataError("regression targets must lie in [-1, 1]")
 
     @np.errstate(over="ignore", invalid="ignore")
-    def fit(self, X, targets, class_weights=None, val=None):
+    def fit(self, X, targets, class_weights=None, val=None, validator=None):
         """Mini-batch training with optional early stopping.
 
         Batches follow chronological row order unless config.shuffle is on;
         the last short batch is kept. Unshuffled batches are prepared once
-        and reused every epoch. When a validation pair is given, the
-        best parameters seen (and their optimizer state) are restored at
-        the end; the incoming parameters count as a candidate, so a fit
-        that never improves the validation loss is a no-op. Returns a
-        FitHistory; the net is updated in place. A fit that diverges raises
-        a TrainingError at its first non-finite batch loss, whatever the
-        warning filters, as numpy's overflow warnings are off inside.
+        and reused every epoch, with their loss terms. When a validation
+        pair is given, its targets are checked as the training targets are,
+        and the best parameters seen (and their optimizer state) are
+        restored at the end; the incoming parameters count as a candidate,
+        so a fit that never improves the validation loss is a no-op.
+        Returns a FitHistory; the net is updated in place. A fit that
+        diverges raises a TrainingError at its first non-finite batch
+        loss, whatever the warning filters, as numpy's overflow warnings
+        are off inside.
+
+        ``validator`` is a ``child._Validator`` or None. While its process
+        runs, each epoch's validation loss is computed there, by the same
+        ``eval_loss`` under the same error state, while the next epoch
+        trains here; each epoch's state is kept until its loss is known.
+        A loss that stops the fit drops the epoch trained after it: its
+        training loss, a TrainingError it raised and its shuffle draws.
+        So the fit returns and leaves the same bits either way; without
+        the process each loss is computed here before the next epoch.
         """
         self._check_matrix(X)
         targets = np.asarray(targets, dtype=np.float64)
@@ -362,7 +417,7 @@ class BaseNet:
         if self.config.epochs == 0 or X.n_rows == 0:
             return history
 
-        bs = self.config.batch_size
+        bs, epochs = self.config.batch_size, self.config.epochs
 
         def epoch_batches():
             order = np.arange(X.n_rows)
@@ -370,50 +425,79 @@ class BaseNet:
                 self._shuffle_rng.shuffle(order)
             for start in range(0, X.n_rows, bs):
                 rows = order[start:start + bs]
-                yield self._batch(X.cat[rows], X.cont[rows]), targets[rows]
+                yield (self._batch(X.cat[rows], X.cont[rows]),
+                       self._terms(targets[rows], class_weights), len(rows))
 
-        best_val = math.inf
-        best_state = None
+        gradient = self._gradient()
+
+        def run_epoch(epoch):
+            """Train one epoch; its mean training loss."""
+            loss_sum = 0.0
+            for i, (batch, terms, n_rows) in enumerate(reused or epoch_batches()):
+                out, cache = self._forward(batch, want_cache=True)
+                loss = self._loss(out, terms)
+                if not math.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite training loss at epoch {epoch}, batch row {i * bs}")
+                dlogit = self._dlogit(out, terms)
+                self.optimizer.step(self.flat, self._backward(cache, dlogit, gradient))
+                loss_sum += loss * n_rows
+            return loss_sum / X.n_rows
+
+        best_val, best, overlap = math.inf, None, False
         if val is not None:
             # prepared (and so checked) once, then evaluated every epoch
             val_batches = list(self._batches(val[0]))
             val_targets = np.asarray(val[1], dtype=np.float64)
+            self._check_targets(val_targets)
             best_val = self.eval_loss(val_batches, val_targets, class_weights)
-            best_state = self._snapshot()
+            best = self._snapshot()
             history.initial_val_loss = best_val
+            overlap = validator is not None and validator.begin(
+                self, val_batches, val_targets, class_weights)
         # Unshuffled batches are the same every epoch, so they are prepared
         # once; shuffled ones are prepared in each epoch's order.
-        reused = (list(epoch_batches())
-                  if not self.config.shuffle and self.config.epochs > 1 else None)
-        bad_epochs = 0
-        for epoch in range(self.config.epochs):
-            loss_sum = 0.0
-            for i, (batch, batch_targets) in enumerate(reused or epoch_batches()):
-                out, cache = self._forward(batch, want_cache=True)
-                loss = self.batch_loss(out, batch_targets, class_weights)
-                if not math.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite training loss at epoch {epoch}, batch row {i * bs}")
-                grad = self._backward(cache, self._dlogit(out, batch_targets, class_weights))
-                self.optimizer.step(self.flat, grad)
-                loss_sum += loss * len(batch_targets)
+        reused = list(epoch_batches()) if not self.config.shuffle and epochs > 1 else None
+        bad_epochs, spare, ahead = 0, None, None
+        for epoch in range(epochs):
+            if ahead is None:
+                train_loss = run_epoch(epoch)
+            elif isinstance(ahead[1], TrainingError):
+                raise ahead[1]
+            else:
+                train_loss = ahead[1]
             history.epochs_run = epoch + 1
-            history.train_losses.append(loss_sum / X.n_rows)
+            history.train_losses.append(train_loss)
+            if val is None:
+                continue
 
-            if val is not None:
+            state = ahead = None
+            if not overlap:
                 val_loss = self.eval_loss(val_batches, val_targets, class_weights)
-                history.val_losses.append(val_loss)
-                if val_loss < best_val:
-                    best_val = val_loss
-                    best_state = self._snapshot()
-                    history.best_epoch = epoch
-                    bad_epochs = 0
-                else:
-                    bad_epochs += 1
-                    if bad_epochs >= self.config.patience:
-                        break
-        if best_state is not None:
-            self._restore(best_state)
+            else:
+                state = spare = self._snapshot(spare)
+                validator.submit(state[0])
+                if epoch + 1 < epochs:
+                    rng_state = self._shuffle_rng.bit_generator.state
+                    try:
+                        ahead = rng_state, run_epoch(epoch + 1)
+                    except TrainingError as exc:  # raised once this epoch's loss lets it count
+                        ahead = rng_state, exc
+                val_loss = validator.loss()
+            history.val_losses.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best, spare = state or self._snapshot(spare), best
+                history.best_epoch = epoch
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= self.config.patience:
+                    break
+        if ahead is not None:  # trained ahead of the loss that stopped the fit
+            self._shuffle_rng.bit_generator.state = ahead[0]
+        if best is not None:
+            self._restore(best)
         return history
 
     def fit_state(self):
@@ -442,8 +526,16 @@ class BaseNet:
 
     __setstate__ = load_fit_state
 
-    def _snapshot(self):
-        return self.flat.copy(), self.optimizer.state_copy()
+    def _snapshot(self, into=None):
+        """Copies of the arena and the Adam state, (flat, (t, m, v)): new
+        ones, or written into the arrays of the snapshot ``into``."""
+        if into is None:
+            return self.flat.copy(), self.optimizer.state_copy()
+        flat, (_, m, v) = into
+        np.copyto(flat, self.flat)
+        np.copyto(m, self.optimizer.m)
+        np.copyto(v, self.optimizer.v)
+        return flat, (self.optimizer.t, m, v)
 
     def _restore(self, state):
         self.flat[...] = state[0]

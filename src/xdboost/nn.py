@@ -60,6 +60,14 @@ def _label_weights(y, class_weights):
     return w.astype(np.float64, copy=False)[y.astype(np.int64)]
 
 
+def bce_terms(y, class_weights=None):
+    """The label terms of the class-weighted binary cross-entropy: (y, each
+    row's class weight, -y, 1 - y), for labels y as float64. A label other
+    than 0 or 1, or class weights other than a pair of numbers, is a
+    UsageError. A fit derives them once per batch and reuses them."""
+    return y, _label_weights(y, class_weights), -y, 1.0 - y
+
+
 def weighted_bce_loss(p, y, class_weights=None):
     """Mean class-weighted binary cross-entropy.
 
@@ -70,9 +78,14 @@ def weighted_bce_loss(p, y, class_weights=None):
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
         raise UsageError(f"length mismatch: {p.shape} vs {y.shape}")
-    w = _label_weights(y, class_weights)
+    return bce_loss_of_terms(p, bce_terms(y, class_weights))
+
+
+def bce_loss_of_terms(p, terms):
+    """weighted_bce_loss of float64 probabilities p from their labels' bce_terms."""
+    _, w, neg_y, one_minus_y = terms
     pc = np.clip(p, P_CLIP, 1.0 - P_CLIP)
-    per = -y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)
+    per = neg_y * np.log(pc) - one_minus_y * np.log(1.0 - pc)
     return float(np.mean(w * per))
 
 
@@ -84,8 +97,14 @@ def bce_dlogit(p, y, class_weights=None):
     """
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    return bce_dlogit_of_terms(p, bce_terms(y, class_weights))
+
+
+def bce_dlogit_of_terms(p, terms):
+    """bce_dlogit of float64 probabilities p from their labels' bce_terms."""
+    y, w = terms[:2]
     inside = (p > P_CLIP) & (p < 1.0 - P_CLIP)
-    return _label_weights(y, class_weights) * (p - y) * inside / p.shape[0]
+    return w * (p - y) * inside / p.shape[0]
 
 
 def mae_loss(yhat, target):

@@ -65,7 +65,7 @@ def loss_and_gradients(net, X, targets, class_weights=None):
     targets = np.asarray(targets, dtype=np.float64)
     out, cache = net._forward(net._batch(X.cat, X.cont), want_cache=True)
     loss = net.batch_loss(out, targets, class_weights)
-    grad = net._backward(cache, net._dlogit(out, targets, class_weights))
+    grad = net._backward(cache, net._dlogit(out, net._terms(targets, class_weights)))
     return loss, _carve(grad, net._shapes)
 
 

@@ -1,18 +1,23 @@
 """A job run in a forked child: its items in order, its failures, items
 larger than a pipe's buffer, a child that dies or is closed mid-stream,
-and the in-process fallback."""
+and the in-process fallback. The validation process: a fit validated
+there equals one validated in-process, bit for bit."""
 
 import fcntl
+import math
 import os
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from conftest import _Unpicklable
+from conftest import _Unpicklable, make_matrix, make_schema
 from xdboost import child as child_module
-from xdboost.child import _Child, _ChildTraceback
+from xdboost.child import _Child, _ChildTraceback, _Validator
 from xdboost.errors import DataError, EvaluationError, TrainingError
+from xdboost.models import BaseNet, BaseNetConfig
 
 
 @pytest.fixture(autouse=True)
@@ -143,3 +148,91 @@ def test_closing_a_child_mid_stream_kills_and_reaps_it():
     child.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
+
+
+# ---- the validation process -------------------------------------------------------
+
+def _validation_case(n_rows=70, n_val=25):
+    """A net's schema, training rows and labels, and validation rows and labels."""
+    schema = make_schema((4, 3, 2), n_cont=2, n_placeholders=1)
+    rng = np.random.default_rng(31)
+    X = make_matrix(rng, schema, n_rows, zero_placeholders=False)
+    val_X = make_matrix(rng, schema, n_val, zero_placeholders=False)
+    y = (X.cat[:, 0] >= 2).astype(np.float64)
+    flip = rng.random(n_rows) < 0.25
+    y[flip] = 1.0 - y[flip]
+    return schema, X, y, val_X, (val_X.cat[:, 0] >= 2).astype(np.float64)
+
+
+def _diverging_at(monkeypatch, epoch, n_batches):
+    """Make every training batch loss of ``epoch`` non-finite; the list of
+    epochs whose loss was made so, one entry per batch."""
+    loss, hits, calls = BaseNet._loss, [], []
+
+    def diverging(net, out, terms):
+        calls.append(1)
+        if epoch is not None and (len(calls) - 1) // n_batches == epoch:
+            hits.append(epoch)
+            return math.inf
+        return loss(net, out, terms)
+
+    monkeypatch.setattr(BaseNet, "_loss", diverging)
+    return hits
+
+
+def _fit_outcome(monkeypatch, cpus, config, val, diverge_at, class_weights):
+    """Fit a fresh net with a validator made on ``cpus`` CPUs: (the history
+    or the TrainingError's message, arena, Adam m, v and t, shuffle RNG
+    state, whether a process validated, the epochs made to diverge)."""
+    schema, X, y, val_X, val_y = _validation_case()
+    with monkeypatch.context() as patch:
+        patch.setattr(child_module, "_cpus", lambda: cpus)
+        hits = _diverging_at(patch, diverge_at, -(-X.n_rows // config.batch_size))
+        validator = _Validator()
+        try:
+            net = BaseNet(schema, config, seed=37)
+            try:
+                outcome = net.fit(X, y, class_weights,
+                                  val=(val_X, val_y) if val else None,
+                                  validator=validator).to_dict()
+            except TrainingError as exc:
+                outcome = str(exc)
+            forked = validator._child is not None
+        finally:
+            validator.close()
+    return (outcome, net.flat.tobytes(), net.optimizer.m.tobytes(), net.optimizer.v.tobytes(),
+            net.optimizer.t, net._shuffle_rng.bit_generator.state), forked, hits
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(head=st.sampled_from(["sigmoid", "tanh"]), shuffle=st.booleans(),
+       patience=st.integers(0, 3), epochs=st.integers(1, 6),
+       batch_size=st.sampled_from([8, 16, 30, 64]), val=st.booleans(),
+       learning_rate=st.sampled_from([0.05, 0.5]),
+       diverge_at=st.none() | st.integers(0, 6), expect=st.none())
+# the loss that stops the fit comes before the epoch that diverges: both
+# fits return, the one with a process after training that epoch ahead
+@example(head="sigmoid", shuffle=True, patience=0, epochs=6, batch_size=16, val=True,
+         learning_rate=0.5, diverge_at=2, expect="returns")
+# the epoch that diverges comes before the stop: both fits raise it
+@example(head="tanh", shuffle=False, patience=3, epochs=6, batch_size=30, val=True,
+         learning_rate=0.05, diverge_at=2, expect="raises")
+def test_a_fit_validated_in_the_process_equals_one_validated_in_process(
+        monkeypatch, head, shuffle, patience, epochs, batch_size, val, learning_rate,
+        diverge_at, expect):
+    config = BaseNetConfig(embedding_dim=3, hidden_layers=(5,), head=head,
+                           learning_rate=learning_rate, epochs=epochs, patience=patience,
+                           batch_size=batch_size, shuffle=shuffle)
+    class_weights = (1.0, 1.5) if head == "sigmoid" else None
+    alone, alone_forked, alone_hits = _fit_outcome(monkeypatch, 1, config, val, diverge_at,
+                                                   class_weights)
+    beside, beside_forked, beside_hits = _fit_outcome(monkeypatch, 2, config, val, diverge_at,
+                                                      class_weights)
+    assert (alone_forked, beside_forked) == (False, True)
+    assert beside == alone
+    if expect == "returns":  # the epoch trained ahead of the stop diverged and was dropped
+        assert alone[0]["epochs_run"] == diverge_at
+        assert not alone_hits and beside_hits
+    elif expect == "raises":
+        assert alone[0] == f"non-finite training loss at epoch {diverge_at}, batch row 0"

@@ -436,19 +436,24 @@ def _forbidden_fork():
 
 def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus):
     """Where os.fork does not exist or fails, or with one CPU, the reference
-    trains in-process, to the same bytes, and a failed fork leaks no pipe."""
+    and the validation process run in-process, to the same bytes; a failed
+    fork leaks no pipe, and without os.fork no pipe is made."""
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     config = write_config(tmp_path, model=FORKING_MODEL)
-    pipe, close = os.pipe, os.close
-    pipes, closed = [], []
+    pipe, close, Child = os.pipe, os.close, cli._Child
+    pipes, closed, references = {}, [], []
     for name in ("forked", "in_process", "fork_fails", "one_cpu"):
         with monkeypatch.context() as patch:
+            if name in ("in_process", "fork_fails"):
+                made = pipes.setdefault(name, [])
+                patch.setattr(os, "pipe", lambda made=made: made.append(pipe()) or made[-1])
+                patch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
             if name == "in_process":
                 patch.delattr(os, "fork")
             elif name == "fork_fails":
                 patch.setattr(os, "fork", _failing_fork)
-                patch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
-                patch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+                # the reference's child, as cli makes it
+                patch.setattr(cli, "_Child", lambda *a: references.append(1) or Child(*a))
             elif name == "one_cpu":
                 patch.setattr(child, "_cpus", lambda: 1)
                 patch.setattr(os, "fork", _forbidden_fork)
@@ -462,8 +467,12 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     assert forked == _result_files(tmp_path / "in_process")
     assert forked == _result_files(tmp_path / "fork_fails")
     assert forked == _result_files(tmp_path / "one_cpu")
-    assert len(pipes) == 3  # one per experiment
-    assert {fd for fds in pipes for fd in fds} <= set(closed)
+    assert len(references) == 3  # one per experiment
+    # per experiment, the validation process's request and loss pipes and
+    # the reference's pipe
+    assert len(pipes["fork_fails"]) == 3 * 3
+    assert {fd for fds in pipes["fork_fails"] for fd in fds} <= set(closed)
+    assert pipes["in_process"] == []
 
 
 # The acceptance gate's net: its first classifier fit stops by patience
@@ -480,8 +489,8 @@ def test_a_reference_with_no_fit_left_to_run_does_not_fork(tmp_path, monkeypatch
     config = write_config(tmp_path, model=GATE_MODEL)
     for name in ("fork_refused", "no_fork"):
         with monkeypatch.context() as patch:
-            if name == "fork_refused":
-                patch.setattr(os, "fork", lambda: pytest.fail("forked for no fit"))
+            if name == "fork_refused":  # the reference's child, as cli makes it
+                patch.setattr(cli, "_Child", lambda *a: pytest.fail("forked for no fit"))
             else:
                 patch.delattr(os, "fork")
             (tmp_path / name).mkdir()
@@ -904,13 +913,19 @@ def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monk
     _patch_fit(monkeypatch, before)
     config = write_config(tmp_path, model=FORKING_MODEL)
     errors, forks = [], []
-    fork = os.fork
+    Child = cli._Child
+
+    def reference_child(*args):  # the reference's child, as cli makes it
+        made = Child(*args)
+        if made.forked:
+            forks.append(1)
+        return made
+
     for name in ("forked", "in_process"):
         zeroed_fits.clear()
         with monkeypatch.context() as patch:
-            if name == "forked":
-                patch.setattr(os, "fork", lambda: forks.append(1) or fork())
-            else:
+            patch.setattr(cli, "_Child", reference_child)
+            if name == "in_process":
                 patch.delattr(os, "fork")
             assert cli.main(["train", "--config", config,
                              "--output-dir", str(tmp_path / name)]) == 4
@@ -967,6 +982,89 @@ def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatc
         "error: iteration 0, stage 'residual fit': boosted side\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# ---- the validation process -------------------------------------------------------
+
+def _recording_validators(monkeypatch):
+    """Make cli record each validation process it asks for: whether it forked."""
+    made = []
+
+    class Recording(child._Validator):
+        def __init__(self):
+            super().__init__()
+            made.append(self._child is not None)
+
+    monkeypatch.setattr(cli, "_Validator", Recording)
+    return made
+
+
+@pytest.mark.parametrize("dead", ["before-a-request", "after-a-request"])
+def test_a_validation_process_killed_mid_fit_fails_train_and_keeps_the_outputs(
+        tmp_path, capsys, monkeypatch, two_cpus, dead):
+    """Found dead as a request is written or as its loss is read, the
+    process fails the run with exit 4, naming it."""
+    config = write_config(tmp_path, model={**FAST_MODEL, "net": {**FAST_MODEL["net"],
+                                                                  "epochs": 6}})
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", config, "--output-dir", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in ("train_result.json", "model_bundle")}
+    capsys.readouterr()
+    submit, submitted = child._Validator.submit, []
+
+    def kill_at_the_second(validator, flat):  # after the first fit's first epoch
+        submitted.append(1)
+        pid = validator._child._pid
+        if len(submitted) == 2 and dead == "before-a-request":
+            os.kill(pid, signal.SIGKILL)
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # its pipe's end is closed
+        elif len(submitted) == 2:  # stopped first, so it cannot answer the request
+            os.kill(pid, signal.SIGSTOP)
+            os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOWAIT)
+        submit(validator, flat)
+        if len(submitted) == 2 and dead == "after-a-request":
+            os.kill(pid, signal.SIGKILL)
+
+    monkeypatch.setattr(child._Validator, "submit", kill_at_the_second)
+    made = _recording_validators(monkeypatch)
+    assert cli.main(["train", "--config", config, "--output-dir", str(out)]) == 4
+    assert made == [True]
+    assert capsys.readouterr().err == (
+        "error: iteration 0, stage 'classifier fit': the validation process exited with "
+        "status -9 before the end of its output\n")
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("epochs, cpus, made", [(1, 2, []), (2, 1, [False]), (2, 2, [True])],
+                         ids=["one-epoch", "one-cpu", "forked"])
+def test_only_fits_of_more_than_one_epoch_on_two_cpus_start_a_validation_process(
+        tmp_path, monkeypatch, epochs, cpus, made):
+    """csv-200k's fits run one epoch: there is no next epoch to train
+    beside a validation, and no process starts."""
+    monkeypatch.setattr(child, "_cpus", lambda: cpus)
+    recorded = _recording_validators(monkeypatch)
+    config = write_config(tmp_path, model={**FAST_MODEL, "net": {**FAST_MODEL["net"],
+                                                                  "epochs": epochs}})
+    assert cli.main(["train", "--config", config, "--output-dir", str(tmp_path / "run")]) == 0
+    assert recorded == made
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_validation_scores_reuse_the_columns_the_loop_wrote(tmp_path, monkeypatch, cpus):
+    """Each regressor scores the validation rows once per experiment, in
+    the loop; the validation metrics keep their bits."""
+    monkeypatch.setattr(child, "_cpus", lambda: cpus)
+    predict, rows = BaseNet.predict_matrix, []
+    monkeypatch.setattr(BaseNet, "predict_matrix", lambda net, X: rows.append(
+        (net.config.head, X.n_rows)) or predict(net, X))
+    cfg = cli.load_config(write_config(tmp_path, model={**FAST_MODEL, "n_iterations": 2}),
+                          output_dir=str(tmp_path))
+    log, field_spec, _ = cli.load_records(cfg)
+    result, model = cli.run_experiment(cfg, log, field_spec, None)
+    assert rows.count(("tanh", result["n_val_rows"])) == 2
+    _, val_log, _ = chronological_split(log, cfg.split)
+    X, y, _ = encode(val_log, model.schema)
+    assert evaluate(predict_xdboost(model, X), y).to_dict() == result["metrics"]["boosted"]["val"]
 
 
 # ---- coldstart --------------------------------------------------------------------

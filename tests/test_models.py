@@ -571,19 +571,38 @@ def _index(value):
     return damage
 
 
-@pytest.mark.parametrize("damage, error", [
-    (_wrong_placeholders, DataError),
-    (_index(99), DataError),
-    (_index(-1), DataError),
-    (lambda val_X, val_y: (val_X, val_y[:-1]), UsageError),
-], ids=["placeholders", "index-out-of-range", "negative-index", "target-length"])
-def test_a_bad_validation_pair_fails_before_the_first_step(damage, error):
-    """The validation matrix is checked once per fit, before any training."""
+def _targets(value):
+    def damage(val_X, val_y):
+        return val_X, np.where(np.arange(val_y.size) == 3, value, val_y)
+    return damage
+
+
+class _Unseen:
+    """A validator that fails the test if a fit hands it its inputs."""
+
+    def begin(self, *args):
+        pytest.fail("the validation pair reached the validator")
+
+
+@pytest.mark.parametrize("damage, error, head", [
+    (_wrong_placeholders, DataError, "sigmoid"),
+    (_index(99), DataError, "sigmoid"),
+    (_index(-1), DataError, "sigmoid"),
+    (lambda val_X, val_y: (val_X, val_y[:-1]), UsageError, "sigmoid"),
+    (_targets(2.0), DataError, "sigmoid"),
+    (_targets(3.0), DataError, "tanh"),
+], ids=["placeholders", "index-out-of-range", "negative-index", "target-length",
+        "label-2", "regression-target-3"])
+def test_a_bad_validation_pair_fails_before_the_first_step(damage, error, head):
+    """The validation matrix and targets are checked once per fit, before
+    any training and before a validation process sees them; the targets
+    by the rule the training targets follow."""
     schema, X, y, val_X, val_y = _fit_case()
-    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, epochs=3, batch_size=16), seed=29)
+    net = BaseNet(schema, BaseNetConfig(embedding_dim=3, epochs=3, batch_size=16, head=head),
+                  seed=29)
     before = net.flat.copy()
     with pytest.raises(error):
-        net.fit(X, y, val=damage(val_X, val_y))
+        net.fit(X, y, val=damage(val_X, val_y), validator=_Unseen())
     assert net.optimizer.t == 0
     assert np.array_equal(net.flat, before)
 
