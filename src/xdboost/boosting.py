@@ -279,8 +279,9 @@ def train_xdboost(model: XDBoostModel, X_train, y_train, X_val=None, y_val=None,
     iteration 0's ``model.classifier.fit_state()`` and that history, taken
     during the event, are the checkpoint train_unboosted starts from.
 
-    ``validator`` (a ``child._Validator`` or None) is handed to every fit;
-    while its process runs, the fits validate there (``BaseNet.fit``).
+    ``validator`` (a ``child._Child`` running ``child._validations``, or
+    None) is handed to every fit; while it runs forked, the fits validate
+    there (``BaseNet.fit``).
     """
     y_train, y_val = _training_inputs(model.n_iterations, X_train, y_train, X_val, y_val)
     X_train = _working_copy(X_train)

@@ -12,7 +12,7 @@ goes on, given a second CPU to run on and a fit left to run: where the
 reference's second fit is known from its first (``boosting._replayed``),
 so is every later one, and the reference is rebuilt in-process without a
 fit. Where fits run more than one epoch, a validation process forked
-once per experiment (``child._Validator``) computes each epoch's
+once per experiment (``child._validations``) computes each epoch's
 validation loss while the next epoch trains, until the reference's child
 takes the second CPU. ``predict``'s reading runs in a forked child too.
 Results are written as one JSON file per run, after the run's model
@@ -44,7 +44,7 @@ from .atomic import refuse_directories, replacing
 from .boosting import (DEFAULT_ERROR_LR, DEFAULT_N_ITERATIONS, XDBoostModel,
                        _check_knobs, _checkpoint, _classifier_scores, _replayed,
                        _working_copy, predict_xdboost, train_unboosted, train_xdboost)
-from .child import _Child, _Validator
+from .child import _Child, _validations
 from .data import (FieldSpec, SplitSpec, _row_line, build_schema, chronological_split,
                    class_weights, cold_start_filter, encode, ingest_csv, records_hash, scan_csv,
                    sub_training)
@@ -249,8 +249,9 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     computed on its test rows, which the cold-start command filters.
 
     Where the fits have validation rows and more than one epoch, the run
-    forks a validation process (``child._Validator``; none on one CPU or
-    without os.fork) and hands it to the boosting loop. It is closed
+    makes a validation process, a ``child._Child`` running
+    ``child._validations`` (forked only where a second CPU and os.fork
+    are there), and hands it to the boosting loop. It is closed
     before the reference's child forks, whose fits then own the second
     CPU, once the loop returns, and when the run fails; a validation
     process that dies is a TrainingError naming it. The boosted model's
@@ -284,7 +285,8 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
     def train_reference(start):
         return train_unboosted(model, *train, *val, class_weights=weights, start=start)
 
-    validator = _Validator() if val[0] is not None and cfg.net.epochs > 1 else None
+    validator = (_Child(_validations, "the validation process", TrainingError)
+                 if val[0] is not None and cfg.net.epochs > 1 else None)
     children, known, val_columns = [], [], {}
 
     def stop_validating():
@@ -308,7 +310,7 @@ def run_experiment(cfg, log, field_spec, sub_percent, command="train", cut=None)
                 known.append(start)
             else:
                 stop_validating()
-                children.append(_Child(lambda: [_checkpoint(*train_reference(start))],
+                children.append(_Child(lambda _: [_checkpoint(*train_reference(start))],
                                        "the reference's training process", TrainingError))
 
     try:
@@ -505,7 +507,7 @@ def cmd_predict(bundle_path, input_path, output_path):
     fields = FieldSpec(schema.user_field, schema.item_field, list(schema.cat_fields),
                        list(schema.cont_fields))
 
-    def read():
+    def read(_):
         """The header, then each chunk's (DesignMatrix, row texts)."""
         luts = {}
         with scan_csv(input_path, fields, scoring=True,

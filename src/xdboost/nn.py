@@ -89,19 +89,13 @@ def bce_loss_of_terms(p, terms):
     return float(np.mean(w * per))
 
 
-def bce_dlogit(p, y, class_weights=None):
-    """Gradient of weighted_bce_loss w.r.t. the pre-sigmoid logit.
+def bce_dlogit_of_terms(p, terms):
+    """Gradient of weighted_bce_loss w.r.t. the pre-sigmoid logit, for
+    float64 probabilities p from their labels' bce_terms.
 
     Exact for the clipped loss: zero where the clip is active, otherwise
     the usual fused form w * (p - y) / n.
     """
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return bce_dlogit_of_terms(p, bce_terms(y, class_weights))
-
-
-def bce_dlogit_of_terms(p, terms):
-    """bce_dlogit of float64 probabilities p from their labels' bce_terms."""
     y, w = terms[:2]
     inside = (p > P_CLIP) & (p < 1.0 - P_CLIP)
     return w * (p - y) * inside / p.shape[0]

@@ -1,7 +1,7 @@
 """A job run in a forked child: its items in order, its failures, items
-larger than a pipe's buffer, a child that dies or is closed mid-stream,
-and the in-process fallback. The validation process: a fit validated
-there equals one validated in-process, bit for bit."""
+and messages larger than a pipe's buffer, a child that dies or is closed
+mid-stream, and the in-process fallback. The validation process: a fit
+validated there equals one validated in-process, bit for bit."""
 
 import fcntl
 import math
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import _Unpicklable, make_matrix, make_schema
 from xdboost import child as child_module
-from xdboost.child import _Child, _ChildTraceback, _Validator
+from xdboost.child import _Child, _ChildTraceback, _validations
 from xdboost.errors import DataError, EvaluationError, TrainingError
 from xdboost.models import BaseNet, BaseNetConfig
 
@@ -36,13 +36,13 @@ def _child(job):
 
 
 @pytest.mark.parametrize("job, error, message", [
-    (lambda: _raise(EvaluationError("single-class labels")), EvaluationError,
+    (lambda _: _raise(EvaluationError("single-class labels")), EvaluationError,
      "^single-class labels$"),
-    (lambda: _raise(KeyError("k")), KeyError, "^'k'$"),
-    (lambda: _raise(_Unpicklable(1, 2)), RuntimeError, "^_Unpicklable: 1 2$"),
-    (lambda: os._exit(3), TrainingError,
+    (lambda _: _raise(KeyError("k")), KeyError, "^'k'$"),
+    (lambda _: _raise(_Unpicklable(1, 2)), RuntimeError, "^_Unpicklable: 1 2$"),
+    (lambda _: os._exit(3), TrainingError,
      "the job exited with status 3 before the end of its output"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), TrainingError, "exited with status -9"),
+    (lambda _: os.kill(os.getpid(), signal.SIGKILL), TrainingError, "exited with status -9"),
 ], ids=["package-error", "other-error", "unpicklable-error", "exit", "killed"])
 def test_a_child_s_failure_is_raised_in_the_parent(job, error, message):
     child = _child(job)
@@ -61,7 +61,7 @@ def test_a_child_s_failure_is_raised_in_the_parent(job, error, message):
 
 def test_a_child_s_result_larger_than_a_pipe_arrives_whole():
     big = np.random.default_rng(0).random(1 << 18)  # 2 MiB, past any pipe buffer
-    child = _child(lambda: [("ok", big)])
+    child = _child(lambda _: [("ok", big)])
     try:
         tag, got = child.result()
     finally:
@@ -73,14 +73,14 @@ def test_a_child_on_one_cpu_runs_the_job_in_process(monkeypatch):
     monkeypatch.setattr(child_module, "_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", lambda: _raise(AssertionError("forked with one CPU")))
     pid = os.getpid()
-    child = _child(lambda: [("ok", os.getpid())])
+    child = _child(lambda _: [("ok", os.getpid())])
     try:
         assert child.result() == ("ok", pid)
     finally:
         child.close()
 
 
-def _items(n=5, fail=None):
+def _items(_requests=(), n=5, fail=None):
     """A job's items: (i, getpid, an array of 1 << 16 floats); ``fail``
     runs in place of item 3."""
     for i in range(n):
@@ -118,7 +118,7 @@ def test_a_child_streams_when_its_pipe_cannot_be_widened(monkeypatch):
 
 
 def test_an_exception_mid_stream_arrives_after_the_items_before_it():
-    child, seen = _child(lambda: _items(fail=lambda: _raise(DataError("line 9: bad")))), []
+    child, seen = _child(lambda _: _items(fail=lambda: _raise(DataError("line 9: bad")))), []
     try:
         with pytest.raises(DataError, match="^line 9: bad$") as raised:
             for i, _, _ in child:
@@ -131,7 +131,7 @@ def test_an_exception_mid_stream_arrives_after_the_items_before_it():
 
 
 def test_a_child_that_dies_mid_stream_is_an_error_not_the_end():
-    child, seen = _child(lambda: _items(fail=lambda: os._exit(9))), []
+    child, seen = _child(lambda _: _items(fail=lambda: os._exit(9))), []
     try:
         with pytest.raises(TrainingError, match="the job exited with status 9 before the end"):
             for i, _, _ in child:
@@ -142,12 +142,53 @@ def test_a_child_that_dies_mid_stream_is_an_error_not_the_end():
 
 
 def test_closing_a_child_mid_stream_kills_and_reaps_it():
-    child = _child(lambda: _items(n=1000))
+    child = _child(lambda _: _items(n=1000))
     pid = child._pid
     assert next(iter(child))[0] == 0
     child.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(pid, os.WNOHANG)
+
+
+def _echo(requests):
+    yield from requests
+
+
+def test_a_child_s_job_reads_the_messages_sent_in_order():
+    big = np.random.default_rng(1).random(1 << 18)  # 2 MiB, past any pipe buffer
+    child = _child(_echo)
+    try:
+        for message in (1, big, ("a", None)):
+            child.send(message)
+        items = iter(child)
+        got = [next(items) for _ in range(3)]
+    finally:
+        child.close()
+    assert got[0] == 1 and got[1].tobytes() == big.tobytes() and got[2] == ("a", None)
+
+
+def test_a_message_to_a_killed_child_raises_its_exit_status():
+    child = _child(_echo)
+    pid = child._pid
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # its pipes' ends are closed
+    try:
+        with pytest.raises(TrainingError, match="the job exited with status -9 before the end"):
+            child.send(np.zeros(8))
+    finally:
+        child.close()
+    assert not child.forked
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists descriptors in /proc")
+def test_closing_a_child_closes_both_of_its_pipes():
+    before = set(os.listdir("/proc/self/fd"))
+    child = _child(_echo)
+    child.send("ping")
+    assert next(iter(child)) == "ping"
+    assert len(set(os.listdir("/proc/self/fd")) - before) == 2
+    child.close()
+    assert set(os.listdir("/proc/self/fd")) == before
 
 
 # ---- the validation process -------------------------------------------------------
@@ -188,7 +229,7 @@ def _fit_outcome(monkeypatch, cpus, config, val, diverge_at, class_weights):
     with monkeypatch.context() as patch:
         patch.setattr(child_module, "_cpus", lambda: cpus)
         hits = _diverging_at(patch, diverge_at, -(-X.n_rows // config.batch_size))
-        validator = _Validator()
+        validator = _Child(_validations, "the validation process", TrainingError)
         try:
             net = BaseNet(schema, config, seed=37)
             try:
@@ -197,7 +238,7 @@ def _fit_outcome(monkeypatch, cpus, config, val, diverge_at, class_weights):
                                   validator=validator).to_dict()
             except TrainingError as exc:
                 outcome = str(exc)
-            forked = validator._child is not None
+            forked = validator.forked
         finally:
             validator.close()
     return (outcome, net.flat.tobytes(), net.optimizer.m.tobytes(), net.optimizer.v.tobytes(),
@@ -236,3 +277,26 @@ def test_a_fit_validated_in_the_process_equals_one_validated_in_process(
         assert not alone_hits and beside_hits
     elif expect == "raises":
         assert alone[0] == f"non-finite training loss at epoch {diverge_at}, batch row 0"
+
+
+def test_a_fit_that_fails_with_a_loss_unread_closes_the_validation_process(monkeypatch):
+    """Epoch 1 trains while epoch 0's loss is unread; an error there
+    closes the process, so no later fit reads that loss."""
+    schema, X, y, val_X, val_y = _validation_case()
+    loss, calls = BaseNet._loss, []
+
+    def failing(net, out, terms):
+        calls.append(1)
+        if len(calls) == 3:  # epoch 1's first batch, two batches an epoch
+            raise KeyError("k")
+        return loss(net, out, terms)
+
+    monkeypatch.setattr(BaseNet, "_loss", failing)
+    validator = _Child(_validations, "the validation process", TrainingError)
+    try:
+        net = BaseNet(schema, BaseNetConfig(embedding_dim=3, epochs=4, batch_size=64), seed=37)
+        with pytest.raises(KeyError):
+            net.fit(X, y, val=(val_X, val_y), validator=validator)
+        assert not validator.forked
+    finally:
+        validator.close()

@@ -442,6 +442,12 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     config = write_config(tmp_path, model=FORKING_MODEL)
     pipe, close, Child = os.pipe, os.close, cli._Child
     pipes, closed, references = {}, [], []
+
+    def counting(job, *args):  # counts the reference's children, as cli makes them
+        if job is not child._validations:
+            references.append(1)
+        return Child(job, *args)
+
     for name in ("forked", "in_process", "fork_fails", "one_cpu"):
         with monkeypatch.context() as patch:
             if name in ("in_process", "fork_fails"):
@@ -452,8 +458,7 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
                 patch.delattr(os, "fork")
             elif name == "fork_fails":
                 patch.setattr(os, "fork", _failing_fork)
-                # the reference's child, as cli makes it
-                patch.setattr(cli, "_Child", lambda *a: references.append(1) or Child(*a))
+                patch.setattr(cli, "_Child", counting)
             elif name == "one_cpu":
                 patch.setattr(child, "_cpus", lambda: 1)
                 patch.setattr(os, "fork", _forbidden_fork)
@@ -468,9 +473,9 @@ def test_result_files_are_the_same_without_fork(tmp_path, monkeypatch, two_cpus)
     assert forked == _result_files(tmp_path / "fork_fails")
     assert forked == _result_files(tmp_path / "one_cpu")
     assert len(references) == 3  # one per experiment
-    # per experiment, the validation process's request and loss pipes and
-    # the reference's pipe
-    assert len(pipes["fork_fails"]) == 3 * 3
+    # per experiment, two pipes each for the validation process and the
+    # reference's child: items one way, messages the other
+    assert len(pipes["fork_fails"]) == 3 * 4
     assert {fd for fds in pipes["fork_fails"] for fd in fds} <= set(closed)
     assert pipes["in_process"] == []
 
@@ -487,10 +492,12 @@ def test_a_reference_with_no_fit_left_to_run_does_not_fork(tmp_path, monkeypatch
     the bytes of a run where os.fork does not exist."""
     monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
     config = write_config(tmp_path, model=GATE_MODEL)
+    Child = cli._Child
     for name in ("fork_refused", "no_fork"):
         with monkeypatch.context() as patch:
             if name == "fork_refused":  # the reference's child, as cli makes it
-                patch.setattr(cli, "_Child", lambda *a: pytest.fail("forked for no fit"))
+                patch.setattr(cli, "_Child", lambda job, *a: Child(job, *a)
+                              if job is child._validations else pytest.fail("forked for no fit"))
             else:
                 patch.delattr(os, "fork")
             (tmp_path / name).mkdir()
@@ -915,9 +922,9 @@ def test_a_failing_reference_reads_the_same_forked_or_not(tmp_path, capsys, monk
     errors, forks = [], []
     Child = cli._Child
 
-    def reference_child(*args):  # the reference's child, as cli makes it
-        made = Child(*args)
-        if made.forked:
+    def reference_child(job, *args):  # the reference's child, as cli makes it
+        made = Child(job, *args)
+        if made.forked and job is not child._validations:
             forks.append(1)
         return made
 
@@ -988,14 +995,15 @@ def test_a_boosted_failure_wins_and_leaves_no_child(tmp_path, capsys, monkeypatc
 
 def _recording_validators(monkeypatch):
     """Make cli record each validation process it asks for: whether it forked."""
-    made = []
+    made, Child = [], cli._Child
 
-    class Recording(child._Validator):
-        def __init__(self):
-            super().__init__()
-            made.append(self._child is not None)
+    def recording(job, *args):
+        made_child = Child(job, *args)
+        if job is child._validations:
+            made.append(made_child.forked)
+        return made_child
 
-    monkeypatch.setattr(cli, "_Validator", Recording)
+    monkeypatch.setattr(cli, "_Child", recording)
     return made
 
 
@@ -1010,22 +1018,24 @@ def test_a_validation_process_killed_mid_fit_fails_train_and_keeps_the_outputs(
     assert cli.main(["train", "--config", config, "--output-dir", str(out)]) == 0
     before = {name: (out / name).read_bytes() for name in ("train_result.json", "model_bundle")}
     capsys.readouterr()
-    submit, submitted = child._Validator.submit, []
+    send, submitted = child._Child.send, []
 
-    def kill_at_the_second(validator, flat):  # after the first fit's first epoch
+    def kill_at_the_second(validator, message):  # after the first fit's first epoch
+        if not isinstance(message, bytes):  # a fit's inputs, not an arena
+            return send(validator, message)
         submitted.append(1)
-        pid = validator._child._pid
+        pid = validator._pid
         if len(submitted) == 2 and dead == "before-a-request":
             os.kill(pid, signal.SIGKILL)
             os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # its pipe's end is closed
         elif len(submitted) == 2:  # stopped first, so it cannot answer the request
             os.kill(pid, signal.SIGSTOP)
             os.waitid(os.P_PID, pid, os.WSTOPPED | os.WNOWAIT)
-        submit(validator, flat)
+        send(validator, message)
         if len(submitted) == 2 and dead == "after-a-request":
             os.kill(pid, signal.SIGKILL)
 
-    monkeypatch.setattr(child._Validator, "submit", kill_at_the_second)
+    monkeypatch.setattr(child._Child, "send", kill_at_the_second)
     made = _recording_validators(monkeypatch)
     assert cli.main(["train", "--config", config, "--output-dir", str(out)]) == 4
     assert made == [True]

@@ -358,6 +358,8 @@ def test_fit_validates_targets():
         clf.fit(X, np.full(X.n_rows, 0.5))
     with pytest.raises(DataError):
         clf.fit(X, y[:-1])
+    with pytest.raises(DataError, match=r"targets of shape \(\) for"):
+        clf.fit(X, 1.0)
     reg = BaseNet(schema, BaseNetConfig(embedding_dim=2, epochs=1,
                                         head="tanh"))
     with pytest.raises(DataError):
@@ -578,9 +580,12 @@ def _targets(value):
 
 
 class _Unseen:
-    """A validator that fails the test if a fit hands it its inputs."""
+    """A forked validation child that fails the test if a fit sends it
+    its inputs."""
 
-    def begin(self, *args):
+    forked = True
+
+    def send(self, message):
         pytest.fail("the validation pair reached the validator")
 
 
@@ -588,7 +593,7 @@ class _Unseen:
     (_wrong_placeholders, DataError, "sigmoid"),
     (_index(99), DataError, "sigmoid"),
     (_index(-1), DataError, "sigmoid"),
-    (lambda val_X, val_y: (val_X, val_y[:-1]), UsageError, "sigmoid"),
+    (lambda val_X, val_y: (val_X, val_y[:-1]), DataError, "sigmoid"),
     (_targets(2.0), DataError, "sigmoid"),
     (_targets(3.0), DataError, "tanh"),
 ], ids=["placeholders", "index-out-of-range", "negative-index", "target-length",

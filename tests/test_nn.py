@@ -104,7 +104,7 @@ def test_class_weights_that_are_not_a_pair_of_numbers_are_a_usage_error(weights)
     with pytest.raises(UsageError, match="pair of numbers"):
         nn.weighted_bce_loss([0.5], [1.0], weights)
     with pytest.raises(UsageError, match="pair of numbers"):
-        nn.bce_dlogit(np.array([0.5]), np.array([1.0]), weights)
+        nn.bce_dlogit_of_terms(np.array([0.5]), nn.bce_terms(np.array([1.0]), weights))
 
 
 @pytest.mark.parametrize("label", [-1.0, 2.0, 0.5, math.nan])
@@ -117,25 +117,28 @@ def test_bce_loss_refuses_a_label_other_than_0_or_1(label):
 @pytest.mark.parametrize("label", [-1.0, 2.0, 0.5, math.nan])
 def test_bce_dlogit_refuses_a_label_other_than_0_or_1(label):
     with pytest.raises(UsageError, match="labels must be 0 or 1"):
-        nn.bce_dlogit(np.array([0.5, 0.5]), np.array([1.0, label]), (1.0, 4.0))
+        nn.bce_dlogit_of_terms(np.array([0.5, 0.5]), nn.bce_terms(np.array([1.0, label]), (1.0, 4.0)))
 
 
 def test_class_weights_are_indexed_by_label():
     p, y = np.array([0.3, 0.6, 0.8]), np.array([0.0, 1.0, 1.0])
     for pair in (ClassWeights(1.0, 2.5), (1.0, 2.5), [1, 2.5], np.array([1.0, 2.5])):
         assert nn.weighted_bce_loss(p, y, pair) == nn.weighted_bce_loss(p, y, (1.0, 2.5))
-        assert np.array_equal(nn.bce_dlogit(p, y, pair), nn.bce_dlogit(p, y, (1.0, 2.5)))
+        assert np.array_equal(nn.bce_dlogit_of_terms(p, nn.bce_terms(y, pair)),
+                              nn.bce_dlogit_of_terms(p, nn.bce_terms(y, (1.0, 2.5))))
     assert nn.weighted_bce_loss(p, y, (2.0, 1.0)) != nn.weighted_bce_loss(p, y, (1.0, 2.0))
 
 
 def test_bce_dlogit_fused_form_and_clip_mask():
-    grad = nn.bce_dlogit(np.array([0.7]), np.array([1.0]))
+    grad = nn.bce_dlogit_of_terms(np.array([0.7]), nn.bce_terms(np.array([1.0])))
     assert abs(grad[0] - (0.7 - 1.0)) < 1e-15
-    grad = nn.bce_dlogit(np.array([0.7, 0.2]), np.array([1.0, 0.0]), (1.0, 3.0))
+    grad = nn.bce_dlogit_of_terms(np.array([0.7, 0.2]),
+                                  nn.bce_terms(np.array([1.0, 0.0]), (1.0, 3.0)))
     assert abs(grad[0] - 3.0 * (0.7 - 1.0) / 2) < 1e-15
     assert abs(grad[1] - (0.2 - 0.0) / 2) < 1e-15
     # where the clip is active the loss is flat, so the gradient is zero
-    clipped = nn.bce_dlogit(np.array([1e-9, 1.0 - 1e-9]), np.array([1.0, 0.0]))
+    clipped = nn.bce_dlogit_of_terms(np.array([1e-9, 1.0 - 1e-9]),
+                                     nn.bce_terms(np.array([1.0, 0.0])))
     assert np.array_equal(clipped, [0.0, 0.0])
 
 
@@ -144,7 +147,7 @@ def test_bce_dlogit_matches_finite_differences_through_sigmoid():
     z = rng.uniform(-4.0, 4.0, size=25)
     y = rng.integers(0, 2, size=25).astype(np.float64)
     w = (1.0, 2.5)
-    grad = nn.bce_dlogit(nn.activation_apply("sigmoid", z), y, w)
+    grad = nn.bce_dlogit_of_terms(nn.activation_apply("sigmoid", z), nn.bce_terms(y, w))
     h = 1e-6
     for j in range(z.size):
         zp, zm = z.copy(), z.copy()
